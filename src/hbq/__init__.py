@@ -15,8 +15,7 @@ from .qsums import (DEFAULT_SCHEDULE, HB_SCALE, RegularizationSchedule,
                     dedekind_oscillatory_sum, eval_gen, oscillatory_sum,
                     q_dedekind_sum, q_hardy_berndt_sum)
 from .qzeta import (cck_zeta, q_alt_l, q_alt_zeta, q_alt_zeta_hurwitz,
-                    q_plain_zeta, verify_conductor_decomposition,
-                    verify_conductor_decomposition_two_var)
+                    q_plain_zeta, verify_conductor_decomposition)
 from .sums import (HARDY_VARIANTS, ParityCondition, SumSpec, dedekind_sum,
                    hardy_berndt_sum, parity_condition)
 from .zeta import (digamma, genocchi_zeta, genocchi_zeta_exact, hurwitz_zeta,

@@ -1,20 +1,12 @@
-"""Hot numeric kernels with numba-compiled and pure-numpy twins.
-
-The env flag HBQ_KERNELS selects the implementation:
-
-    auto   (default)  use numba when importable, else numpy
-    numba             require numba
-    numpy             force the pure-numpy path
-
-Only the float-heavy inner loops live here (series partial sums, the damped
-double sums of the product-identity checks, generating-function evaluation
-inside quadrature).  Exact-rational code paths stay in their own modules.
+"""Hot numeric kernels: the float-heavy inner loops (series partial sums, the
+damped double sums of the product-identity checks, generating-function
+evaluation inside quadrature), in numpy.  Exact-rational code paths stay in
+their own modules.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -25,28 +17,10 @@ __all__ = [
     "qzeta_partial_sum",
 ]
 
-_mode = os.environ.get("HBQ_KERNELS", "auto").lower()
-if _mode not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"HBQ_KERNELS must be auto|numba|numpy, got {_mode!r}")
-
-_have_numba = False
-if _mode in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _have_numba = True
-    except ImportError:
-        if _mode == "numba":
-            raise
-
-KERNEL_MODE = "numba" if _have_numba else "numpy"
+KERNEL_MODE = "numpy"  # the one implementation, named for run metadata
 
 
-# ----------------------------------------------------------------------
-# numpy reference implementations
-# ----------------------------------------------------------------------
-
-def qzeta_partial_sum_numpy(logq, s, x, chi, alt, n0, n1):
+def qzeta_partial_sum(logq, s, x, chi, alt, n0, n1):
     """sum_{n=n0}^{n1-1} sign^n chi[n mod f] q^{n(s-1)} ([n] + x q^n)^(-s).
 
     x = 0 together with n0 = 1 gives the plain series over [n]^(-s).
@@ -62,7 +36,7 @@ def qzeta_partial_sum_numpy(logq, s, x, chi, alt, n0, n1):
     return complex(np.sum(terms))
 
 
-def damped_pair_sum_numpy(s, eps, logq, alt, chi, odd_weights, m_count, n_count):
+def damped_pair_sum(s, eps, logq, alt, chi, odd_weights, m_count, n_count):
     """sum_{n,m} c_n w_m [(eps - i w)^(-s) - (eps + i w)^(-s)], w = A_n mu_m,
     c_n = sign^n chi(n) q^(-n), mu_m = 2m-1 (odd_weights) or m, w_m = 1/mu_m.
 
@@ -90,7 +64,7 @@ def damped_pair_sum_numpy(s, eps, logq, alt, chi, odd_weights, m_count, n_count)
     return complex(acc)
 
 
-def gen_series_sum_numpy(t, logq, alt, chi, nmax, tol):
+def gen_series_sum(t, logq, alt, chi, nmax, tol):
     """sum_{n>=1} sign^n chi(n) q^(-n) exp(-q^(-n)[n] t) with rigorous tail.
 
     Returns (value, tail_bound, terms_used); requires t > 0.
@@ -118,97 +92,3 @@ def gen_series_sum_numpy(t, logq, alt, chi, nmax, tol):
             tail = 2.0 * nxt_major
             break
     return complex(acc), float(tail), n
-
-
-# ----------------------------------------------------------------------
-# numba twins
-# ----------------------------------------------------------------------
-
-if _have_numba:
-
-    @njit(cache=True)
-    def _qzeta_partial_nb(logq, s, x, chi, alt, n0, n1):  # pragma: no cover
-        omq = -math.expm1(logq)
-        acc = 0.0 + 0.0j
-        for n in range(n0, n1):
-            qn = math.exp(n * logq)
-            bracket = -math.expm1(n * logq) / omq
-            base = bracket + x * qn
-            term = chi[n % len(chi)] * np.exp(n * logq * (s - 1.0)) \
-                * np.exp(-s * math.log(base))
-            if alt and n % 2 == 1:
-                term = -term
-            acc += term
-        return acc
-
-    @njit(cache=True)
-    def _damped_pair_nb(s, eps, logq, alt, chi, odd_weights, m_count, n_count):  # pragma: no cover
-        omq = -math.expm1(logq)
-        real_s = s.imag == 0.0
-        sr = s.real
-        acc = 0.0 + 0.0j
-        for n in range(1, n_count + 1):
-            a = (math.exp(-n * logq) - 1.0) / omq
-            c = chi[n % len(chi)] * math.exp(-n * logq)
-            if alt and n % 2 == 1:
-                c = -c
-            inner = 0.0 + 0.0j
-            for m in range(1, m_count + 1):
-                mu = 2.0 * m - 1.0 if odd_weights else float(m)
-                w = a * mu
-                if real_s:
-                    inner += 2j * (eps * eps + w * w) ** (-0.5 * sr) \
-                        * math.sin(sr * math.atan2(w, eps)) / mu
-                else:
-                    inner += ((eps - 1j * w) ** (-s) - (eps + 1j * w) ** (-s)) / mu
-            acc += c * inner
-        return acc
-
-    @njit(cache=True)
-    def _gen_series_nb(t, logq, alt, chi, nmax, tol):  # pragma: no cover
-        omq = -math.expm1(logq)
-        acc = 0.0 + 0.0j
-        n = 0
-        tail = 1.0e308
-        while n < nmax:
-            n += 1
-            qinv = math.exp(-n * logq)
-            a = (qinv - 1.0) / omq
-            major = qinv * math.exp(-a * t)
-            c = chi[n % len(chi)] * major
-            if alt and n % 2 == 1:
-                c = -c
-            acc += c
-            nxt = math.exp(-(n + 1) * logq)
-            nxt_major = nxt * math.exp(-((nxt - 1.0) / omq) * t)
-            ratio = nxt_major / major if major > 0 else 0.0
-            if nxt_major < tol * 0.5 and ratio < 0.5:
-                tail = 2.0 * nxt_major
-                break
-        return acc, tail, n
-
-    def qzeta_partial_sum_numba(logq, s, x, chi, alt, n0, n1):
-        return complex(_qzeta_partial_nb(float(logq), complex(s), float(x),
-                                         np.asarray(chi, dtype=np.complex128),
-                                         bool(alt), int(n0), int(n1)))
-
-    def damped_pair_sum_numba(s, eps, logq, alt, chi, odd_weights, m_count, n_count):
-        return complex(_damped_pair_nb(complex(s), float(eps), float(logq),
-                                       bool(alt),
-                                       np.asarray(chi, dtype=np.complex128),
-                                       bool(odd_weights), int(m_count),
-                                       int(n_count)))
-
-    def gen_series_sum_numba(t, logq, alt, chi, nmax, tol):
-        val, tail, n = _gen_series_nb(float(t), float(logq), bool(alt),
-                                      np.asarray(chi, dtype=np.complex128),
-                                      int(nmax), float(tol))
-        return complex(val), float(tail), int(n)
-
-    qzeta_partial_sum = qzeta_partial_sum_numba
-    damped_pair_sum = damped_pair_sum_numba
-    gen_series_sum = gen_series_sum_numba
-else:
-    qzeta_partial_sum = qzeta_partial_sum_numpy
-    damped_pair_sum = damped_pair_sum_numpy
-    gen_series_sum = gen_series_sum_numpy

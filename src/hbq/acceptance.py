@@ -20,8 +20,7 @@ from .mellin import verify_mellin_roundtrip, verify_product_identity
 from .numbers import NumberKind, number_table
 from .qsums import (DEFAULT_SCHEDULE, classical_trig_series,
                     oscillatory_sum, q_hardy_berndt_sum)
-from .qzeta import (q_alt_l, q_alt_zeta, verify_conductor_decomposition,
-                    verify_conductor_decomposition_two_var)
+from .qzeta import q_alt_l, q_alt_zeta, verify_conductor_decomposition
 from .sums import HARDY_VARIANTS, hardy_berndt_sum, parity_condition
 from .zeta import genocchi_zeta, genocchi_zeta_exact
 
@@ -170,8 +169,7 @@ def criterion_5() -> CriterionResult:
     worst = 0.0
     for chi, s, q in _decomposition_grid():
         for x in (0.25, 0.5):
-            out = verify_conductor_decomposition_two_var(s, x, chi, q,
-                                                         tol=1e-10)
+            out = verify_conductor_decomposition(s, chi, q, tol=1e-10, x=x)
             worst = max(worst, out.abs_diff)
             if not out.passed:
                 ok = False

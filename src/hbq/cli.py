@@ -3,30 +3,27 @@ machine-readable reports.
 
 Reports are deterministic: floats are rendered with 17 significant digits,
 keys and result rows are sorted, and no timestamps are embedded, so identical
-invocations produce byte-identical JSON.  HBQ_THREADS caps the thread pool
-used for independent verification cases.
+invocations produce byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
 from . import __version__, acceptance
 from .characters import character_from_label, characters_mod, chi_eval
-from .core import DomainError, QParam, SeriesValue, VerificationOutcome
+from .core import (ConvergenceError, DomainError, QParam, SeriesValue,
+                   VerificationOutcome)
 from .mellin import verify_mellin_roundtrip, verify_product_identity
 from .numbers import q_euler_number, q_genocchi_number, number_table
 from .qsums import (RegularizationSchedule, classical_trig_series,
                     oscillatory_sum, q_dedekind_sum, q_hardy_berndt_sum)
 from .qzeta import (cck_zeta, q_alt_l, q_alt_zeta, q_alt_zeta_hurwitz,
-                    q_plain_zeta, verify_conductor_decomposition,
-                    verify_conductor_decomposition_two_var)
+                    q_plain_zeta, verify_conductor_decomposition)
 from .sums import HARDY_VARIANTS, dedekind_sum, hardy_berndt_sum, parity_condition
 from .zeta import (digamma, genocchi_zeta, hurwitz_zeta, lerch_phi,
                    odd_power_sum, riemann_zeta, zeta_star)
@@ -187,6 +184,8 @@ def _report(argv: List[str], results: List[Dict[str, Any]],
         if arg == "--out":
             skip = True
             continue
+        if arg.startswith("--out="):
+            continue
         echo.append(arg)
     return {"tool": "hbq", "version": __version__, "command": echo,
             "results": results, "pass": overall}
@@ -216,14 +215,6 @@ def _schedule(args) -> Optional[RegularizationSchedule]:
         offsets = tuple(float(e) for e in args.eps.split(","))
         return RegularizationSchedule(offsets, getattr(args, "order", 2))
     return None
-
-
-def _pool_map(fn, cases):
-    workers = int(os.environ.get("HBQ_THREADS", "0") or 0)
-    if workers <= 1:
-        return [fn(c) for c in cases]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cases))
 
 
 # ----------------------------------------------------------------------
@@ -434,15 +425,11 @@ def _verify_thm4(args) -> List[Dict[str, Any]]:
                 if parity_condition(v, h, k).holds:
                     cases.append((v, h, k))
 
-    def check(case):
-        v, h, k = case
-        exact = float(hardy_berndt_sum(v, h, k))
-        series = classical_trig_series(v, h, k, tol=tol * 1e-2)
-        return VerificationOutcome.compare(
-            "trig-series-vs-exact", {"variant": v, "h": h, "k": k},
-            series, exact, tol)
-
-    outs = _pool_map(check, cases)
+    outs = [VerificationOutcome.compare(
+                "trig-series-vs-exact", {"variant": v, "h": h, "k": k},
+                classical_trig_series(v, h, k, tol=tol * 1e-2),
+                float(hardy_berndt_sum(v, h, k)), tol)
+            for v, h, k in cases]
     outs.sort(key=lambda o: (o.params["variant"], o.params["k"], o.params["h"]))
     return [_outcome_entry(o) for o in outs]
 
@@ -456,24 +443,12 @@ def _verify_decomposition(args, two_var: bool) -> List[Dict[str, Any]]:
     s_grid = [_maybe_int(_parse_s(args.s))] if args.s else [2, 3]
     q_grid = [QParam.parse(args.q)] if args.q else \
         [QParam.real(Fraction(1, 2)), QParam.real(Fraction(1, 3))]
-    x_grid = [args.x] if args.x is not None else [0.25, 0.5]
-    cases = []
-    for chi in chars:
-        for s in s_grid:
-            for q in q_grid:
-                if two_var:
-                    for x in x_grid:
-                        cases.append((chi, s, q, x))
-                else:
-                    cases.append((chi, s, q, None))
-
-    def check(case):
-        chi, s, q, x = case
-        if two_var:
-            return verify_conductor_decomposition_two_var(s, x, chi, q, tol)
-        return verify_conductor_decomposition(s, chi, q, tol)
-
-    outs = _pool_map(check, cases)
+    if not two_var:
+        x_grid = [None]
+    else:
+        x_grid = [args.x] if args.x is not None else [0.25, 0.5]
+    outs = [verify_conductor_decomposition(s, chi, q, tol, x=x)
+            for chi in chars for s in s_grid for q in q_grid for x in x_grid]
     outs.sort(key=lambda o: sorted(str(v) for v in o.params.values()))
     return [_outcome_entry(o) for o in outs]
 
@@ -485,16 +460,9 @@ def _verify_mellin_defs(args) -> List[Dict[str, Any]]:
     q_grid = [QParam.parse(args.q)] if args.q else \
         [QParam.real(Fraction(3, 10)), QParam.real(Fraction(1, 2)),
          QParam.real(Fraction(4, 5))]
-    cases = [(t, s, q) for t in ("zeta", "hurwitz", "l") for s in s_grid
-             for q in q_grid]
-
-    def check(case):
-        t, s, q = case
-        kwargs = {"x": 0.5} if t == "hurwitz" else \
-            ({"chi": chi4} if t == "l" else {})
-        return verify_mellin_roundtrip(t, s, q, tol=tol, **kwargs)
-
-    outs = _pool_map(check, cases)
+    kwargs = {"zeta": {}, "hurwitz": {"x": 0.5}, "l": {"chi": chi4}}
+    outs = [verify_mellin_roundtrip(t, s, q, tol=tol, **kwargs[t])
+            for t in ("zeta", "hurwitz", "l") for s in s_grid for q in q_grid]
     outs.sort(key=lambda o: sorted(str(v) for v in o.params.values()))
     return [_outcome_entry(o) for o in outs]
 
@@ -656,10 +624,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if variant is not None and variant.isdigit():
             args.variant = ("S", "s1", "s2", "s3", "s4", "s5")[int(variant)]
         return _HANDLERS[args.cmd](args, argv)
-    except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (ValueError, ConvergenceError) as exc:
+        # DomainError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -196,6 +196,12 @@ def qbracket(n: int, q: Union[QParam, ExactLike]):
     return (1 - qv ** n) / (1 - qv)
 
 
+def _logq(q: Fraction) -> float:
+    """log q for exact rational q, as log(num) - log(den): no rounding of q
+    through a float first, and no underflow for tiny q."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
 def sawtooth(x: ExactLike) -> Fraction:
     """((x)) = x - floor(x) - 1/2 for non-integer x, and 0 at integers."""
     xf = as_fraction(x)

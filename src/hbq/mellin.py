@@ -29,11 +29,12 @@ from scipy.integrate import quad
 from scipy.special import gamma as _gamma
 
 from . import _kernels
-from .characters import DirichletCharacter, chi_eval
+from .characters import DirichletCharacter
 from .core import (ConvergenceError, DomainError, QParam, QRegime,
-                   SeriesValue, VerificationOutcome)
+                   SeriesValue, VerificationOutcome, _logq)
 from .qsums import RegularizationSchedule, _richardson
-from .qzeta import q_alt_l, q_alt_zeta, q_alt_zeta_hurwitz, q_plain_zeta
+from .qzeta import (_chi_array, q_alt_l, q_alt_zeta, q_alt_zeta_hurwitz,
+                    q_plain_zeta)
 from .zeta import hurwitz_zeta, riemann_zeta, zeta_star
 
 __all__ = [
@@ -57,13 +58,6 @@ class QuadratureConfig:
             raise DomainError("split and tol must be positive")
         if self.big_t is not None and self.big_t <= self.split:
             raise DomainError("T must exceed the split point")
-
-
-def _chi_array(chi):
-    if chi is None:
-        return np.ones(1, dtype=np.complex128)
-    return np.array([chi_eval(chi, r) for r in range(chi.modulus)],
-                    dtype=np.complex128)
 
 
 def _tail_bound(a: float, t_big: float, beta: float, amp: float) -> float:
@@ -96,7 +90,7 @@ def mellin_transform(kind: str, s, q: QParam,
     chiv = _chi_array(chi if needs_chi else None)
     alt = kind.startswith("F")
     qfrac = q.value
-    logq = math.log(qfrac.numerator) - math.log(qfrac.denominator)
+    logq = _logq(qfrac)
     xv = 0.0
     n0coef = 0.0
     if x is not None:
@@ -108,7 +102,12 @@ def mellin_transform(kind: str, s, q: QParam,
     inner_tol = cfg.tol * 1e-3
 
     def g(t: float) -> complex:
-        val, _, _ = _kernels.gen_series_sum(t, logq, alt, chiv, 4000, inner_tol)
+        val, g_tail, _ = _kernels.gen_series_sum(t, logq, alt, chiv, 4000,
+                                                 inner_tol)
+        if g_tail == math.inf:
+            raise ConvergenceError(
+                f"generating series at t = {t:.3g} hit its 4000-term cap; "
+                "q is too close to 1 for the quadrature route")
         return (val + n0coef) * math.exp(-t * xv)
 
     a = s.real
@@ -238,7 +237,7 @@ def verify_product_identity(tid: int, s, q: QParam,
     # oscillatory-sum default pays for itself here
     reg = reg or RegularizationSchedule((0.2, 0.1, 0.05, 0.025, 0.0125), 4)
     qfrac = q.value
-    logq = math.log(qfrac.numerator) - math.log(qfrac.denominator)
+    logq = _logq(qfrac)
     chiv = _chi_array(chi)
 
     inner_tol = tol * 1e-3

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .characters import DirichletCharacter, chi_eval
 from .core import (ConvergenceError, DomainError, ParityError, PoleError,
-                   QParam, QRegime, SeriesValue)
+                   QParam, QRegime, SeriesValue, _logq)
 from .numbers import bernoulli_polynomial
 from .sums import HARDY_VARIANTS, parity_condition
 from .zeta import digamma, hurwitz_zeta
@@ -160,7 +160,7 @@ def eval_gen(kind: str, t, q: QParam, tol: float = 1e-12,
         raise DomainError("tol must be positive")
     qv = q.value
     alt = kind.startswith("F")
-    logq = math.log(qv.numerator) - math.log(qv.denominator)
+    logq = _logq(qv)
 
     if verbatim_fc:
         if kind != "f_chi":
@@ -329,7 +329,7 @@ def _literal_offset_value(variant_or_p, h: int, k: int, qfrac: Fraction,
                           tol: float, n_cap: int) -> Tuple[complex, float]:
     """One damping offset of the literal reading, summed n-first with the
     exact rational Fourier shapes.  Returns (value, tail bound)."""
-    logq = math.log(qfrac.numerator) - math.log(qfrac.denominator)
+    logq = _logq(qfrac)
     is_hb = isinstance(variant_or_p, str)
     if is_hb:
         variant = variant_or_p
@@ -390,6 +390,47 @@ def _validate_pair(h: int, k: int):
         raise DomainError(f"h and k must be coprime, got ({h}, {k})")
 
 
+def _damped_sum(shape, h: int, k: int, q: QParam,
+                chi: Optional[DirichletCharacter],
+                reg: RegularizationSchedule, m_max: int,
+                tol: float) -> YSumResult:
+    """Shared engine of the oscillatory sums.  ``shape`` is a Hardy-Berndt
+    variant name (corollary reading at q = 1) or an odd Dedekind order p
+    (literal reading).
+
+    At q = 1 the per-offset values come from one period of coefficients and
+    the value is the exact Abel limit when the period sum cancels.  For
+    0 < q < 1 each offset is summed n-first and the values are
+    Richardson-extrapolated; the residual also covers the truncation bounds.
+    """
+    if q.regime is QRegime.LIMIT1:
+        period, d = _limit1_period(shape, h, k, chi,
+                                   corollary=isinstance(shape, str))
+        per = tuple((eps, _limit1_offset_value(period, d, eps))
+                    for eps in reg.offsets)
+        extrap, resid = _richardson(reg.offsets, [v for _, v in per], reg.order)
+        abel, summable = _abel_period_value(period, d)
+        if not summable:
+            return YSumResult(extrap, per, resid, "limit1-richardson", True,
+                              extrap)
+        return YSumResult(abel, per, resid, "limit1-abel-period", False,
+                          extrap)
+
+    if q.regime is not QRegime.REAL_UNIT:
+        raise DomainError("oscillatory sums need rational 0 < q < 1 or q = 1")
+    per = []
+    bounds = []
+    for eps in reg.offsets:
+        val, bnd = _literal_offset_value(shape, h, k, q.value, chi, eps, tol,
+                                         m_max)
+        per.append((eps, val))
+        bounds.append(bnd)
+    extrap, resid = _richardson(reg.offsets, [v for _, v in per], reg.order)
+    resid = max(resid, max(bounds))
+    return YSumResult(extrap, tuple(per), resid, "abel-richardson",
+                      resid > 1e3 * tol, extrap)
+
+
 def oscillatory_sum(variant, h: int, k: int, q: QParam,
                     chi: Optional[DirichletCharacter] = None,
                     reg: Optional[RegularizationSchedule] = None,
@@ -414,40 +455,14 @@ def oscillatory_sum(variant, h: int, k: int, q: QParam,
     reg = reg or DEFAULT_SCHEDULE
     if tol <= 0:
         raise DomainError("tol must be positive")
-
-    if q.regime is QRegime.LIMIT1:
-        period, d = _limit1_period(variant, h, k, chi, corollary=True)
-        per = tuple((eps, _limit1_offset_value(period, d, eps))
-                    for eps in reg.offsets)
-        extrap, resid = _richardson(reg.offsets, [v for _, v in per], reg.order)
-        abel, summable = _abel_period_value(period, d)
-        if not summable:
-            return YSumResult(extrap, per, resid, "limit1-richardson", True,
-                              extrap)
-        if chi is None:
-            pc = parity_condition(variant, abs(h), k)
-            if pc.holds:
-                classical = classical_trig_series(variant, abs(h), k,
-                                                  tol=min(tol, 1e-10))
-                value = (1.0 if h > 0 else -1.0) * classical / HB_SCALE[variant]
-                return YSumResult(value, per, resid, "limit1-closed-form",
-                                  False, extrap)
-        return YSumResult(abel, per, resid, "limit1-abel-period", False,
-                          extrap)
-
-    if q.regime is not QRegime.REAL_UNIT:
-        raise DomainError("oscillatory sums need rational 0 < q < 1 or q = 1")
-    per = []
-    bounds = []
-    for eps in reg.offsets:
-        val, bnd = _literal_offset_value(variant, h, k, q.value, chi, eps,
-                                         tol, m_max)
-        per.append((eps, val))
-        bounds.append(bnd)
-    extrap, resid = _richardson(reg.offsets, [v for _, v in per], reg.order)
-    resid = max(resid, max(bounds))
-    return YSumResult(extrap, tuple(per), resid, "abel-richardson",
-                      resid > 1e3 * tol, extrap)
+    res = _damped_sum(variant, h, k, q, chi, reg, m_max, tol)
+    if res.route == "limit1-abel-period" and chi is None \
+            and parity_condition(variant, abs(h), k).holds:
+        classical = classical_trig_series(variant, abs(h), k,
+                                          tol=min(tol, 1e-10))
+        value = (1.0 if h > 0 else -1.0) * classical / HB_SCALE[variant]
+        return replace(res, value=value, route="limit1-closed-form")
+    return res
 
 
 def dedekind_oscillatory_sum(p: int, h: int, k: int, q: QParam,
@@ -470,43 +485,17 @@ def dedekind_oscillatory_sum(p: int, h: int, k: int, q: QParam,
     reg = reg or DEFAULT_SCHEDULE
     if order not in ("n-first", "m-first"):
         raise DomainError("order must be 'n-first' or 'm-first'")
-
-    if q.regime is QRegime.LIMIT1:
-        if order == "m-first":
-            if chi is not None:
-                raise DomainError("m-first route implemented character-free")
-            per = tuple((eps, _dedekind_m_first_offset(p, h, k, eps))
-                        for eps in reg.offsets)
-            extrap, resid = _richardson(reg.offsets, [v for _, v in per],
-                                        reg.order)
-            return YSumResult(extrap, per, resid, "limit1-m-first-richardson",
-                              False, extrap)
-        period, d = _limit1_period(p, h, k, chi, corollary=False)
-        per = tuple((eps, _limit1_offset_value(period, d, eps))
-                    for eps in reg.offsets)
-        extrap, resid = _richardson(reg.offsets, [v for _, v in per], reg.order)
-        abel, summable = _abel_period_value(period, d)
-        if not summable:
-            return YSumResult(extrap, per, resid, "limit1-richardson", True,
-                              extrap)
-        return YSumResult(abel, per, resid, "limit1-abel-period", False,
-                          extrap)
-
-    if q.regime is not QRegime.REAL_UNIT:
-        raise DomainError("oscillatory sums need rational 0 < q < 1 or q = 1")
-    if order == "m-first":
+    if order == "n-first":
+        return _damped_sum(p, h, k, q, chi, reg, m_max, tol)
+    if q.regime is not QRegime.LIMIT1:
         raise DomainError("m-first route implemented at q = 1 only")
-    per = []
-    bounds = []
-    for eps in reg.offsets:
-        val, bnd = _literal_offset_value(p, h, k, q.value, chi, eps, tol,
-                                         m_max)
-        per.append((eps, val))
-        bounds.append(bnd)
+    if chi is not None:
+        raise DomainError("m-first route implemented character-free")
+    per = tuple((eps, _dedekind_m_first_offset(p, h, k, eps))
+                for eps in reg.offsets)
     extrap, resid = _richardson(reg.offsets, [v for _, v in per], reg.order)
-    resid = max(resid, max(bounds))
-    return YSumResult(extrap, tuple(per), resid, "abel-richardson",
-                      resid > 1e3 * tol, extrap)
+    return YSumResult(extrap, per, resid, "limit1-m-first-richardson",
+                      False, extrap)
 
 
 def _dedekind_m_first_offset(p: int, h: int, k: int, eps: float) -> complex:

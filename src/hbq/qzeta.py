@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels
 from .characters import DirichletCharacter, chi_eval
 from .core import (ConvergenceError, DomainError, QParam, QRegime,
-                   SeriesValue, VerificationOutcome, qbracket)
+                   SeriesValue, VerificationOutcome, _logq, qbracket)
 
 __all__ = [
     "cck_zeta",
@@ -33,7 +33,6 @@ __all__ = [
     "q_alt_zeta_hurwitz",
     "q_plain_zeta",
     "verify_conductor_decomposition",
-    "verify_conductor_decomposition_two_var",
 ]
 
 _NO_CHI = np.ones(1, dtype=np.complex128)
@@ -56,7 +55,7 @@ def _alt_series_real(s: complex, qfrac: Fraction, x: float,
         raise DomainError("Re(s) > 1 required")
     if tol <= 0:
         raise DomainError("tol must be positive")
-    logq = math.log(qfrac.numerator) - math.log(qfrac.denominator)
+    logq = _logq(qfrac)
     rate = math.exp(logq * (s.real - 1.0))  # q^(Re s - 1) < 1
     n_stop = int(math.ceil((math.log(tol * (1.0 - rate)) - math.log(2.0)) / (logq * (s.real - 1.0)))) + 2
     n_stop = max(n_stop, n0 + 8, min_terms)
@@ -218,11 +217,16 @@ def cck_zeta(s, q: QParam, tol: float = 1e-12) -> SeriesValue:
 
 
 def verify_conductor_decomposition(s, chi: DirichletCharacter, q: QParam,
-                                   tol: float = 1e-10) -> VerificationOutcome:
+                                   tol: float = 1e-10,
+                                   x: Optional[float] = None) -> VerificationOutcome:
     """Check the odd-conductor decomposition of the scaled l-series:
 
         [2] l(s, chi; q) = [2] [f]^(-s) sum_{a=1}^{f} (-1)^a q^(a(s-1)) chi(a)
                                * Hurwitz(s, [a]/[f]; base q^f)
+
+    With x in (0, 1] the two-variable version is checked instead: the shift
+    enters each inner Hurwitz argument as ([a] + x q^a)/[f], which exceeds 1
+    at a = f, so the Hurwitz evaluator accepts any positive shift.
 
     The scaling bracket [2] = 1 + q is the ambient one on both sides: with
     the base-q^f bracket the right side is off by (1+q)/(1+q^f), so the
@@ -236,41 +240,8 @@ def verify_conductor_decomposition(s, chi: DirichletCharacter, q: QParam,
             "(-1)^(a+mf) by (-1)^a (-1)^m, which needs odd f")
     if q.regime is not QRegime.REAL_UNIT:
         raise DomainError("decomposition check needs exact rational q")
-    s = complex(s)
-    qfrac = q.value
-    scale = 1.0 + float(qfrac)
-    inner_tol = tol / (40.0 * f)
-
-    lhs = scale * q_alt_l(s, chi, q, inner_tol).value
-
-    q_to_f = QParam.real(qfrac ** f)
-    bf = Fraction(qbracket(f, qfrac))
-    logq = math.log(qfrac.numerator) - math.log(qfrac.denominator)
-    rhs = 0j
-    for a in range(1, f + 1):
-        xa = Fraction(qbracket(a, qfrac)) / bf
-        inner = _alt_series(s, q_to_f, float(xa), None, inner_tol, n0=0)
-        rhs += (-1) ** a * cmath.exp((s - 1.0) * a * logq) * chi_eval(chi, a) \
-            * inner.value
-    rhs *= scale * cmath.exp(-s * math.log(float(bf)))
-    return VerificationOutcome.compare(
-        "conductor-decomposition", {"s": s, "q": str(qfrac), "chi": chi.label},
-        lhs, rhs, tol)
-
-
-def verify_conductor_decomposition_two_var(s, x, chi: DirichletCharacter,
-                                           q: QParam,
-                                           tol: float = 1e-10) -> VerificationOutcome:
-    """Two-variable version: the shift x enters each inner Hurwitz argument as
-    ([a] + x q^a)/[f]; at a = f that argument exceeds 1, which is why the
-    Hurwitz evaluator accepts any positive shift."""
-    f = chi.modulus
-    if f % 2 == 0:
-        raise DomainError("even conductor rejected; see the one-variable check")
-    if q.regime is not QRegime.REAL_UNIT:
-        raise DomainError("decomposition check needs exact rational q")
-    xv = float(x)
-    if not 0 < xv <= 1:
+    xv = None if x is None else float(x)
+    if xv is not None and not 0 < xv <= 1:
         raise DomainError("x must lie in (0, 1]")
     s = complex(s)
     qfrac = q.value
@@ -280,16 +251,22 @@ def verify_conductor_decomposition_two_var(s, x, chi: DirichletCharacter,
     lhs = scale * q_alt_l(s, chi, q, inner_tol, x=xv).value
 
     q_to_f = QParam.real(qfrac ** f)
-    bf = float(qbracket(f, qfrac))
+    bf = qbracket(f, qfrac)
     qf = float(qfrac)
-    logq = math.log(qfrac.numerator) - math.log(qfrac.denominator)
+    logq = _logq(qfrac)
     rhs = 0j
     for a in range(1, f + 1):
-        xa = (float(qbracket(a, qfrac)) + xv * qf ** a) / bf
+        # the one-variable shift is rounded once from the exact ratio, the
+        # two-variable one is formed in floats; reports pin both roundings
+        xa = float(qbracket(a, qfrac) / bf) if xv is None \
+            else (float(qbracket(a, qfrac)) + xv * qf ** a) / float(bf)
         inner = _alt_series(s, q_to_f, xa, None, inner_tol, n0=0)
         rhs += (-1) ** a * cmath.exp((s - 1.0) * a * logq) * chi_eval(chi, a) \
             * inner.value
-    rhs *= scale * cmath.exp(-s * math.log(bf))
+    rhs *= scale * cmath.exp(-s * math.log(float(bf)))
+    params = {"s": s, "q": str(qfrac), "chi": chi.label}
+    if xv is not None:
+        params["x"] = xv
     return VerificationOutcome.compare(
-        "conductor-decomposition-2var",
-        {"s": s, "x": xv, "q": str(qfrac), "chi": chi.label}, lhs, rhs, tol)
+        "conductor-decomposition" + ("" if xv is None else "-2var"), params,
+        lhs, rhs, tol)

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from scipy.special import gamma
 
-from hbq import (DomainError, QParam, QuadratureConfig, branch_prefactor,
-                 characters_mod, mellin_transform, q_alt_zeta,
+from hbq import (ConvergenceError, DomainError, QParam, QuadratureConfig,
+                 branch_prefactor, characters_mod, mellin_transform, q_alt_zeta,
                  verify_mellin_roundtrip, verify_product_identity)
 
 Q_HALF = QParam.real(Fraction(1, 2))
@@ -60,6 +60,15 @@ def test_mellin_transform_matches_series_directly():
     sv = mellin_transform("F", 3, Q_HALF)
     series = q_alt_zeta(3, Q_HALF, 1e-12)
     assert abs(sv.value - series.value) <= sv.tail_bound + series.tail_bound
+
+
+def test_capped_generating_series_is_not_certified():
+    # near q = 1 the generating series needs more than its 4000-term cap at
+    # small t; the truncated value missed q_alt_zeta by 9.5e-9 while the
+    # reported bound was 2.5e-9, so the transform must refuse instead
+    q = QParam.real(Fraction(999, 1000))
+    with pytest.raises(ConvergenceError):
+        mellin_transform("F", 2, q, cfg=QuadratureConfig(tol=1e-8))
 
 
 def test_product_identities_at_even_s():

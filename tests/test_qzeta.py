@@ -4,8 +4,7 @@ import pytest
 
 from hbq import (DomainError, QParam, cck_zeta, characters_mod, chi_eval,
                  genocchi_zeta, q_alt_l, q_alt_zeta, q_alt_zeta_hurwitz,
-                 q_plain_zeta, verify_conductor_decomposition,
-                 verify_conductor_decomposition_two_var)
+                 q_plain_zeta, verify_conductor_decomposition)
 
 Q_HALF = QParam.real(Fraction(1, 2))
 
@@ -166,15 +165,15 @@ def test_decomposition_rejects_even_conductor():
     with pytest.raises(DomainError):
         verify_conductor_decomposition(2, chi4, Q_HALF)
     with pytest.raises(DomainError):
-        verify_conductor_decomposition_two_var(2, 0.5, chi4, Q_HALF)
+        verify_conductor_decomposition(2, chi4, Q_HALF, x=0.5)
 
 
 def test_decomposition_two_variable():
     chi3 = characters_mod(3)[1]
-    out = verify_conductor_decomposition_two_var(2, 0.25, chi3, Q_HALF, 1e-10)
+    out = verify_conductor_decomposition(2, chi3, Q_HALF, 1e-10, x=0.25)
     assert out.passed
-    out = verify_conductor_decomposition_two_var(
-        2.5, 0.5, characters_mod(3)[0], QParam.real(Fraction(2, 5)), 1e-8)
+    out = verify_conductor_decomposition(
+        2.5, characters_mod(3)[0], QParam.real(Fraction(2, 5)), 1e-8, x=0.5)
     assert out.passed
 
 
