@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma as _gamma
 
 from . import _kernels
 from .characters import DirichletCharacter
@@ -76,6 +74,9 @@ def mellin_transform(kind: str, s, q: QParam,
     functions "f", "F", "f_chi", "F_chi", optionally damped by exp(-t x)
     with the n = 0 term restored (the Hurwitz-shift integrand sums from
     n = 0, so it equals (chi(0) + g(t)) e^(-tx))."""
+    from scipy.integrate import quad
+    from scipy.special import gamma
+
     if kind not in ("f", "F", "f_chi", "F_chi"):
         raise DomainError(f"unknown generating kind {kind!r}")
     if q.regime is not QRegime.REAL_UNIT:
@@ -151,7 +152,7 @@ def mellin_transform(kind: str, s, q: QParam,
             pieces += re + 1j * im
             err += im_err
 
-    gamma_s = complex(_gamma(s))
+    gamma_s = complex(gamma(s))
     value = pieces / gamma_s
     err = err / abs(gamma_s) + 8e-15 * abs(value)
     return SeriesValue(value, err, 0)

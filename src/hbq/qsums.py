@@ -265,10 +265,10 @@ class YSumResult:
 # ----------------------------------------------------------------------
 
 def _limit1_period(variant_or_p, h: int, k: int,
-                   chi: Optional[DirichletCharacter],
-                   corollary: bool):
+                   chi: Optional[DirichletCharacter]):
     """Per-n coefficients d_n of the damped series sum_n d_n e^(-n eps) at
-    q = 1, as one full period (complex values, exact rational skeleton)."""
+    q = 1, as one full period (complex values, exact rational skeleton); the
+    Hardy-Berndt variants are read through their corollary forms."""
     f = chi.modulus if chi is not None else 1
     if isinstance(variant_or_p, str):
         variant = variant_or_p
@@ -276,17 +276,11 @@ def _limit1_period(variant_or_p, h: int, k: int,
         period = math.lcm(base, 2, f)
         d = []
         for r in range(1, period + 1):
-            if corollary:
-                u = Fraction(r * h, k) if _ODD_WEIGHTS[variant] else Fraction(2 * r * h, k)
-            else:
-                u = Fraction(r * h, 2 * k) if _ODD_WEIGHTS[variant] else Fraction(r * h, k)
+            u = Fraction(r * h, k) if _ODD_WEIGHTS[variant] else Fraction(2 * r * h, k)
             coef = _hb_shape(variant, u, k)
             val = float(coef) * math.pi
             if _F_FAMILY[variant]:
-                sgn = 1.0 if (r % 2 == 1) else -1.0  # (-1)^(n+1)
-                if not corollary:
-                    sgn = -sgn  # literal (-1)^n
-                val *= sgn
+                val *= 1.0 if (r % 2 == 1) else -1.0  # (-1)^(n+1)
             cv = chi_eval(chi, r) if chi is not None else 1.0
             d.append(val * cv)
         return period, d
@@ -404,8 +398,7 @@ def _damped_sum(shape, h: int, k: int, q: QParam,
     Richardson-extrapolated; the residual also covers the truncation bounds.
     """
     if q.regime is QRegime.LIMIT1:
-        period, d = _limit1_period(shape, h, k, chi,
-                                   corollary=isinstance(shape, str))
+        period, d = _limit1_period(shape, h, k, chi)
         per = tuple((eps, _limit1_offset_value(period, d, eps))
                     for eps in reg.offsets)
         extrap, resid = _richardson(reg.offsets, [v for _, v in per], reg.order)
@@ -483,6 +476,8 @@ def dedekind_oscillatory_sum(p: int, h: int, k: int, q: QParam,
     _validate_pair(h, k)
     chi = _normalize_chi(chi)
     reg = reg or DEFAULT_SCHEDULE
+    if tol <= 0:
+        raise DomainError("tol must be positive")
     if order not in ("n-first", "m-first"):
         raise DomainError("order must be 'n-first' or 'm-first'")
     if order == "n-first":
@@ -522,7 +517,8 @@ def q_hardy_berndt_sum(variant: str, h: int, k: int, q: QParam,
                        chi: Optional[DirichletCharacter] = None,
                        reg: Optional[RegularizationSchedule] = None,
                        tol: float = 1e-8,
-                       enforce_parity: bool = True) -> complex:
+                       enforce_parity: bool = True,
+                       m_max: int = 100_000) -> complex:
     """Theorem-scaled oscillatory sum; at q = 1 this reproduces the exact
     finite Hardy-Berndt sums for admissible (h, k)."""
     if variant not in HARDY_VARIANTS:
@@ -535,15 +531,16 @@ def q_hardy_berndt_sum(variant: str, h: int, k: int, q: QParam,
             raise ParityError(
                 f"variant {variant} needs {pc.description}; got (h, k) = "
                 f"({h}, {k}).  Pass enforce_parity=False to proceed anyway.")
-    res = oscillatory_sum(variant, h, k, q, chi=chi, reg=reg, tol=tol)
+    res = oscillatory_sum(variant, h, k, q, chi=chi, reg=reg, m_max=m_max,
+                          tol=tol)
     return HB_SCALE[variant] * res.value
 
 
 def q_dedekind_sum(p: int, h: int, k: int, q: QParam,
                    reg: Optional[RegularizationSchedule] = None,
-                   tol: float = 1e-8) -> complex:
+                   tol: float = 1e-8, m_max: int = 100_000) -> complex:
     """p!/(2 pi i)^p times the regularized m^(-p) oscillatory sum, p odd."""
-    res = dedekind_oscillatory_sum(p, h, k, q, reg=reg, tol=tol)
+    res = dedekind_oscillatory_sum(p, h, k, q, reg=reg, m_max=m_max, tol=tol)
     return math.factorial(p) / (2j * math.pi) ** p * res.value
 
 

@@ -11,10 +11,9 @@ nonpositive integers go through exact Bernoulli-number arithmetic.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
-
-from scipy.special import gamma as _gamma
 
 from .core import DomainError, SeriesValue
 from .numbers import NumberKind, number_table
@@ -33,6 +32,13 @@ __all__ = [
 
 _LOG_ACCEL = math.log(3.0 + math.sqrt(8.0))
 _BERN = number_table(NumberKind.BERNOULLI, 40)
+
+
+@functools.cache
+def _complex_gamma():
+    """scipy's Gamma, imported on the first complex-s call only."""
+    from scipy.special import gamma
+    return gamma
 
 
 def _is_nonpositive_int(s) -> bool:
@@ -62,7 +68,8 @@ def _eta_accelerated(s: complex, tol: float):
         raise DomainError("alternating route needs Re(s) > 0")
     tv = 1.0
     if z.imag != 0:
-        tv = abs(_gamma(z.real) / _gamma(z))
+        gamma = _complex_gamma()
+        tv = abs(gamma(z.real) / gamma(z))
     n = max(12, int(math.log(3.0 * max(tv, 1.0) / tol) / _LOG_ACCEL) + 3)
     d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0

@@ -40,6 +40,25 @@ def test_convergence_error_exit_2(capsys):
     assert err.startswith("error: ") and "term cap" in err
 
 
+def test_qsum_dedekind_nonpositive_tol_exit_2(capsys):
+    code, out, err = run(capsys, "qsum", "--kind", "dedekind", "--p", "1",
+                         "--h", "1", "--k", "3", "--q", "2/5", "--tol", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "tol must be positive" in err
+
+
+def test_qsum_terms_max_reaches_every_kind(capsys):
+    # the cap that stops --kind gen stops the scaled sums built on it too
+    for kind in (("--kind", "gen", "--variant", "S", "--h", "1", "--k", "2"),
+                 ("--kind", "hardy-berndt", "--variant", "S", "--h", "1",
+                  "--k", "2"),
+                 ("--kind", "dedekind", "--p", "1", "--h", "1", "--k", "3")):
+        code, out, err = run(capsys, "qsum", *kind, "--q", "2/5",
+                             "--terms-max", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "term cap" in err
+
+
 def test_verify_pass_and_fail_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "thm5", "--s", "2", "--q", "1/2",
                        "--chi", "3:1", "--tol", "1e-10")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hbq import (DomainError, ParityError, QParam, RegularizationSchedule,
+from hbq import (ConvergenceError, DomainError, ParityError, QParam, RegularizationSchedule,
                  characters_mod, classical_trig_series,
                  dedekind_oscillatory_sum, dedekind_sum, eval_gen,
                  hardy_berndt_sum, oscillatory_sum, parity_condition,
@@ -127,7 +127,7 @@ def test_limit1_closed_form_vs_period_route():
     from hbq.qsums import _abel_period_value, _limit1_period
     for v, h, k in (("S", 1, 2), ("S", 2, 3), ("s3", 1, 3), ("s4", 1, 3),
                     ("s5", 1, 5), ("s2", 3, 4), ("s1", 2, 3), ("s3", 4, 9)):
-        period, d = _limit1_period(v, h, k, None, corollary=True)
+        period, d = _limit1_period(v, h, k, None)
         abel, summable = _abel_period_value(period, d)
         assert summable
         closed = oscillatory_sum(v, h, k, ONE).value
@@ -227,6 +227,18 @@ def test_dedekind_rejects_even_order():
         q_dedekind_sum(2, 1, 3, ONE)
     with pytest.raises(DomainError):
         q_dedekind_sum(-1, 1, 3, ONE)
+
+
+def test_dedekind_tol_and_term_cap_checked():
+    for order in ("n-first", "m-first"):
+        with pytest.raises(DomainError):
+            dedekind_oscillatory_sum(1, 1, 3, ONE, tol=0.0, order=order)
+    with pytest.raises(DomainError):
+        q_dedekind_sum(1, 1, 3, Q_HALF, tol=-1e-8)
+    with pytest.raises(ConvergenceError):
+        q_dedekind_sum(1, 1, 3, Q_HALF, m_max=5)
+    with pytest.raises(ConvergenceError):
+        q_hardy_berndt_sum("S", 1, 2, Q_HALF, m_max=5)
 
 
 def test_dedekind_higher_order_runs():
