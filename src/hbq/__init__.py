@@ -1,9 +1,9 @@
 """hbq: exact and q-deformed Hardy-Berndt / Dedekind sums, Genocchi-type
 zeta and l functions, and the verification machinery tying them together.
 
-The exact layers are imported here.  The numpy-backed layers (``qzeta``,
-``mellin`` and their ``_kernels``) load on first use of one of their names,
-so ``import hbq`` and the exact computations pay for neither numpy nor scipy.
+The exact layers are imported here.  The numpy-backed layers (``qzeta`` and
+``mellin``) load on first use of one of their names, so ``import hbq`` and
+the exact computations pay for neither numpy nor scipy.
 """
 
 import importlib
@@ -37,7 +37,7 @@ _LAZY = dict.fromkeys(("QuadratureConfig", "branch_prefactor",
 
 
 def __getattr__(name):
-    if name in ("mellin", "qzeta", "_kernels"):
+    if name in ("mellin", "qzeta"):
         return importlib.import_module(f".{name}", __name__)
     module = _LAZY.get(name)
     if module is None:

@@ -1,14 +1,14 @@
 """Hot numeric kernels: the float-heavy inner loops (series partial sums, the
 damped double sums of the product-identity checks, generating-function
-evaluation inside quadrature), in numpy.  Exact-rational code paths stay in
-their own modules.
+evaluation inside quadrature and for ``eval_gen``).  The two array kernels
+import numpy when called, so importing this module stays numpy-free.
+Exact-rational code paths stay in their own modules.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-
-import numpy as np
 
 __all__ = [
     "KERNEL_MODE",
@@ -25,6 +25,8 @@ def qzeta_partial_sum(logq, s, x, chi, alt, n0, n1):
 
     x = 0 together with n0 = 1 gives the plain series over [n]^(-s).
     """
+    import numpy as np
+
     n = np.arange(n0, n1, dtype=np.float64)
     qn = np.exp(n * logq)
     omq = -math.expm1(logq)  # 1 - q
@@ -43,6 +45,8 @@ def damped_pair_sum(s, eps, logq, alt, chi, odd_weights, m_count, n_count):
     For real s the bracket is conjugate-symmetric and collapses to
     2i (eps^2 + w^2)^(-s/2) sin(s atan2(w, eps)), one real power per term.
     """
+    import numpy as np
+
     m = np.arange(1, m_count + 1, dtype=np.float64)
     mu = 2.0 * m - 1.0 if odd_weights else m
     acc = 0j
@@ -65,30 +69,32 @@ def damped_pair_sum(s, eps, logq, alt, chi, odd_weights, m_count, n_count):
 
 
 def gen_series_sum(t, logq, alt, chi, nmax, tol):
-    """sum_{n>=1} sign^n chi(n) q^(-n) exp(-q^(-n)[n] t) with rigorous tail.
+    """sum_{n>=1} sign^n chi(n) q^(-n) exp(-q^(-n)[n] t) with rigorous tail,
+    Re t > 0, ``chi`` one period of character values.
 
-    Returns (value, tail_bound, terms_used); requires t > 0.
+    Returns (value, tail_bound, terms_used); the tail bound is inf when nmax
+    terms do not reach tol.
     """
+    t = complex(t)
     omq = -math.expm1(logq)
     acc = 0j
     n = 0
-    tail = math.inf
+    qinv = math.exp(-logq)
+    a = (qinv - 1.0) / omq  # q^(-n)[n]
+    major = qinv * math.exp(-a * t.real)
     while n < nmax:
         n += 1
-        qinv = math.exp(-n * logq)
-        a = (qinv - 1.0) / omq
-        major = qinv * math.exp(-a * t)
         c = chi[n % len(chi)] * major
+        if t.imag != 0.0:
+            c *= cmath.exp(complex(0.0, -a * t.imag))
         if alt and n % 2 == 1:
             c = -c
         acc += c
-        nxt = math.exp(-(n + 1) * logq)
-        nxt_major = nxt * math.exp(-((nxt - 1.0) / omq) * t)
-        if major > 0:
-            ratio = nxt_major / major
-        else:
-            ratio = 0.0
+        qinv = math.exp(-(n + 1) * logq)
+        a = (qinv - 1.0) / omq
+        nxt_major = qinv * math.exp(-a * t.real)
+        ratio = nxt_major / major if major > 0 else 0.0
         if nxt_major < tol * 0.5 and ratio < 0.5:
-            tail = 2.0 * nxt_major
-            break
-    return complex(acc), float(tail), n
+            return complex(acc), 2.0 * nxt_major, n
+        major = nxt_major
+    return complex(acc), math.inf, n

@@ -10,17 +10,13 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List
+from typing import Callable, List, Optional, Sequence
 
-import numpy as np
-
-from .characters import characters_mod, chi_eval
-from .core import QParam
-from .mellin import verify_mellin_roundtrip, verify_product_identity
+from .characters import DirichletCharacter, characters_mod, chi_eval
+from .core import QParam, VerificationOutcome, _maybe_int
 from .numbers import NumberKind, number_table
 from .qsums import (DEFAULT_SCHEDULE, classical_trig_series,
                     oscillatory_sum, q_hardy_berndt_sum)
-from .qzeta import q_alt_l, q_alt_zeta, verify_conductor_decomposition
 from .sums import HARDY_VARIANTS, hardy_berndt_sum, parity_condition
 from .zeta import genocchi_zeta, genocchi_zeta_exact
 
@@ -40,11 +36,77 @@ class CriterionResult:
         return f"[{tag}] criterion {self.number}: {self.description} ({self.elapsed:.2f}s)"
 
 
-def _admissible_pairs(k_max: int):
-    for k in range(1, k_max + 1):
-        for h in range(1, 2 * k + 1):
-            if math.gcd(h, k) == 1:
-                yield h, k
+def _admissible(pairs):
+    """(variant, h, k) for each pair and each variant whose parity condition
+    holds."""
+    return [(v, h, k) for h, k in pairs for v in HARDY_VARIANTS
+            if parity_condition(v, h, k).holds]
+
+
+def _worst(outs: Sequence[VerificationOutcome]) -> float:
+    return max([0.0] + [out.abs_diff for out in outs])
+
+
+# The identity checks behind ``hbq verify``; their defaults are the grids of
+# criteria 1 and 3-6.
+
+def trig_series_checks(k_max: int = 15,
+                       tol: float = 1e-9) -> List[VerificationOutcome]:
+    """thm4: the digamma closed form of each trigonometric series against
+    the exact finite sum, for every coprime (h, k), k <= k_max, h <= 2k, and
+    every variant whose parity condition holds."""
+    pairs = [(h, k) for k in range(1, k_max + 1) for h in range(1, 2 * k + 1)
+             if math.gcd(h, k) == 1]
+    return [VerificationOutcome.compare(
+                "trig-series-vs-exact", {"variant": v, "h": h, "k": k},
+                classical_trig_series(v, h, k, tol=tol * 1e-2),
+                float(hardy_berndt_sum(v, h, k)), tol)
+            for v, h, k in _admissible(pairs)]
+
+
+def decomposition_checks(two_var: bool,
+                         chars: Sequence[DirichletCharacter] = (
+                             characters_mod(3) + characters_mod(5)),
+                         s_grid: Sequence = (2, 3),
+                         q_grid: Sequence[QParam] = (
+                             QParam.real(Fraction(1, 2)),
+                             QParam.real(Fraction(1, 3))),
+                         x_grid: Sequence[float] = (0.25, 0.5),
+                         tol: float = 1e-10) -> List[VerificationOutcome]:
+    """thm5, or thm6 over ``x_grid`` with ``two_var``: the conductor
+    decomposition for each character at each grid point."""
+    from .qzeta import verify_conductor_decomposition
+
+    return [verify_conductor_decomposition(s, chi, q, tol, x=x)
+            for chi in chars for s in s_grid for q in q_grid
+            for x in (x_grid if two_var else (None,))]
+
+
+def mellin_checks(s_grid: Sequence = (2, 3, 2.5),
+                  q_grid: Sequence[QParam] = (QParam.real(Fraction(3, 10)),
+                                              QParam.real(Fraction(1, 2)),
+                                              QParam.real(Fraction(4, 5))),
+                  tol: float = 1e-8) -> List[VerificationOutcome]:
+    """mellin-defs: quadrature against series for the plain, shifted
+    (x = 1/2) and twisted (nonprincipal mod 4) transforms."""
+    from .mellin import verify_mellin_roundtrip
+
+    chi4 = characters_mod(4)[1]
+    targets = (("zeta", {}), ("hurwitz", {"x": 0.5}), ("l", {"chi": chi4}))
+    return [verify_mellin_roundtrip(target, s, q, tol=tol, **kwargs)
+            for s in s_grid for q in q_grid for target, kwargs in targets]
+
+
+def product_check(tid: int, s=2, q: QParam = QParam.real(Fraction(1, 2)),
+                  chi: Optional[DirichletCharacter] = None,
+                  tol: float = 1e-4) -> VerificationOutcome:
+    """thm19-thm23: product identity ``tid``; the twisted identities 22 and
+    23 default to the nonprincipal character mod 4."""
+    from .mellin import verify_product_identity
+
+    if chi is None and tid in (22, 23):
+        chi = characters_mod(4)[1]
+    return verify_product_identity(tid, s, q, chi=chi, tol=tol)
 
 
 def criterion_1() -> CriterionResult:
@@ -52,27 +114,16 @@ def criterion_1() -> CriterionResult:
     coprime (h, k) with k <= 15 and admissible parity, |diff| <= 1e-9, full
     sweep under 5 s."""
     t0 = time.monotonic()
-    worst = 0.0
-    cases = 0
-    ok = True
-    details = []
-    for h, k in _admissible_pairs(15):
-        for v in HARDY_VARIANTS:
-            if not parity_condition(v, h, k).holds:
-                continue
-            exact = float(hardy_berndt_sum(v, h, k))
-            series = classical_trig_series(v, h, k, tol=1e-11)
-            diff = abs(exact - series)
-            worst = max(worst, diff)
-            cases += 1
-            if diff > 1e-9:
-                ok = False
-                details.append(f"{v}({h},{k}) diff {diff:.3e}")
+    outs = trig_series_checks()
+    details = [f"{out.params['variant']}({out.params['h']},{out.params['k']}) "
+               f"diff {out.abs_diff:.3e}" for out in outs if not out.passed]
+    ok = not details
     elapsed = time.monotonic() - t0
     if elapsed > 5.0:
         ok = False
         details.append(f"sweep took {elapsed:.2f}s > 5s")
-    details.insert(0, f"{cases} cases, worst |series - exact| = {worst:.3e}")
+    details.insert(0, f"{len(outs)} cases, worst |series - exact| = "
+                      f"{_worst(outs):.3e}")
     return CriterionResult(1, "trig series vs exact sums (k <= 15, 1e-9)",
                            ok, details, elapsed)
 
@@ -88,17 +139,14 @@ def criterion_2() -> CriterionResult:
     ok = True
     details = []
     worst = 0.0
-    for h, k in _RECOVERY_PAIRS:
-        for v in HARDY_VARIANTS:
-            if not parity_condition(v, h, k).holds:
-                continue
-            exact = float(hardy_berndt_sum(v, h, k))
-            got = q_hardy_berndt_sum(v, h, k, one)
-            diff = abs(got - exact)
-            worst = max(worst, diff)
-            if diff > 1e-6:
-                ok = False
-                details.append(f"{v}({h},{k}) diff {diff:.3e}")
+    for v, h, k in _admissible(_RECOVERY_PAIRS):
+        exact = float(hardy_berndt_sum(v, h, k))
+        got = q_hardy_berndt_sum(v, h, k, one)
+        diff = abs(got - exact)
+        worst = max(worst, diff)
+        if diff > 1e-6:
+            ok = False
+            details.append(f"{v}({h},{k}) diff {diff:.3e}")
     details.insert(0, f"worst |q=1 value - exact| = {worst:.3e}")
     return CriterionResult(2, "q = 1 oscillatory recovery (1e-6)", ok,
                            details, time.monotonic() - t0)
@@ -109,75 +157,45 @@ def criterion_3() -> CriterionResult:
     shifted (x = 1/2) and twisted (nonprincipal mod 4) series on the
     3 x 3 (s, q) grid: 27 checks <= 1e-8, under 10 s."""
     t0 = time.monotonic()
-    chi4 = characters_mod(4)[1]
-    ok = True
-    details = []
-    worst = 0.0
-    count = 0
-    for s in (2, 3, 2.5):
-        for qv in (Fraction(3, 10), Fraction(1, 2), Fraction(4, 5)):
-            q = QParam.real(qv)
-            for target, kwargs in (("zeta", {}), ("hurwitz", {"x": 0.5}),
-                                   ("l", {"chi": chi4})):
-                out = verify_mellin_roundtrip(target, s, q, tol=1e-8, **kwargs)
-                worst = max(worst, out.abs_diff)
-                count += 1
-                if not out.passed:
-                    ok = False
-                    details.append(f"{target} s={s} q={qv}: {out.abs_diff:.3e}")
+    outs = mellin_checks()
+    details = [f"{out.name[len('mellin-roundtrip-'):]} "
+               f"s={_maybe_int(out.params['s'])} q={out.params['q']}: "
+               f"{out.abs_diff:.3e}" for out in outs if not out.passed]
+    ok = not details
     elapsed = time.monotonic() - t0
     if elapsed > 10.0:
         ok = False
         details.append(f"round-trips took {elapsed:.2f}s > 10s")
-    details.insert(0, f"{count} checks, worst diff {worst:.3e}")
+    details.insert(0, f"{len(outs)} checks, worst diff {_worst(outs):.3e}")
     return CriterionResult(3, "Mellin round-trips (27 checks, 1e-8)", ok,
                            details, elapsed)
 
 
-def _decomposition_grid():
-    chars = list(characters_mod(3)) + list(characters_mod(5))
-    for chi in chars:
-        for s in (2, 3):
-            for qv in (Fraction(1, 2), Fraction(1, 3)):
-                yield chi, s, QParam.real(qv)
+def _decomposition_criterion(number: int, two_var: bool) -> CriterionResult:
+    t0 = time.monotonic()
+    outs = decomposition_checks(two_var)
+    details = [f"chi={out.params['chi']} s={_maybe_int(out.params['s'])} "
+               f"q={out.params['q']}"
+               + (f" x={out.params['x']}" if two_var else "")
+               + f": {out.abs_diff:.3e}" for out in outs if not out.passed]
+    ok = not details
+    details.insert(0, f"worst diff {_worst(outs):.3e}")
+    variables = "two variables" if two_var else "one variable"
+    return CriterionResult(number,
+                           f"conductor decomposition, {variables} (1e-10)",
+                           ok, details, time.monotonic() - t0)
 
 
 def criterion_4() -> CriterionResult:
     """Conductor decomposition (one variable) over mod-3 and mod-5
     characters, s in {2,3}, q in {1/2,1/3}: |lhs - rhs| <= 1e-10."""
-    t0 = time.monotonic()
-    ok = True
-    details = []
-    worst = 0.0
-    for chi, s, q in _decomposition_grid():
-        out = verify_conductor_decomposition(s, chi, q, tol=1e-10)
-        worst = max(worst, out.abs_diff)
-        if not out.passed:
-            ok = False
-            details.append(f"chi={chi.label} s={s} q={q}: {out.abs_diff:.3e}")
-    details.insert(0, f"worst diff {worst:.3e}")
-    return CriterionResult(4, "conductor decomposition, one variable (1e-10)",
-                           ok, details, time.monotonic() - t0)
+    return _decomposition_criterion(4, two_var=False)
 
 
 def criterion_5() -> CriterionResult:
     """Two-variable conductor decomposition on the criterion-4 grid with
     x in {1/4, 1/2}: <= 1e-10."""
-    t0 = time.monotonic()
-    ok = True
-    details = []
-    worst = 0.0
-    for chi, s, q in _decomposition_grid():
-        for x in (0.25, 0.5):
-            out = verify_conductor_decomposition(s, chi, q, tol=1e-10, x=x)
-            worst = max(worst, out.abs_diff)
-            if not out.passed:
-                ok = False
-                details.append(
-                    f"chi={chi.label} s={s} q={q} x={x}: {out.abs_diff:.3e}")
-    details.insert(0, f"worst diff {worst:.3e}")
-    return CriterionResult(5, "conductor decomposition, two variables (1e-10)",
-                           ok, details, time.monotonic() - t0)
+    return _decomposition_criterion(5, two_var=True)
 
 
 def criterion_6() -> CriterionResult:
@@ -185,13 +203,10 @@ def criterion_6() -> CriterionResult:
     for 22) within 1e-4 after damping and extrapolation; 20 and 23 reported
     under the documented plain-series normalization at the same tolerance."""
     t0 = time.monotonic()
-    q = QParam.real(Fraction(1, 2))
-    chi4 = characters_mod(4)[1]
     ok = True
     details = []
     for tid in (19, 20, 21, 22, 23):
-        chi = chi4 if tid in (22, 23) else None
-        out = verify_product_identity(tid, 2, q, chi=chi, tol=1e-4)
+        out = product_check(tid)
         details.append(f"id {tid}: |lhs - rhs| = {out.abs_diff:.3e}")
         if not out.passed:
             ok = False
@@ -270,6 +285,10 @@ def criterion_8() -> CriterionResult:
     """q -> 1 continuity of the scaled series at s = 2: distances to the
     classical limits decrease monotonically for q = 1 - 10^-k, k = 2..5, and
     are below 1e-3 at k = 5; plain and twisted (mod 4) versions."""
+    import numpy as np
+
+    from .qzeta import q_alt_l, q_alt_zeta
+
     t0 = time.monotonic()
     ok = True
     details = []
@@ -302,6 +321,8 @@ def criterion_9() -> CriterionResult:
     """Character algebra for all moduli f <= 24: multiplicativity on
     m, n <= 200 and orthogonality, exact for order <= 2 and within 1e-12
     otherwise."""
+    import numpy as np
+
     t0 = time.monotonic()
     ok = True
     details = []
@@ -355,19 +376,16 @@ def criterion_10() -> CriterionResult:
     ok = True
     details = []
     worst_ratio = 0.0
-    for h, k in _RECOVERY_PAIRS:
-        for v in HARDY_VARIANTS:
-            if not parity_condition(v, h, k).holds:
-                continue
-            base = oscillatory_sum(v, h, k, one, reg=DEFAULT_SCHEDULE)
-            fine = oscillatory_sum(v, h, k, one, reg=DEFAULT_SCHEDULE.refined())
-            move = abs(fine.value - base.value)
-            if base.residual > 0:
-                worst_ratio = max(worst_ratio, move / base.residual)
-            if move >= base.residual:
-                ok = False
-                details.append(f"{v}({h},{k}): moved {move:.2e} >= "
-                               f"residual {base.residual:.2e}")
+    for v, h, k in _admissible(_RECOVERY_PAIRS):
+        base = oscillatory_sum(v, h, k, one, reg=DEFAULT_SCHEDULE)
+        fine = oscillatory_sum(v, h, k, one, reg=DEFAULT_SCHEDULE.refined())
+        move = abs(fine.value - base.value)
+        if base.residual > 0:
+            worst_ratio = max(worst_ratio, move / base.residual)
+        if move >= base.residual:
+            ok = False
+            details.append(f"{v}({h},{k}): moved {move:.2e} >= "
+                           f"residual {base.residual:.2e}")
     details.insert(0, f"worst move/residual ratio {worst_ratio:.3e}")
     return CriterionResult(10, "regularization schedule stability", ok,
                            details, time.monotonic() - t0)

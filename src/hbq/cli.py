@@ -1,9 +1,9 @@
 """Command-line front end: compute any object, run verification suites, emit
 machine-readable reports.
 
-The numpy-backed layers (``qzeta``, ``mellin``, ``acceptance``) are imported
-by the handlers that use them, so the exact commands start without numpy or
-scipy.
+The numpy-backed layers (``qzeta``, ``mellin``) load only in the handlers and
+the ``acceptance`` checks that use them, so the exact commands and ``verify
+thm4`` start without numpy or scipy.
 
 Reports are deterministic: floats are rendered with 17 significant digits,
 keys and result rows are sorted, and no timestamps are embedded, so identical
@@ -21,11 +21,12 @@ from typing import Any, Dict, List, Optional
 from . import __version__
 from .characters import character_from_label, characters_mod, chi_eval
 from .core import (ConvergenceError, DomainError, QParam, SeriesValue,
-                   VerificationOutcome)
+                   VerificationOutcome, _maybe_int)
 from .numbers import q_euler_number, q_genocchi_number, number_table
-from .qsums import (RegularizationSchedule, classical_trig_series,
-                    oscillatory_sum, q_dedekind_sum, q_hardy_berndt_sum)
-from .sums import HARDY_VARIANTS, dedekind_sum, hardy_berndt_sum, parity_condition
+from .qsums import (RegularizationSchedule, oscillatory_sum, q_dedekind_sum,
+                    q_hardy_berndt_sum)
+from .sums import (HARDY_VARIANTS, _hardy_variant, dedekind_sum,
+                   hardy_berndt_sum, parity_condition)
 from .zeta import (digamma, genocchi_zeta, hurwitz_zeta, lerch_phi,
                    odd_power_sum, riemann_zeta, zeta_star)
 
@@ -205,12 +206,6 @@ def _parse_s(text: str) -> complex:
     raise DomainError(f"bad --s value {text!r}; expected 're' or 're,im'")
 
 
-def _maybe_int(z: complex):
-    if z.imag == 0 and z.real == int(z.real):
-        return int(z.real)
-    return z if z.imag != 0 else z.real
-
-
 def _schedule(args) -> Optional[RegularizationSchedule]:
     if getattr(args, "eps", None):
         offsets = tuple(float(e) for e in args.eps.split(","))
@@ -342,6 +337,8 @@ def _cmd_qzeta(args, argv):
         entry = _series_entry("q-alt-zeta", {"s": s, "q": str(q), "scaled": scale},
                               sv, "alternating-series")
     elif args.fn == "im-hurwitz":
+        if args.x is None:
+            raise DomainError("--x required for the Hurwitz series")
         sv = q_alt_zeta_hurwitz(s, args.x, q, tol, variant=args.variant,
                                 genocchi_scale=scale)
         entry = _series_entry("q-alt-zeta-hurwitz",
@@ -419,98 +416,46 @@ def _cmd_qsum(args, argv):
     return 0
 
 
-def _verify_thm4(args) -> List[Dict[str, Any]]:
-    k_max = args.k_max
-    tol = args.tol if args.tol is not None else 1e-9
-    cases = []
-    for k in range(1, k_max + 1):
-        for h in range(1, 2 * k + 1):
-            if math.gcd(h, k) != 1:
-                continue
-            for v in HARDY_VARIANTS:
-                if parity_condition(v, h, k).holds:
-                    cases.append((v, h, k))
-
-    outs = [VerificationOutcome.compare(
-                "trig-series-vs-exact", {"variant": v, "h": h, "k": k},
-                classical_trig_series(v, h, k, tol=tol * 1e-2),
-                float(hardy_berndt_sum(v, h, k)), tol)
-            for v, h, k in cases]
-    outs.sort(key=lambda o: (o.params["variant"], o.params["k"], o.params["h"]))
-    return [_outcome_entry(o) for o in outs]
-
-
-def _verify_decomposition(args, two_var: bool) -> List[Dict[str, Any]]:
-    from .qzeta import verify_conductor_decomposition
-
-    tol = args.tol if args.tol is not None else 1e-10
-    if args.chi:
-        chars = [character_from_label(args.chi)]
+def _checks(acceptance, args) -> List[VerificationOutcome]:
+    """Outcomes of one identity target, in report order; each of --s, --q,
+    --x and --chi replaces that axis of the target's default grid."""
+    which = args.what
+    tol = {} if args.tol is None else {"tol": args.tol}
+    if which == "thm4":
+        return sorted(acceptance.trig_series_checks(args.k_max, **tol),
+                      key=lambda o: (o.params["variant"], o.params["k"],
+                                     o.params["h"]))
+    point, grid = dict(tol), dict(tol)
+    if args.s:
+        point["s"] = _maybe_int(_parse_s(args.s))
+        grid["s_grid"] = [point["s"]]
+    if args.q:
+        point["q"] = QParam.parse(args.q)
+        grid["q_grid"] = [point["q"]]
+    chi = character_from_label(args.chi) if args.chi else None
+    if which in ("thm5", "thm6"):
+        if chi:
+            grid["chars"] = [chi]
+        if which == "thm6" and args.x is not None:
+            grid["x_grid"] = [args.x]
+        outs = acceptance.decomposition_checks(which == "thm6", **grid)
+    elif which == "mellin-defs":
+        outs = acceptance.mellin_checks(**grid)
     else:
-        chars = list(characters_mod(3)) + list(characters_mod(5))
-    s_grid = [_maybe_int(_parse_s(args.s))] if args.s else [2, 3]
-    q_grid = [QParam.parse(args.q)] if args.q else \
-        [QParam.real(Fraction(1, 2)), QParam.real(Fraction(1, 3))]
-    if not two_var:
-        x_grid = [None]
-    else:
-        x_grid = [args.x] if args.x is not None else [0.25, 0.5]
-    outs = [verify_conductor_decomposition(s, chi, q, tol, x=x)
-            for chi in chars for s in s_grid for q in q_grid for x in x_grid]
-    outs.sort(key=lambda o: sorted(str(v) for v in o.params.values()))
-    return [_outcome_entry(o) for o in outs]
-
-
-def _verify_mellin_defs(args) -> List[Dict[str, Any]]:
-    from .mellin import verify_mellin_roundtrip
-
-    tol = args.tol if args.tol is not None else 1e-8
-    chi4 = characters_mod(4)[1]
-    s_grid = [_maybe_int(_parse_s(args.s))] if args.s else [2, 3, 2.5]
-    q_grid = [QParam.parse(args.q)] if args.q else \
-        [QParam.real(Fraction(3, 10)), QParam.real(Fraction(1, 2)),
-         QParam.real(Fraction(4, 5))]
-    kwargs = {"zeta": {}, "hurwitz": {"x": 0.5}, "l": {"chi": chi4}}
-    outs = [verify_mellin_roundtrip(t, s, q, tol=tol, **kwargs[t])
-            for t in ("zeta", "hurwitz", "l") for s in s_grid for q in q_grid]
-    outs.sort(key=lambda o: sorted(str(v) for v in o.params.values()))
-    return [_outcome_entry(o) for o in outs]
-
-
-def _verify_product(args, tid: int) -> List[Dict[str, Any]]:
-    from .mellin import verify_product_identity
-
-    tol = args.tol if args.tol is not None else 1e-4
-    s = _maybe_int(_parse_s(args.s)) if args.s else 2
-    q = QParam.parse(args.q) if args.q else QParam.real(Fraction(1, 2))
-    chi = character_from_label(args.chi) if args.chi else \
-        (characters_mod(4)[1] if tid in (22, 23) else None)
-    out = verify_product_identity(tid, s, q, chi=chi, tol=tol)
-    return [_outcome_entry(out)]
+        return [acceptance.product_check(int(which[3:]), chi=chi, **point)]
+    return sorted(outs, key=lambda o: sorted(str(v) for v in o.params.values()))
 
 
 def _cmd_verify(args, argv):
-    which = args.what
-    results: List[Dict[str, Any]] = []
-    if which == "thm4":
-        results = _verify_thm4(args)
-    elif which == "thm5":
-        results = _verify_decomposition(args, two_var=False)
-    elif which == "thm6":
-        results = _verify_decomposition(args, two_var=True)
-    elif which == "mellin-defs":
-        results = _verify_mellin_defs(args)
-    elif which.startswith("thm") and which[3:].isdigit():
-        results = _verify_product(args, int(which[3:]))
-    elif which == "all":
-        from . import acceptance
+    from . import acceptance
 
-        for res in acceptance.run_all():
-            results.append({"kind": "criterion", "number": res.number,
-                            "name": res.description, "pass": res.passed,
-                            "details": list(res.details)})
+    if args.what == "all":
+        results = [{"kind": "criterion", "number": res.number,
+                    "name": res.description, "pass": res.passed,
+                    "details": list(res.details)}
+                   for res in acceptance.run_all()]
     else:
-        raise DomainError(f"unknown verify target {which!r}")
+        results = [_outcome_entry(o) for o in _checks(acceptance, args)]
     overall = all(r.get("pass", True) for r in results)
     _emit(_report(argv, results, overall), args.format, args.out)
     return 0 if overall else 1
@@ -636,7 +581,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         variant = getattr(args, "variant", None)
         if variant is not None and variant.isdigit():
-            args.variant = ("S", "s1", "s2", "s3", "s4", "s5")[int(variant)]
+            args.variant = _hardy_variant(int(variant))
         return _HANDLERS[args.cmd](args, argv)
     except (ValueError, ConvergenceError) as exc:
         # DomainError is a ValueError

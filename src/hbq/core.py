@@ -202,6 +202,13 @@ def _logq(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
+def _maybe_int(z: complex):
+    """s as a user writes it: 2 for 2+0j, 2.5 for 2.5+0j, else z."""
+    if z.imag == 0 and z.real == int(z.real):
+        return int(z.real)
+    return z if z.imag != 0 else z.real
+
+
 def sawtooth(x: ExactLike) -> Fraction:
     """((x)) = x - floor(x) - 1/2 for non-integer x, and 0 at integers."""
     xf = as_fraction(x)

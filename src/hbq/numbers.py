@@ -58,33 +58,22 @@ def _bernoulli(n_max: int) -> list:
     return b
 
 
-def _euler(n_max: int) -> list:
-    # (e^t + 1) * sum E_k t^k/k! = 2  =>  E_n = -1/2 * sum_{k<n} C(n,k) E_k
-    e = [Fraction(1)]
-    for n in range(1, n_max + 1):
+def _euler_type(n_max: int, power: int) -> list:
+    # (e^t + 1) * sum A_k t^k/k! = 2 t^power  =>
+    # A_n = (2 [n = power] - sum_{k<n} C(n,k) A_k) / 2
+    a = []
+    for n in range(n_max + 1):
         s = Fraction(0)
         for k in range(n):
-            s += math.comb(n, k) * e[k]
-        e.append(-s / 2)
-    return e
-
-
-def _genocchi(n_max: int) -> list:
-    # (e^t + 1) * sum G_k t^k/k! = 2t  =>  right side is 2 at n=1, else 0
-    g = [Fraction(0)]
-    for n in range(1, n_max + 1):
-        s = Fraction(0)
-        for k in range(n):
-            s += math.comb(n, k) * g[k]
-        rhs = Fraction(2) if n == 1 else Fraction(0)
-        g.append((rhs - s) / 2)
-    return g
+            s += math.comb(n, k) * a[k]
+        a.append(((2 if n == power else 0) - s) / 2)
+    return a
 
 
 _GENERATORS = {
     NumberKind.BERNOULLI: _bernoulli,
-    NumberKind.EULER: _euler,
-    NumberKind.GENOCCHI: _genocchi,
+    NumberKind.EULER: lambda n_max: _euler_type(n_max, 0),
+    NumberKind.GENOCCHI: lambda n_max: _euler_type(n_max, 1),
 }
 
 

@@ -30,11 +30,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
+from . import _kernels
 from .characters import DirichletCharacter, chi_eval
 from .core import (ConvergenceError, DomainError, ParityError, PoleError,
                    QParam, QRegime, SeriesValue, _logq)
 from .numbers import bernoulli_polynomial
-from .sums import HARDY_VARIANTS, parity_condition
+from .sums import HARDY_VARIANTS, _hardy_variant, parity_condition
 from .zeta import digamma, hurwitz_zeta
 
 __all__ = [
@@ -67,17 +68,6 @@ HB_SCALE = {
     "s4": 4.0 / (math.pi * 1j),
     "s5": 2.0 / (math.pi * 1j),
 }
-
-_TRIG_SCALE = {
-    "S": 4.0 / math.pi,
-    "s1": -2.0 / math.pi,
-    "s2": -1.0 / (2.0 * math.pi),
-    "s3": 1.0 / math.pi,
-    "s4": 4.0 / math.pi,
-    "s5": 2.0 / math.pi,
-}
-
-_VARIANT_BY_INDEX = {0: "S", 1: "s1", 2: "s2", 3: "s3", 4: "s4", 5: "s5"}
 
 
 # ----------------------------------------------------------------------
@@ -133,63 +123,33 @@ def _hb_shape(variant: str, u: Fraction, k: int) -> Fraction:
 # ----------------------------------------------------------------------
 
 def eval_gen(kind: str, t, q: QParam, tol: float = 1e-12,
-             chi: Optional[DirichletCharacter] = None,
-             verbatim_fc: bool = False, terms: Optional[int] = None) -> SeriesValue:
-    """Truncated generating-function value at Re(t) > 0, regime 0 < q < 1.
+             chi: Optional[DirichletCharacter] = None) -> SeriesValue:
+    """Truncated generating-function value at Re(t) > 0, regime 0 < q < 1:
+    sum_{n>=1} sign^n chi(n) q^(-n) exp(-q^(-n)[n] t).
 
-    kind: "f" (plain), "F" (alternating), "f_chi", "F_chi" (twisted).
-    The twisted kinds use the q^(-n)[n] exponent like their siblings; the
-    verbatim_fc flag switches f_chi to the q^(+n)[n] exponent, a divergent
-    variant kept only for comparison (fixed number of terms, infinite tail
-    bound).
+    kind: "f" (plain), "F" (alternating), "f_chi", "F_chi" (twisted); the
+    twisted kinds use the same q^(-n)[n] exponent as their siblings.
     """
     if kind not in ("f", "F", "f_chi", "F_chi"):
         raise DomainError(f"unknown generating kind {kind!r}")
     needs_chi = kind.endswith("_chi")
     if needs_chi and chi is None:
         raise DomainError(f"kind {kind!r} needs a Dirichlet character")
-    if not needs_chi:
-        chi = None
     if q.regime is not QRegime.REAL_UNIT:
         raise DomainError("eval_gen needs the exact rational regime 0 < q < 1")
-    tc = complex(t)
-    if tc.real <= 0:
+    if complex(t).real <= 0:
         raise DomainError("Re(t) > 0 required; the damped oscillatory path "
                           "handles the imaginary axis")
     if tol <= 0:
         raise DomainError("tol must be positive")
-    qv = q.value
-    alt = kind.startswith("F")
-    logq = _logq(qv)
-
-    if verbatim_fc:
-        if kind != "f_chi":
-            raise DomainError("verbatim_fc applies to the f_chi kind only")
-        n_terms = terms if terms is not None else 24
-        acc = 0j
-        for n in range(1, n_terms + 1):
-            a = math.exp(n * logq) * (-math.expm1(n * logq)) / (-math.expm1(logq))
-            acc += chi_eval(chi, n) * math.exp(-n * logq) * cmath.exp(-a * tc)
-        return SeriesValue(acc, math.inf, n_terms)
-
-    acc = 0j
-    n = 0
-    omq = -math.expm1(logq)
-    while True:
-        n += 1
-        qinv = math.exp(-n * logq)
-        a = (qinv - 1.0) / omq  # q^(-n)[n]
-        major = qinv * math.exp(-a * tc.real)
-        coef = chi_eval(chi, n) if chi is not None else 1.0
-        if alt and n % 2 == 1:
-            coef = -coef
-        acc += coef * qinv * cmath.exp(-a * tc)
-        nxt_qinv = math.exp(-(n + 1) * logq)
-        nxt_major = nxt_qinv * math.exp(-((nxt_qinv - 1.0) / omq) * tc.real)
-        if nxt_major < tol * 0.5 and nxt_major < 0.5 * major:
-            return SeriesValue(acc, 2.0 * nxt_major, n)
-        if n > 1_000_000:
-            raise ConvergenceError("generating series did not reach tolerance")
+    chiv = [chi_eval(chi, r) for r in range(chi.modulus)] if needs_chi \
+        else [1.0]
+    value, tail, n = _kernels.gen_series_sum(t, _logq(q.value),
+                                             kind.startswith("F"), chiv,
+                                             1_000_000, tol)
+    if tail == math.inf:
+        raise ConvergenceError("generating series did not reach tolerance")
+    return SeriesValue(value, tail, n)
 
 
 # ----------------------------------------------------------------------
@@ -439,10 +399,7 @@ def oscillatory_sum(variant, h: int, k: int, q: QParam,
     digamma closed form of the matching classical series (exact Abel limit
     when the closed form does not apply).
     """
-    if isinstance(variant, int):
-        variant = _VARIANT_BY_INDEX[variant]
-    if variant not in HARDY_VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}")
+    variant = _hardy_variant(variant)
     _validate_pair(h, k)
     chi = _normalize_chi(chi)
     reg = reg or DEFAULT_SCHEDULE
@@ -576,7 +533,7 @@ def classical_trig_series(variant: str, h: int, k: int,
     if not pc.holds:
         raise ParityError(f"variant {variant} needs {pc.description}; "
                           f"got (h, k) = ({h}, {k})")
-    use_tan = variant in ("S", "s2", "s3", "s5")
+    use_tan = _F_FAMILY[variant]
     odd = _ODD_WEIGHTS[variant]
     vals = []
     for r in range(1, k + 1):
@@ -607,4 +564,4 @@ def classical_trig_series(variant: str, h: int, k: int,
     else:
         total = -sum(v * digamma(r / k, psi_tol)
                      for r, v in zip(range(1, k + 1), vals)) / k
-    return _TRIG_SCALE[variant] * total
+    return -HB_SCALE[variant].imag * total

@@ -59,6 +59,15 @@ _PARITY = {
 }
 
 
+def _hardy_variant(variant) -> str:
+    """A variant given by name or by its index 0..5 in ``HARDY_VARIANTS``."""
+    if isinstance(variant, int) and 0 <= variant < len(HARDY_VARIANTS):
+        return HARDY_VARIANTS[variant]
+    if variant not in HARDY_VARIANTS:
+        raise DomainError(f"unknown variant {variant!r}")
+    return variant
+
+
 def parity_condition(variant: str, h: int, k: int) -> ParityCondition:
     """The hypothesis under which the variant's trigonometric series holds."""
     if math.gcd(h, k) != 1:

@@ -155,6 +155,8 @@ def _rising(s: complex, count: int) -> complex:
 
 def hurwitz_zeta(s, a, tol: float = 1e-12) -> SeriesValue:
     """Hurwitz zeta zeta(s, a) by Euler-Maclaurin, a > 0, s != 1."""
+    if tol <= 0:
+        raise DomainError("tol must be positive")
     z = complex(s)
     af = float(a)
     if af <= 0:
@@ -187,6 +189,8 @@ def lerch_phi(z, s, a, tol: float = 1e-12) -> SeriesValue:
     Summation starts at m = 0, the convention under which Phi(1,s,a)
     reduces to the Hurwitz zeta.  |z| < 1, or |z| = 1 with Re(s) > 1; a > 0.
     """
+    if tol <= 0:
+        raise DomainError("tol must be positive")
     af = float(a)
     if af <= 0:
         raise DomainError("a must be positive")
@@ -236,6 +240,8 @@ def odd_power_sum(z, s, b: int = 1, tol: float = 1e-12,
     with the sum over j restored and the leading z fixed against the direct
     oracle (the m-from-0 Phi convention shifts every exponent down by one).
     """
+    if tol <= 0:
+        raise DomainError("tol must be positive")
     if b < 1:
         raise DomainError("b must be >= 1")
     zc = complex(z)

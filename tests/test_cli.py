@@ -59,6 +59,29 @@ def test_qsum_terms_max_reaches_every_kind(capsys):
         assert err.startswith("error: ") and "term cap" in err
 
 
+def test_variant_index_out_of_range_exit_2(capsys):
+    code, out, err = run(capsys, "qsum", "--kind", "gen", "--variant", "7",
+                         "--h", "1", "--k", "2", "--q", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "unknown variant 7" in err
+
+
+def test_qzeta_hurwitz_without_x_exit_2(capsys):
+    code, out, err = run(capsys, "qzeta", "--fn", "im-hurwitz", "--s", "2",
+                         "--q", "1/2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--x" in err
+
+
+def test_zeta_nonpositive_tol_exit_2(capsys):
+    # tol 0 would certify an exact value with tail_bound 0
+    for fn in ("hurwitz", "lerch", "odd-power"):
+        code, out, err = run(capsys, "zeta", "--fn", fn, "--s", "2",
+                             "--a", "0.5", "--z", "0.5", "--tol", "0")
+        assert code == 2 and out == ""
+        assert err == "error: tol must be positive\n"
+
+
 def test_verify_pass_and_fail_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "thm5", "--s", "2", "--q", "1/2",
                        "--chi", "3:1", "--tol", "1e-10")

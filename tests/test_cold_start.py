@@ -41,6 +41,12 @@ def test_exact_commands_load_neither_numpy_nor_scipy():
     assert _heavy_modules_after(_cli("verify", "thm4", "--k-max", "5")) == []
 
 
+def test_acceptance_imports_without_numpy():
+    # the verify grids live in hbq.acceptance, which loads the numpy layers
+    # only inside the checks that need them
+    assert _heavy_modules_after("import hbq.acceptance") == []
+
+
 def test_numpy_layers_load_scipy_only_when_used():
     loaded = _heavy_modules_after("hbq.q_alt_zeta, hbq.mellin_transform")
     assert "numpy" in loaded

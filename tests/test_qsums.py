@@ -66,9 +66,13 @@ def test_eval_gen_domain_and_verbatim():
         eval_gen("F", 1j, Q_HALF)   # Re t = 0
     with pytest.raises(DomainError):
         eval_gen("F_chi", 1.0, Q_HALF)  # missing character
-    chi4 = characters_mod(4)[1]
-    sv = eval_gen("f_chi", 1.0, Q_HALF, chi=chi4, verbatim_fc=True, terms=10)
-    assert sv.tail_bound == math.inf  # divergent comparison variant
+
+
+def test_eval_gen_stops_when_terms_underflow():
+    # every majorant underflows to 0 at large t; the series stops after one
+    # term instead of running q^(-n) into overflow
+    sv = eval_gen("F", 800.0, Q_HALF)
+    assert math.isfinite(abs(sv.value)) and sv.terms_used == 1
 
 
 # ----------------------------------------------------------------------
@@ -103,6 +107,14 @@ def test_period_cancellation():
 # ----------------------------------------------------------------------
 # oscillatory sums at q = 1
 # ----------------------------------------------------------------------
+
+def test_variant_index_out_of_range():
+    assert oscillatory_sum(4, 1, 3, ONE).value == \
+        oscillatory_sum("s4", 1, 3, ONE).value
+    for index in (6, 7, -1):
+        with pytest.raises(DomainError):
+            oscillatory_sum(index, 1, 2, ONE)
+
 
 def test_limit1_matches_exact_sums():
     for h, k in ((1, 2), (2, 3), (1, 3), (3, 4), (1, 5)):

@@ -86,6 +86,18 @@ def test_hurwitz_domain():
         hurwitz_zeta(2, 0.0)
 
 
+def test_nonpositive_tol_rejected():
+    for tol in (0.0, -1e-12):
+        for call in (lambda: hurwitz_zeta(2, 0.5, tol),
+                     lambda: lerch_phi(0.5, 2, 0.5, tol),
+                     lambda: lerch_phi(0, 2, 0.5, tol),
+                     lambda: odd_power_sum(0.5, 2, 1, tol),
+                     lambda: odd_power_sum(0.5, 2, 2, tol,
+                                           route="decomposition")):
+            with pytest.raises(DomainError, match="tol must be positive"):
+                call()
+
+
 def test_lerch_values():
     assert lerch_phi(0, 5, 2.0).value == 2.0 ** -5
     assert abs(lerch_phi(1, 2, 0.5).value - hurwitz_zeta(2, 0.5).value) < 1e-10
