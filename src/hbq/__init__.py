@@ -19,7 +19,7 @@ from .qsums import (DEFAULT_SCHEDULE, HB_SCALE, RegularizationSchedule,
                     YSumResult, classical_trig_series,
                     dedekind_oscillatory_sum, eval_gen, oscillatory_sum,
                     q_dedekind_sum, q_hardy_berndt_sum)
-from .sums import (HARDY_VARIANTS, ParityCondition, SumSpec, dedekind_sum,
+from .sums import (HARDY_VARIANTS, ParityCondition, dedekind_sum,
                    hardy_berndt_sum, parity_condition)
 from .zeta import (digamma, genocchi_zeta, genocchi_zeta_exact, hurwitz_zeta,
                    lerch_phi, odd_power_sum, riemann_zeta,

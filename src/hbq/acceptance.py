@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
 from .characters import DirichletCharacter, characters_mod, chi_eval
-from .core import QParam, VerificationOutcome, _maybe_int
+from .core import DomainError, QParam, VerificationOutcome, _maybe_int
 from .numbers import NumberKind, number_table
 from .qsums import (DEFAULT_SCHEDULE, classical_trig_series,
                     oscillatory_sum, q_hardy_berndt_sum)
@@ -55,6 +55,8 @@ def trig_series_checks(k_max: int = 15,
     """thm4: the digamma closed form of each trigonometric series against
     the exact finite sum, for every coprime (h, k), k <= k_max, h <= 2k, and
     every variant whose parity condition holds."""
+    if k_max < 1:
+        raise DomainError("k_max must be >= 1: an empty sweep checks nothing")
     pairs = [(h, k) for k in range(1, k_max + 1) for h in range(1, 2 * k + 1)
              if math.gcd(h, k) == 1]
     return [VerificationOutcome.compare(

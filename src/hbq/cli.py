@@ -134,8 +134,16 @@ def _flat(value) -> str:
 def _to_csv(report) -> str:
     lines = ["kind,name,params,value,certificate,pass"]
     for row in report["results"]:
+        name = row["name"]
         params = ";".join(f"{k}={_flat(v)}" for k, v in sorted(row.get("params", {}).items()))
-        if row["kind"] == "check":
+        if row["kind"] == "criterion":
+            # criterion descriptions hold commas, so the name is quoted too
+            name = f'"{name}"'
+            params = f"number={row['number']}"
+            val = ""
+            cert = ";".join(row["details"])
+            ok = str(row["pass"])
+        elif row["kind"] == "check":
             val = f"lhs={_flat(row['lhs'])};rhs={_flat(row['rhs'])}"
             cert = f"abs_diff={_flat(row['abs_diff'])};tol={_flat(row['tolerance'])}"
             ok = str(row["pass"])
@@ -144,7 +152,7 @@ def _to_csv(report) -> str:
             cert = ";".join(f"{k}={_flat(row[k])}" for k in ("tail_bound", "residual", "terms_used")
                             if k in row)
             ok = ""
-        lines.append(f"{row['kind']},{row['name']},\"{params}\",\"{val}\",\"{cert}\",{ok}")
+        lines.append(f"{row['kind']},{name},\"{params}\",\"{val}\",\"{cert}\",{ok}")
     lines.append(f"overall,,,,,{report['pass']}")
     return "\n".join(lines) + "\n"
 
@@ -243,21 +251,12 @@ def _cmd_numbers(args, argv):
         if args.q is None:
             raise DomainError("q-deformed numbers need --q")
         q = QParam.parse(args.q)
-        if args.kind == "q-euler":
-            v = q_euler_number(args.m, q)
-            results.append(_value_entry("q-euler-number",
-                                        {"m": args.m, "q": str(q)}, v,
-                                        "exact-closed-form"))
-        else:
-            v = q_genocchi_number(args.m, q, args.tol)
-            if isinstance(v, SeriesValue):
-                results.append(_series_entry("q-genocchi-number",
-                                             {"m": args.m, "q": str(q)}, v,
-                                             "truncated-series"))
-            else:
-                results.append(_value_entry("q-genocchi-number",
-                                            {"m": args.m, "q": str(q)}, v,
-                                            "exact-closed-form"))
+        # QParam.parse builds no complex q, so both values are exact
+        v = q_euler_number(args.m, q) if args.kind == "q-euler" \
+            else q_genocchi_number(args.m, q, args.tol)
+        results.append(_value_entry(f"{args.kind}-number",
+                                    {"m": args.m, "q": str(q)}, v,
+                                    "exact-closed-form"))
     _emit(_report(argv, results, True), args.format, args.out)
     return 0
 
@@ -313,12 +312,10 @@ def _cmd_zeta(args, argv):
         entry = _series_entry("odd-power-sum",
                               {"s": s, "z": args.z, "b": args.b}, sv,
                               args.route or "direct")
-    elif args.fn == "digamma":
+    else:  # digamma; argparse restricts --fn to these choices
         v = digamma(s.real, tol)
         entry = _value_entry("digamma", {"x": s.real}, complex(v),
                              "asymptotic-series", {"tail_bound": tol})
-    else:
-        raise DomainError(f"unknown zeta function {args.fn!r}")
     _emit(_report(argv, [entry], True), args.format, args.out)
     return 0
 
@@ -359,12 +356,10 @@ def _cmd_qzeta(args, argv):
                               {"s": s, "q": str(q),
                                "chi": chi.label if chi else None},
                               sv, "plain-series")
-    elif args.fn == "cck":
+    else:  # cck; argparse restricts --fn to these choices
         sv = cck_zeta(s, q, tol)
         entry = _series_entry("cck-zeta", {"s": s, "q": str(q)}, sv,
                               "direct-series")
-    else:
-        raise DomainError(f"unknown q-zeta function {args.fn!r}")
     _emit(_report(argv, [entry], True), args.format, args.out)
     return 0
 

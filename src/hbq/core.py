@@ -54,6 +54,13 @@ class ConvergenceError(RuntimeError):
 ExactLike = Union[int, Fraction, str]
 
 
+def _positive(name: str, value) -> None:
+    """The one check for a tolerance, shift or offset: ``value > 0``, which
+    also turns nan away."""
+    if not value > 0:
+        raise DomainError(f"{name} must be positive")
+
+
 def as_fraction(x: ExactLike) -> Fraction:
     """Coerce an int / Fraction / ``"p/q"`` string to an exact Fraction.
 
@@ -123,15 +130,6 @@ class QParam:
     @property
     def is_one(self) -> bool:
         return self.regime is QRegime.LIMIT1
-
-    @property
-    def is_real(self) -> bool:
-        return self.regime in (QRegime.REAL_UNIT, QRegime.LIMIT1)
-
-    def as_float(self) -> float:
-        if self.regime is QRegime.COMPLEX_UNIT_DISK:
-            raise DomainError("complex q has no float view")
-        return float(self.value)
 
     def as_complex(self) -> complex:
         return complex(self.value)

@@ -29,7 +29,7 @@ import numpy as np
 from . import _kernels
 from .characters import DirichletCharacter
 from .core import (ConvergenceError, DomainError, QParam, QRegime,
-                   SeriesValue, VerificationOutcome, _logq)
+                   SeriesValue, VerificationOutcome, _logq, _positive)
 from .qsums import RegularizationSchedule, _richardson
 from .qzeta import (_chi_array, q_alt_l, q_alt_zeta, q_alt_zeta_hurwitz,
                     q_plain_zeta)
@@ -44,17 +44,18 @@ __all__ = [
 ]
 
 
+_SPLIT = 1.0        # the (0, split] / [split, T] boundary of the quadrature
+_QUAD_LIMIT = 400   # max quadrature subdivisions
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    split: float = 1.0
     tol: float = 1e-11
     big_t: Optional[float] = None  # (T, inf) truncation point; None = auto
-    limit: int = 400               # max quadrature subdivisions
 
     def __post_init__(self):
-        if self.tol <= 0 or self.split <= 0:
-            raise DomainError("split and tol must be positive")
-        if self.big_t is not None and self.big_t <= self.split:
+        _positive("tol", self.tol)
+        if self.big_t is not None and self.big_t <= _SPLIT:
             raise DomainError("T must exceed the split point")
 
 
@@ -96,8 +97,7 @@ def mellin_transform(kind: str, s, q: QParam,
     n0coef = 0.0
     if x is not None:
         xv = float(x)
-        if xv <= 0:
-            raise DomainError("x must be positive")
+        _positive("x", xv)
         n0coef = complex(chiv[0]).real if needs_chi else 1.0
 
     inner_tol = cfg.tol * 1e-3
@@ -118,7 +118,7 @@ def mellin_transform(kind: str, s, q: QParam,
     beta = xv + (qinv if n0coef == 0.0 else 0.0)
     t_big = cfg.big_t
     if t_big is None:
-        t_big = max(cfg.split * 2.0, (46.0 + 3.0 * a * math.log1p(a)) / beta)
+        t_big = max(_SPLIT * 2.0, (46.0 + 3.0 * a * math.log1p(a)) / beta)
     amp = 2.0 * qinv + abs(n0coef)
     tail = _tail_bound(a, t_big, beta, amp)
     if not tail < cfg.tol:
@@ -127,7 +127,7 @@ def mellin_transform(kind: str, s, q: QParam,
     is_real = s.imag == 0 and bool(np.all(np.abs(chiv.imag) == 0))
 
     # (0, split] piece, substituted: int e^(-s v) g(e^(-v)) dv over [v0, V]
-    v0 = -math.log(cfg.split)
+    v0 = -math.log(_SPLIT)
     c1 = 1.0 / (-logq) + 2.0 + abs(n0coef)
     v_hi = (math.log(c1 / (cfg.tol * 0.25)) ) / (a - 1.0)
     v_hi = max(v_hi, v0 + 1.0)
@@ -140,14 +140,14 @@ def mellin_transform(kind: str, s, q: QParam,
 
     err = tail + c1 * math.exp(-(a - 1.0) * v_hi) / (a - 1.0)
     pieces = 0j
-    for fn, lo, hi in ((f_sub, v0, v_hi), (f_dir, cfg.split, t_big)):
-        re, re_err = quad(lambda u: fn(u).real, lo, hi, limit=cfg.limit,
+    for fn, lo, hi in ((f_sub, v0, v_hi), (f_dir, _SPLIT, t_big)):
+        re, re_err = quad(lambda u: fn(u).real, lo, hi, limit=_QUAD_LIMIT,
                           epsabs=cfg.tol * 0.2, epsrel=1e-13)
         err += re_err
         if is_real:
             pieces += re
         else:
-            im, im_err = quad(lambda u: fn(u).imag, lo, hi, limit=cfg.limit,
+            im, im_err = quad(lambda u: fn(u).imag, lo, hi, limit=_QUAD_LIMIT,
                               epsabs=cfg.tol * 0.2, epsrel=1e-13)
             pieces += re + 1j * im
             err += im_err

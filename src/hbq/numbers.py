@@ -18,7 +18,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-from .core import (DomainError, QParam, QRegime, SeriesValue, as_fraction)
+from .core import (DomainError, QParam, QRegime, SeriesValue, _positive,
+                   as_fraction)
 
 __all__ = [
     "NumberKind",
@@ -134,8 +135,7 @@ def q_genocchi_number(m: int, q: QParam, tol: float = 1e-12):
     """
     if m < 0:
         raise DomainError("m must be nonnegative")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _positive("tol", tol)
     if q.regime is QRegime.LIMIT1:
         raise DomainError("q = 1 not admissible here; use number_table(GENOCCHI)")
     if m == 0:

@@ -33,9 +33,9 @@ from typing import Optional, Sequence, Tuple
 from . import _kernels
 from .characters import DirichletCharacter, chi_eval
 from .core import (ConvergenceError, DomainError, ParityError, PoleError,
-                   QParam, QRegime, SeriesValue, _logq)
+                   QParam, QRegime, SeriesValue, _logq, _positive)
 from .numbers import bernoulli_polynomial
-from .sums import HARDY_VARIANTS, _hardy_variant, parity_condition
+from .sums import _hardy_args, _hardy_variant, parity_condition
 from .zeta import digamma, hurwitz_zeta
 
 __all__ = [
@@ -140,8 +140,7 @@ def eval_gen(kind: str, t, q: QParam, tol: float = 1e-12,
     if complex(t).real <= 0:
         raise DomainError("Re(t) > 0 required; the damped oscillatory path "
                           "handles the imaginary axis")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _positive("tol", tol)
     chiv = [chi_eval(chi, r) for r in range(chi.modulus)] if needs_chi \
         else [1.0]
     value, tail, n = _kernels.gen_series_sum(t, _logq(q.value),
@@ -165,7 +164,7 @@ class RegularizationSchedule:
     order: int = 2
 
     def __post_init__(self):
-        if len(self.offsets) < 1 or any(e <= 0 for e in self.offsets):
+        if len(self.offsets) < 1 or not all(e > 0 for e in self.offsets):
             raise DomainError("offsets must be positive")
         if any(a <= b for a, b in zip(self.offsets, self.offsets[1:])):
             raise DomainError("offsets must be strictly decreasing")
@@ -403,8 +402,7 @@ def oscillatory_sum(variant, h: int, k: int, q: QParam,
     _validate_pair(h, k)
     chi = _normalize_chi(chi)
     reg = reg or DEFAULT_SCHEDULE
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _positive("tol", tol)
     res = _damped_sum(variant, h, k, q, chi, reg, m_max, tol)
     if res.route == "limit1-abel-period" and chi is None \
             and parity_condition(variant, abs(h), k).holds:
@@ -433,8 +431,7 @@ def dedekind_oscillatory_sum(p: int, h: int, k: int, q: QParam,
     _validate_pair(h, k)
     chi = _normalize_chi(chi)
     reg = reg or DEFAULT_SCHEDULE
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _positive("tol", tol)
     if order not in ("n-first", "m-first"):
         raise DomainError("order must be 'n-first' or 'm-first'")
     if order == "n-first":
@@ -478,16 +475,12 @@ def q_hardy_berndt_sum(variant: str, h: int, k: int, q: QParam,
                        m_max: int = 100_000) -> complex:
     """Theorem-scaled oscillatory sum; at q = 1 this reproduces the exact
     finite Hardy-Berndt sums for admissible (h, k)."""
-    if variant not in HARDY_VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}")
-    if h < 1:
-        raise DomainError("h must be >= 1")
+    variant = _hardy_args(variant, h, k)
     pc = parity_condition(variant, h, k)
-    if not pc.holds:
-        if enforce_parity:
-            raise ParityError(
-                f"variant {variant} needs {pc.description}; got (h, k) = "
-                f"({h}, {k}).  Pass enforce_parity=False to proceed anyway.")
+    if enforce_parity and not pc.holds:
+        raise ParityError(
+            f"variant {variant} needs {pc.description}; got (h, k) = "
+            f"({h}, {k}).  Pass enforce_parity=False to proceed anyway.")
     res = oscillatory_sum(variant, h, k, q, chi=chi, reg=reg, m_max=m_max,
                           tol=tol)
     return HB_SCALE[variant] * res.value
@@ -525,10 +518,7 @@ def classical_trig_series(variant: str, h: int, k: int,
     weights) or -(1/k) sum_r v_r psi(r/k); inputs whose period contains an
     unexcluded pole are rejected with the offending residue.
     """
-    if variant not in HARDY_VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}")
-    if h < 1 or k < 1 or math.gcd(h, k) != 1:
-        raise DomainError("need coprime h >= 1, k >= 1")
+    variant = _hardy_args(variant, h, k)
     pc = parity_condition(variant, h, k)
     if not pc.holds:
         raise ParityError(f"variant {variant} needs {pc.description}; "

@@ -24,7 +24,8 @@ import numpy as np
 from . import _kernels
 from .characters import DirichletCharacter, chi_eval
 from .core import (ConvergenceError, DomainError, QParam, QRegime,
-                   SeriesValue, VerificationOutcome, _logq, qbracket)
+                   SeriesValue, VerificationOutcome, _logq, _positive,
+                   qbracket)
 
 __all__ = [
     "cck_zeta",
@@ -53,8 +54,7 @@ def _alt_series_real(s: complex, qfrac: Fraction, x: float,
     s = complex(s)
     if s.real <= 1:
         raise DomainError("Re(s) > 1 required")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _positive("tol", tol)
     logq = _logq(qfrac)
     rate = math.exp(logq * (s.real - 1.0))  # q^(Re s - 1) < 1
     n_stop = int(math.ceil((math.log(tol * (1.0 - rate)) - math.log(2.0)) / (logq * (s.real - 1.0)))) + 2
@@ -79,23 +79,22 @@ def _alt_series_real(s: complex, qfrac: Fraction, x: float,
 
 def _alt_series_disk(s: complex, qc: complex, x: float,
                      chi: Optional[DirichletCharacter], tol: float,
-                     n0: int, min_terms: int = 0) -> SeriesValue:
+                     n0: int) -> SeriesValue:
     """Complex |q| < 1 fallback; principal branches throughout."""
     s = complex(s)
+    _positive("tol", tol)
     logq = cmath.log(qc)
     decay = math.exp((logq * (s - 1.0)).real)
     if decay >= 1.0:
         raise DomainError("series does not decay for this (s, q) pair")
     chiv = _chi_array(chi)
-    acc = 0j
+    val = 0j
     n = n0
     if n0 == 0:
-        acc += complex(chiv[0]) * cmath.exp(-s * math.log(x))
+        val += complex(chiv[0]) * cmath.exp(-s * math.log(x))
         n = 1
     omq = 1.0 - qc
     bsup = 0.0
-    terms = 0
-    val = acc
     while True:
         qn = cmath.exp(n * logq)
         base = (1.0 - qn) / omq + x * qn
@@ -106,10 +105,9 @@ def _alt_series_disk(s: complex, qc: complex, x: float,
         val += term
         envelope = abs(term) / (decay ** n)
         bsup = max(bsup, envelope)
-        terms = n
         tail = 2.0 * bsup * decay ** (n + 1) / (1.0 - decay)
-        if n >= max(min_terms, n0 + 16) and tail <= tol:
-            return SeriesValue(val, tail, terms)
+        if n >= n0 + 16 and tail <= tol:
+            return SeriesValue(val, tail, n)
         n += 1
         if n > 10_000_000:
             raise DomainError("series did not reach tolerance")
@@ -118,15 +116,15 @@ def _alt_series_disk(s: complex, qc: complex, x: float,
 def _alt_series(s, q: QParam, x: Optional[float],
                 chi: Optional[DirichletCharacter], tol: float,
                 n0: int, min_terms: int = 0) -> SeriesValue:
-    xv = 0.0 if x is None else float(x)
-    if x is not None and xv <= 0:
-        raise DomainError("x must be positive")
+    xv = 0.0
+    if x is not None:
+        xv = float(x)
+        _positive("x", xv)
     if q.regime is QRegime.LIMIT1:
         raise DomainError("q = 1 not admissible; use the classical zeta module")
     if q.regime is QRegime.REAL_UNIT:
         return _alt_series_real(complex(s), q.value, xv, chi, tol, n0, min_terms)
-    return _alt_series_disk(complex(s), complex(q.value), xv, chi, tol, n0,
-                            min_terms)
+    return _alt_series_disk(complex(s), complex(q.value), xv, chi, tol, n0)
 
 
 def _scaled(sv: SeriesValue, factor: complex) -> SeriesValue:
@@ -137,7 +135,7 @@ def _scaled(sv: SeriesValue, factor: complex) -> SeriesValue:
 def q_alt_zeta(s, q: QParam, tol: float = 1e-12, genocchi_scale: bool = False,
                min_terms: int = 0) -> SeriesValue:
     """sum_{n>=1} (-1)^n q^(n(s-1)) [n]^(-s); with genocchi_scale the value is
-    multiplied by [2] = 1 + q."""
+    multiplied by [2] = 1 + q; rational q sums at least min_terms terms."""
     sv = _alt_series(s, q, None, None, tol, n0=1, min_terms=min_terms)
     return _scaled(sv, 1 + q.as_complex()) if genocchi_scale else sv
 
@@ -165,8 +163,7 @@ def q_alt_zeta_hurwitz(s, x, q: QParam, tol: float = 1e-12,
     1 + q^f/[f] by construction.
     """
     xv = float(x)
-    if xv <= 0:
-        raise DomainError("x must be positive")
+    _positive("x", xv)
     if variant == "bracket":
         if q.regime is not QRegime.REAL_UNIT:
             raise DomainError("bracket variant needs exact rational q")
@@ -198,8 +195,7 @@ def cck_zeta(s, q: QParam, tol: float = 1e-12) -> SeriesValue:
     s = complex(s)
     if s.real <= 0:
         raise DomainError("Re(s) > 0 required")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _positive("tol", tol)
     qv = float(q.value)
     pref = qv * (1.0 + qv)
     acc = 0j

@@ -16,30 +16,12 @@ from .core import DomainError, sawtooth
 __all__ = [
     "HARDY_VARIANTS",
     "ParityCondition",
-    "SumSpec",
     "dedekind_sum",
     "hardy_berndt_sum",
     "parity_condition",
 ]
 
 HARDY_VARIANTS = ("S", "s1", "s2", "s3", "s4", "s5")
-
-
-@dataclass(frozen=True)
-class SumSpec:
-    variant: str
-    h: int
-    k: int
-
-    def __post_init__(self):
-        if self.variant not in HARDY_VARIANTS + ("dedekind",):
-            raise DomainError(f"unknown sum variant {self.variant!r}")
-        if self.k < 1:
-            raise DomainError("k must be >= 1")
-        if self.h < 1:
-            raise DomainError("h must be >= 1")
-        if math.gcd(self.h, self.k) != 1:
-            raise DomainError(f"h and k must be coprime, got ({self.h}, {self.k})")
 
 
 @dataclass(frozen=True)
@@ -68,28 +50,35 @@ def _hardy_variant(variant) -> str:
     return variant
 
 
+def _hardy_args(variant, h: int, k: int) -> str:
+    """The argument rule of the Hardy-Berndt sums: a variant (name or index),
+    k >= 1, h >= 1 and gcd(h, k) = 1.  Returns the variant name."""
+    variant = _hardy_variant(variant)
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    if h < 1:
+        raise DomainError("h must be >= 1")
+    if math.gcd(h, k) != 1:
+        raise DomainError(f"h and k must be coprime, got ({h}, {k})")
+    return variant
+
+
 def parity_condition(variant: str, h: int, k: int) -> ParityCondition:
     """The hypothesis under which the variant's trigonometric series holds."""
     if math.gcd(h, k) != 1:
         raise DomainError("h and k must be coprime")
+    variant = _hardy_variant(variant)
     pred, desc = _PARITY[variant]
     return ParityCondition(variant, pred(h, k), desc)
 
 
-def hardy_berndt_sum(spec_or_variant, h: int = None, k: int = None) -> Fraction:
+def hardy_berndt_sum(variant: str, h: int, k: int) -> Fraction:
     """Exact finite Hardy-Berndt sum for one of the variants S, s1..s5.
 
     Upper limits follow the classical definitions verbatim (k-1 for S and s4,
     k otherwise; the j = k terms vanish for the sawtooth factors anyway).
     """
-    if isinstance(spec_or_variant, SumSpec):
-        spec = spec_or_variant
-    else:
-        spec = SumSpec(spec_or_variant, h, k)
-    if spec.variant == "dedekind":
-        raise DomainError("use dedekind_sum for the Dedekind sum")
-    h, k = spec.h, spec.k
-    v = spec.variant
+    v = _hardy_args(variant, h, k)
     total = Fraction(0)
     top = k - 1 if v in ("S", "s4") else k
     for j in range(1, top + 1):

@@ -15,7 +15,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .core import DomainError, SeriesValue
+from .core import DomainError, SeriesValue, _positive
 from .numbers import NumberKind, number_table
 
 __all__ = [
@@ -87,8 +87,7 @@ def _eta_accelerated(s: complex, tol: float):
 def riemann_zeta(s, tol: float = 1e-12) -> SeriesValue:
     """Riemann zeta via the accelerated alternating series for Re(s) > 0
     (s != 1) and exact Bernoulli values at nonpositive integers."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _positive("tol", tol)
     if _is_nonpositive_int(s):
         return SeriesValue(complex(float(zeta_exact_nonpositive(int(complex(s).real)))),
                            0.0, 0)
@@ -131,6 +130,7 @@ def genocchi_zeta(s, tol: float = 1e-12) -> SeriesValue:
     Entire in s: the alternating route covers Re(s) > 0 including s = 1, and
     nonpositive integers go through exact Bernoulli arithmetic.
     """
+    _positive("tol", tol)
     if _is_nonpositive_int(s):
         return SeriesValue(complex(float(genocchi_zeta_exact(int(complex(s).real)))),
                            0.0, 0)
@@ -155,12 +155,10 @@ def _rising(s: complex, count: int) -> complex:
 
 def hurwitz_zeta(s, a, tol: float = 1e-12) -> SeriesValue:
     """Hurwitz zeta zeta(s, a) by Euler-Maclaurin, a > 0, s != 1."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _positive("tol", tol)
     z = complex(s)
     af = float(a)
-    if af <= 0:
-        raise DomainError("a must be positive")
+    _positive("a", af)
     if z == 1:
         raise DomainError("pole at s = 1")
     big_n = max(0, int(math.ceil(14 + 1.5 * abs(z.imag) - af)))
@@ -189,11 +187,9 @@ def lerch_phi(z, s, a, tol: float = 1e-12) -> SeriesValue:
     Summation starts at m = 0, the convention under which Phi(1,s,a)
     reduces to the Hurwitz zeta.  |z| < 1, or |z| = 1 with Re(s) > 1; a > 0.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _positive("tol", tol)
     af = float(a)
-    if af <= 0:
-        raise DomainError("a must be positive")
+    _positive("a", af)
     zc = complex(z)
     sc = complex(s)
     if zc == 0:
@@ -240,8 +236,7 @@ def odd_power_sum(z, s, b: int = 1, tol: float = 1e-12,
     with the sum over j restored and the leading z fixed against the direct
     oracle (the m-from-0 Phi convention shifts every exponent down by one).
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _positive("tol", tol)
     if b < 1:
         raise DomainError("b must be >= 1")
     zc = complex(z)
@@ -290,8 +285,7 @@ def digamma(x: float, tol: float = 1e-12) -> float:
     asymptotic series, truncation error below the first omitted term."""
     if x <= 0:
         raise DomainError("digamma implemented for x > 0")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _positive("tol", tol)
     shift = 0.0
     y = float(x)
     while y < 12.0:

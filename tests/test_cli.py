@@ -1,6 +1,16 @@
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import hbq
 from hbq.cli import canonical_json, main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(hbq.__file__)))
 
 
 def run(capsys, *argv):
@@ -80,6 +90,31 @@ def test_zeta_nonpositive_tol_exit_2(capsys):
                              "--a", "0.5", "--z", "0.5", "--tol", "0")
         assert code == 2 and out == ""
         assert err == "error: tol must be positive\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("qzeta", "--fn", "cck", "--s", "0.5,1", "--q", "1/2"),
+    ("zeta", "--fn", "lerch", "--s", "2", "--z", "0.5"),
+], ids=["cck", "lerch"])
+def test_nan_tol_exit_2(argv):
+    # `tail <= nan` never holds, so a nan tol must be turned away up front;
+    # a fresh process with a timeout keeps a regression from hanging the suite
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "hbq.cli", *argv,
+                           "--tol", "nan"],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: tol must be positive\n"
+
+
+def test_verify_with_no_checks_exit_2(capsys):
+    # an empty sweep would report PASS without checking anything
+    for k_max in ("0", "-1"):
+        code, out, err = run(capsys, "verify", "thm4", "--k-max", k_max,
+                             "--format", "json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "k_max must be >= 1" in err
 
 
 def test_verify_pass_and_fail_exit_codes(capsys):
@@ -164,6 +199,20 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "kind,name,params,value,certificate,pass"
     assert lines[-1].endswith("True")
+
+
+def test_verify_all_csv(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["kind", "name", "params", "value", "certificate",
+                       "pass"]
+    assert all(len(row) == 6 for row in rows)
+    criteria = [row for row in rows if row[0] == "criterion"]
+    assert [row[2] for row in criteria] == \
+        [f"number={n}" for n in range(1, 11)]
+    assert all(row[1] and row[4] and row[5] == "True" for row in criteria)
+    assert rows[-1] == ["overall", "", "", "", "", "True"]
 
 
 def test_verify_thm4_sweep(capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import hbq
 from hbq import DomainError, QParam, QRegime, qbracket, sawtooth
 
 
@@ -81,3 +82,23 @@ def test_qparam_validation():
         QParam.complex_disk(1.2 + 0j)
     assert QParam.parse("1").regime is QRegime.LIMIT1
     assert QParam.parse("2/5").value == Fraction(2, 5)
+
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hbq.genocchi_zeta(2, tol=0),
+    lambda: hbq.hurwitz_zeta(2, 1, tol=_NAN),
+    lambda: hbq.q_alt_zeta(2, QParam.complex_disk(0.3j), tol=0),
+    lambda: hbq.q_alt_zeta_hurwitz(2, _NAN, QParam.real(Fraction(1, 2))),
+    lambda: hbq.oscillatory_sum("S", 1, 2, QParam.real(Fraction(2, 5)),
+                                tol=_NAN),
+    lambda: hbq.RegularizationSchedule((_NAN, 0.1)),
+], ids=["genocchi-zeta-tol-0", "hurwitz-tol-nan", "disk-q-alt-zeta-tol-0",
+        "hurwitz-shift-nan", "oscillatory-tol-nan", "schedule-offset-nan"])
+def test_positive_parameters_rejected(call):
+    # tolerances, shifts and damping offsets must be > 0, and nan is not
+    with pytest.raises(DomainError, match="must be positive"):
+        call()

@@ -5,7 +5,7 @@ import pytest
 
 from hbq import (DomainError, dedekind_sum, hardy_berndt_sum,
                  parity_condition, sawtooth)
-from hbq.sums import HARDY_VARIANTS, SumSpec
+from hbq.sums import HARDY_VARIANTS
 
 
 def test_anchor_values():
@@ -78,12 +78,17 @@ def test_parity_conditions():
     assert pc.holds and pc.description == "h even and k odd"
 
 
+def test_parity_condition_rejects_unknown_variant():
+    with pytest.raises(DomainError, match="unknown variant 'x'"):
+        parity_condition("x", 1, 2)
+
+
 def test_rejects_non_coprime():
     with pytest.raises(DomainError):
         hardy_berndt_sum("S", 2, 4)
     with pytest.raises(DomainError):
         dedekind_sum(3, 6)
     with pytest.raises(DomainError):
-        SumSpec("S", 0, 3)
+        hardy_berndt_sum("S", 0, 3)
     with pytest.raises(DomainError):
         parity_condition("S", 2, 4)
