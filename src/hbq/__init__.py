@@ -3,7 +3,7 @@ zeta and l functions, and the verification machinery tying them together.
 
 The exact layers are imported here.  The numpy-backed layers (``qzeta`` and
 ``mellin``) load on first use of one of their names, so ``import hbq`` and
-the exact computations pay for neither numpy nor scipy.
+the exact computations do not pay for numpy.
 """
 
 import importlib

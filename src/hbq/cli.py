@@ -3,7 +3,7 @@ machine-readable reports.
 
 The numpy-backed layers (``qzeta``, ``mellin``) load only in the handlers and
 the ``acceptance`` checks that use them, so the exact commands and ``verify
-thm4`` start without numpy or scipy.
+thm4`` start without numpy.
 
 Reports are deterministic: floats are rendered with 17 significant digits,
 keys and result rows are sorted, and no timestamps are embedded, so identical
@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional
 from . import __version__
 from .characters import character_from_label, characters_mod, chi_eval
 from .core import (ConvergenceError, DomainError, QParam, SeriesValue,
-                   VerificationOutcome, _maybe_int)
+                   VerificationOutcome, _finite, _maybe_int)
 from .numbers import q_euler_number, q_genocchi_number, number_table
 from .qsums import (RegularizationSchedule, oscillatory_sum, q_dedekind_sum,
                     q_hardy_berndt_sum)
@@ -207,11 +207,11 @@ def _report(argv: List[str], results: List[Dict[str, Any]],
 
 def _parse_s(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise DomainError(f"bad --s value {text!r}; expected 're' or 're,im'")
+    if len(parts) not in (1, 2):
+        raise DomainError(f"bad --s value {text!r}; expected 're' or 're,im'")
+    s = complex(*map(float, parts))
+    _finite("s", s)
+    return s
 
 
 def _schedule(args) -> Optional[RegularizationSchedule]:

@@ -10,6 +10,7 @@ floating point on the open unit disk).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -59,6 +60,13 @@ def _positive(name: str, value) -> None:
     also turns nan away."""
     if not value > 0:
         raise DomainError(f"{name} must be positive")
+
+
+def _finite(name: str, value) -> None:
+    """The one check for an argument, shift or exponent, real or complex:
+    no nan and no infinite part."""
+    if not cmath.isfinite(value):
+        raise DomainError(f"{name} must be finite")
 
 
 def as_fraction(x: ExactLike) -> Fraction:
@@ -142,8 +150,10 @@ class QParam:
 class SeriesValue:
     """Return contract of every infinite-series / quadrature evaluation.
 
-    ``tail_bound`` is a rigorous bound on the truncation error of the value;
-    on success it does not exceed the tolerance that was requested.
+    ``tail_bound`` is a rigorous bound on the truncation error of the value,
+    plus the quadrature's error estimate for ``mellin_transform``; it is
+    finite, and on success it does not exceed the tolerance that was
+    requested.
     """
 
     value: complex
@@ -153,6 +163,8 @@ class SeriesValue:
     def __post_init__(self):
         if self.tail_bound < 0:
             raise DomainError("tail_bound must be nonnegative")
+        if not math.isfinite(self.tail_bound):
+            raise DomainError("tail_bound must be finite")
 
 
 @dataclass(frozen=True)

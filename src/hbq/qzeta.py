@@ -24,8 +24,8 @@ import numpy as np
 from . import _kernels
 from .characters import DirichletCharacter, chi_eval
 from .core import (ConvergenceError, DomainError, QParam, QRegime,
-                   SeriesValue, VerificationOutcome, _logq, _positive,
-                   qbracket)
+                   SeriesValue, VerificationOutcome, _finite, _logq,
+                   _positive, qbracket)
 
 __all__ = [
     "cck_zeta",
@@ -52,6 +52,7 @@ def _alt_series_real(s: complex, qfrac: Fraction, x: float,
                      alternating: bool = True) -> SeriesValue:
     """Engine for the (anti-)alternating family at exact rational 0 < q < 1."""
     s = complex(s)
+    _finite("s", s)
     if s.real <= 1:
         raise DomainError("Re(s) > 1 required")
     _positive("tol", tol)
@@ -82,6 +83,7 @@ def _alt_series_disk(s: complex, qc: complex, x: float,
                      n0: int) -> SeriesValue:
     """Complex |q| < 1 fallback; principal branches throughout."""
     s = complex(s)
+    _finite("s", s)
     _positive("tol", tol)
     logq = cmath.log(qc)
     decay = math.exp((logq * (s - 1.0)).real)
@@ -120,6 +122,7 @@ def _alt_series(s, q: QParam, x: Optional[float],
     if x is not None:
         xv = float(x)
         _positive("x", xv)
+        _finite("x", xv)
     if q.regime is QRegime.LIMIT1:
         raise DomainError("q = 1 not admissible; use the classical zeta module")
     if q.regime is QRegime.REAL_UNIT:
@@ -164,6 +167,7 @@ def q_alt_zeta_hurwitz(s, x, q: QParam, tol: float = 1e-12,
     """
     xv = float(x)
     _positive("x", xv)
+    _finite("x", xv)
     if variant == "bracket":
         if q.regime is not QRegime.REAL_UNIT:
             raise DomainError("bracket variant needs exact rational q")
@@ -193,6 +197,7 @@ def cck_zeta(s, q: QParam, tol: float = 1e-12) -> SeriesValue:
     if q.regime is not QRegime.REAL_UNIT:
         raise DomainError("cck variant implemented for exact rational 0 < q < 1")
     s = complex(s)
+    _finite("s", s)
     if s.real <= 0:
         raise DomainError("Re(s) > 0 required")
     _positive("tol", tol)

@@ -108,6 +108,35 @@ def test_nan_tol_exit_2(argv):
     assert proc.stderr == "error: tol must be positive\n"
 
 
+def test_zeta_infinite_shift_exit_2(capsys):
+    # a = inf used to pass the positivity check and die in int(math.ceil(...))
+    code, out, err = run(capsys, "zeta", "--fn", "hurwitz", "--s", "2",
+                         "--a", "inf")
+    assert code == 2 and out == ""
+    assert err == "error: a must be finite\n"
+
+
+def test_zeta_nan_s_exit_2(capsys):
+    # the report's s formatting used to fail first, with a message about ints
+    for s in ("nan", "2,inf"):
+        code, out, err = run(capsys, "zeta", "--fn", "zeta", "--s", s)
+        assert code == 2 and out == ""
+        assert err == "error: s must be finite\n"
+
+
+@pytest.mark.parametrize("fn", ["lerch", "odd-power"])
+def test_nan_z_exit_2(fn):
+    # a nan |z| used to fall into the |z| = 1 branch and run the whole
+    # 50M-term loop; a fresh process with a timeout keeps that from hanging
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "hbq.cli", "zeta", "--fn", fn,
+                           "--s", "2", "--z", "nan", "--a", "1"],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: z must be finite\n"
+
+
 def test_verify_with_no_checks_exit_2(capsys):
     # an empty sweep would report PASS without checking anything
     for k_max in ("0", "-1"):

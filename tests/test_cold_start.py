@@ -1,12 +1,16 @@
 """Cold start: ``import hbq`` and the exact commands load neither numpy nor
-scipy.  Each check runs a fresh interpreter and reads its ``sys.modules``;
-nothing is timed."""
+scipy, and no computation loads scipy.  Each check runs a fresh interpreter
+and reads its ``sys.modules``; nothing is timed."""
 
+import ast
+import glob
 import importlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import hbq
 
@@ -47,12 +51,34 @@ def test_acceptance_imports_without_numpy():
     assert _heavy_modules_after("import hbq.acceptance") == []
 
 
-def test_numpy_layers_load_scipy_only_when_used():
-    loaded = _heavy_modules_after("hbq.q_alt_zeta, hbq.mellin_transform")
-    assert "numpy" in loaded
-    assert not any(m.split(".")[0] == "scipy" for m in loaded)
-    loaded = _heavy_modules_after("hbq.riemann_zeta(complex(2, 1))")
-    assert "scipy.special" in loaded and "scipy.integrate" not in loaded
+def test_no_computation_loads_scipy():
+    # Gamma and the Mellin quadrature run on the standard library
+    half = "hbq.QParam.real('1/2')"
+    for code in (f"hbq.mellin_transform('F', 2, {half})",
+                 "hbq.riemann_zeta(complex(2, 1))",
+                 _cli("verify", "mellin-defs")):
+        loaded = _heavy_modules_after(code)
+        assert not any(m.split(".")[0] == "scipy" for m in loaded), code
+    assert "numpy" in loaded  # the verify run did reach the numpy layers
+
+
+def test_scipy_is_not_a_dependency():
+    for path in glob.glob(os.path.join(SRC, "hbq", "*.py")):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), \
+                (path, node.lineno)
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as f:
+        deps = tomllib.load(f)["project"]["dependencies"]
+    assert [d.split(">")[0].split("=")[0].strip() for d in deps] == ["numpy"]
 
 
 def test_lazy_names_are_the_module_objects():

@@ -102,3 +102,33 @@ def test_positive_parameters_rejected(call):
     # tolerances, shifts and damping offsets must be > 0, and nan is not
     with pytest.raises(DomainError, match="must be positive"):
         call()
+
+
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hbq.riemann_zeta(_NAN),
+    lambda: hbq.digamma(_NAN),
+    lambda: hbq.genocchi_zeta(complex(2, _NAN)),
+    lambda: hbq.riemann_zeta(-_INF),
+    lambda: hbq.hurwitz_zeta(2, _INF),
+    lambda: hbq.q_alt_zeta(_NAN, QParam.real(Fraction(1, 2))),
+    lambda: hbq.q_alt_zeta_hurwitz(2, _INF, QParam.real(Fraction(1, 2))),
+    lambda: hbq.mellin_transform("F", complex(2, _INF),
+                                 QParam.real(Fraction(1, 2))),
+], ids=["zeta-s-nan", "digamma-nan", "genocchi-zeta-s-nan", "zeta-s-minus-inf",
+        "hurwitz-shift-inf", "q-alt-zeta-s-nan", "q-hurwitz-shift-inf",
+        "mellin-s-inf"])
+def test_nonfinite_arguments_rejected(call):
+    # riemann_zeta(nan) and digamma(nan) used to return nan and a = inf died
+    # in int(math.ceil(...)); a nan z is test_cli.py::test_nan_z_exit_2
+    with pytest.raises(DomainError, match="must be finite"):
+        call()
+
+
+@pytest.mark.parametrize("bound", [_NAN, _INF])
+def test_series_value_rejects_nonfinite_bound(bound):
+    # `bound < 0` is false for nan, so a nan certificate used to pass
+    with pytest.raises(DomainError, match="tail_bound must be finite"):
+        hbq.SeriesValue(1.0, bound, 1)

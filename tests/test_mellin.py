@@ -2,12 +2,13 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
-from scipy.special import gamma
 
 from hbq import (ConvergenceError, DomainError, QParam, QuadratureConfig,
                  branch_prefactor, characters_mod, mellin_transform, q_alt_zeta,
                  verify_mellin_roundtrip, verify_product_identity)
+from hbq.zeta import _loggamma
 
 Q_HALF = QParam.real(Fraction(1, 2))
 
@@ -35,9 +36,12 @@ def test_roundtrip_off_grid():
 
 
 def test_gamma_recurrence():
-    for s in (2, 3, 2.5, 2 + 1j, 3 - 2j):
+    # log Gamma is defined up to 2 pi i, so compare Gamma values, relatively
+    for s in (2, 3, 2.5, 2 + 1j, 3 - 2j, 0.02 + 25j, 8 - 25j):
         z = complex(s)
-        assert abs(gamma(z + 1) - z * gamma(z)) <= 1e-12 * abs(gamma(z + 1))
+        lg = _loggamma(z)
+        assert abs(cmath.exp(lg - complex(mpmath.loggamma(z))) - 1) <= 1e-12
+        assert abs(cmath.exp(_loggamma(z + 1) - lg) / z - 1) <= 1e-12
 
 
 def test_prefactor_zero_structure():
