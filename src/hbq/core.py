@@ -77,10 +77,11 @@ def as_fraction(x: ExactLike) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise DomainError(f"zero denominator in {x!r}") from None
     raise DomainError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -128,8 +129,7 @@ class QParam:
     @classmethod
     def parse(cls, text: str) -> "QParam":
         """Parse CLI syntax: ``"1"`` for the q -> 1 regime, ``"p/r"`` exact."""
-        text = text.strip()
-        frac = Fraction(text)
+        frac = as_fraction(text.strip())
         if frac == 1:
             return cls.one()
         return cls.real(frac)

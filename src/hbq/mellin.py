@@ -28,13 +28,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import _kernels
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, chi_table
 from .core import (ConvergenceError, DomainError, QParam, QRegime,
                    SeriesValue, VerificationOutcome, _finite, _logq,
                    _positive)
 from .qsums import RegularizationSchedule, _richardson
-from .qzeta import (_chi_array, q_alt_l, q_alt_zeta, q_alt_zeta_hurwitz,
-                    q_plain_zeta)
+from .qzeta import q_alt_l, q_alt_zeta, q_alt_zeta_hurwitz, q_plain_zeta
 from .zeta import _loggamma, hurwitz_zeta, riemann_zeta, zeta_star
 
 __all__ = [
@@ -118,7 +117,7 @@ def mellin_transform(kind: str, s, q: QParam,
     needs_chi = kind.endswith("_chi")
     if needs_chi and chi is None:
         raise DomainError(f"kind {kind!r} needs a character")
-    chiv = _chi_array(chi if needs_chi else None)
+    chiv = chi_table(chi if needs_chi else None)
     alt = kind.startswith("F")
     qfrac = q.value
     logq = _logq(qfrac)
@@ -128,7 +127,7 @@ def mellin_transform(kind: str, s, q: QParam,
         xv = float(x)
         _positive("x", xv)
         _finite("x", xv)
-        n0coef = complex(chiv[0]).real if needs_chi else 1.0
+        n0coef = complex(chiv[0]).real
 
     inner_tol = cfg.tol * 1e-3
 
@@ -182,6 +181,8 @@ def mellin_transform(kind: str, s, q: QParam,
     rgamma = cmath.exp(-_loggamma(s))
     value = pieces * rgamma
     err = err * abs(rgamma) + 8e-15 * abs(value)
+    if err > cfg.tol:
+        raise ConvergenceError(f"quadrature bound {err:.3g} above tol")
     return SeriesValue(value, err, 0)
 
 
@@ -267,7 +268,7 @@ def verify_product_identity(tid: int, s, q: QParam,
     reg = reg or RegularizationSchedule((0.2, 0.1, 0.05, 0.025, 0.0125), 4)
     qfrac = q.value
     logq = _logq(qfrac)
-    chiv = _chi_array(chi)
+    chiv = chi_table(chi)
 
     inner_tol = tol * 1e-3
     rate = math.exp(logq * (s.real - 1.0))

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from . import _kernels
-from .characters import DirichletCharacter, chi_eval
+from .characters import DirichletCharacter, chi_table
 from .core import (ConvergenceError, DomainError, ParityError, PoleError,
                    QParam, QRegime, SeriesValue, _logq, _positive)
 from .numbers import bernoulli_polynomial
@@ -141,11 +141,9 @@ def eval_gen(kind: str, t, q: QParam, tol: float = 1e-12,
         raise DomainError("Re(t) > 0 required; the damped oscillatory path "
                           "handles the imaginary axis")
     _positive("tol", tol)
-    chiv = [chi_eval(chi, r) for r in range(chi.modulus)] if needs_chi \
-        else [1.0]
-    value, tail, n = _kernels.gen_series_sum(t, _logq(q.value),
-                                             kind.startswith("F"), chiv,
-                                             1_000_000, tol)
+    value, tail, n = _kernels.gen_series_sum(
+        t, _logq(q.value), kind.startswith("F"),
+        chi_table(chi if needs_chi else None), 1_000_000, tol)
     if tail == math.inf:
         raise ConvergenceError("generating series did not reach tolerance")
     return SeriesValue(value, tail, n)
@@ -228,7 +226,8 @@ def _limit1_period(variant_or_p, h: int, k: int,
     """Per-n coefficients d_n of the damped series sum_n d_n e^(-n eps) at
     q = 1, as one full period (complex values, exact rational skeleton); the
     Hardy-Berndt variants are read through their corollary forms."""
-    f = chi.modulus if chi is not None else 1
+    chiv = chi_table(chi)
+    f = len(chiv)
     if isinstance(variant_or_p, str):
         variant = variant_or_p
         base = 2 * k
@@ -240,16 +239,14 @@ def _limit1_period(variant_or_p, h: int, k: int,
             val = float(coef) * math.pi
             if _F_FAMILY[variant]:
                 val *= 1.0 if (r % 2 == 1) else -1.0  # (-1)^(n+1)
-            cv = chi_eval(chi, r) if chi is not None else 1.0
-            d.append(val * cv)
+            d.append(val * chiv[r % f])
         return period, d
     p = variant_or_p
     period = math.lcm(k, f)
     d = []
     for r in range(1, period + 1):
         coef = _clausen_coef(Fraction(r * h, k), p)
-        cv = chi_eval(chi, r) if chi is not None else 1.0
-        d.append(float(coef) * math.pi ** p * cv)
+        d.append(float(coef) * math.pi ** p * chiv[r % f])
     return period, d
 
 
@@ -292,6 +289,7 @@ def _literal_offset_value(variant_or_p, h: int, k: int, qfrac: Fraction,
     else:
         p = variant_or_p
         cmax = math.pi ** p * 4.0 ** p  # crude sup of the Bernoulli shape
+    chiv = chi_table(chi)
     inv_q = 1 / qfrac
     a_exact = Fraction(0)
     qinv_pow = Fraction(1)
@@ -315,8 +313,7 @@ def _literal_offset_value(variant_or_p, h: int, k: int, qfrac: Fraction,
         else:
             coef = float(_clausen_coef(a_exact * h / k, p)) * math.pi ** p
             sgn = 1.0
-        cv = chi_eval(chi, n) if chi is not None else 1.0
-        acc += 2j * sgn * cv * qinv_f * damp * coef
+        acc += 2j * sgn * chiv[n % len(chiv)] * qinv_f * damp * coef
         nxt_qinv = math.exp(-(n + 1) * logq)
         nxt_major = nxt_qinv * math.exp(-float(a_exact + qinv_pow * inv_q) * eps) * cmax
         cur_major = qinv_f * damp * cmax

@@ -19,10 +19,8 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from . import _kernels
-from .characters import DirichletCharacter, chi_eval
+from .characters import DirichletCharacter, chi_table
 from .core import (ConvergenceError, DomainError, QParam, QRegime,
                    SeriesValue, VerificationOutcome, _finite, _logq,
                    _positive, qbracket)
@@ -35,16 +33,6 @@ __all__ = [
     "q_plain_zeta",
     "verify_conductor_decomposition",
 ]
-
-_NO_CHI = np.ones(1, dtype=np.complex128)
-
-
-def _chi_array(chi: Optional[DirichletCharacter]) -> np.ndarray:
-    if chi is None:
-        return _NO_CHI
-    f = chi.modulus
-    return np.array([chi_eval(chi, r) for r in range(f)], dtype=np.complex128)
-
 
 def _alt_series_real(s: complex, qfrac: Fraction, x: float,
                      chi: Optional[DirichletCharacter], tol: float,
@@ -60,7 +48,7 @@ def _alt_series_real(s: complex, qfrac: Fraction, x: float,
     rate = math.exp(logq * (s.real - 1.0))  # q^(Re s - 1) < 1
     n_stop = int(math.ceil((math.log(tol * (1.0 - rate)) - math.log(2.0)) / (logq * (s.real - 1.0)))) + 2
     n_stop = max(n_stop, n0 + 8, min_terms)
-    chiv = _chi_array(chi)
+    chiv = chi_table(chi)
     head = 0j
     n_lo = n0
     if n0 == 0:
@@ -89,7 +77,7 @@ def _alt_series_disk(s: complex, qc: complex, x: float,
     decay = math.exp((logq * (s - 1.0)).real)
     if decay >= 1.0:
         raise DomainError("series does not decay for this (s, q) pair")
-    chiv = _chi_array(chi)
+    chiv = chi_table(chi)
     val = 0j
     n = n0
     if n0 == 0:
@@ -262,7 +250,7 @@ def verify_conductor_decomposition(s, chi: DirichletCharacter, q: QParam,
         xa = float(qbracket(a, qfrac) / bf) if xv is None \
             else (float(qbracket(a, qfrac)) + xv * qf ** a) / float(bf)
         inner = _alt_series(s, q_to_f, xa, None, inner_tol, n0=0)
-        rhs += (-1) ** a * cmath.exp((s - 1.0) * a * logq) * chi_eval(chi, a) \
+        rhs += (-1) ** a * cmath.exp((s - 1.0) * a * logq) * chi.table[a % f] \
             * inner.value
     rhs *= scale * cmath.exp(-s * math.log(float(bf)))
     params = {"s": s, "q": str(qfrac), "chi": chi.label}

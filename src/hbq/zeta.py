@@ -32,6 +32,8 @@ __all__ = [
 
 _LOG_ACCEL = math.log(3.0 + math.sqrt(8.0))
 _BERN = number_table(NumberKind.BERNOULLI, 40)
+_ETA_MAX_TERMS = 390  # keeps n (3+sqrt 8)^n below the float range
+_HURWITZ_MAX_IM = 1000.0
 
 
 def _is_nonpositive_int(s) -> bool:
@@ -54,17 +56,22 @@ def _eta_accelerated(s: complex, tol: float):
     """Alternating zeta eta(s) = sum_{m>=1} (-1)^(m-1) m^(-s) for Re s > 0.
 
     The CRVZ error bound for totally monotone coefficients is
-    3 (3+sqrt(8))^(-n); complex s inflates it by Gamma(Re s)/|Gamma(s)|.
+    3 (3+sqrt(8))^(-n); complex s inflates it by Gamma(Re s)/|Gamma(s)|,
+    about exp(pi |Im s| / 2).  n is capped at 390, which at the default
+    tolerance admits |Im s| up to about 400.
     """
     z = complex(s)
     if z.real <= 0:
         raise DomainError("alternating route needs Re(s) > 0")
-    tv = 1.0
-    if z.imag != 0:
-        # rounded up past the log-Gamma rounding (under 2.5e-13 relative
-        # wherever the factor is finite), since it enters an upper bound
-        tv = math.exp(math.lgamma(z.real) - _loggamma(z).real) * (1.0 + 5e-13)
-    n = max(12, int(math.log(3.0 * max(tv, 1.0) / tol) / _LOG_ACCEL) + 3)
+    log_tv = 0.0 if z.imag == 0 else math.lgamma(z.real) - _loggamma(z).real
+    n = max(12, int((max(log_tv, 0.0) + math.log(3.0) - math.log(tol))
+                    / _LOG_ACCEL) + 3)
+    if n > _ETA_MAX_TERMS:
+        raise DomainError(f"s = {z} needs {n} > {_ETA_MAX_TERMS} terms at tol "
+                          f"{tol:.3g}: |Im s| or 1/tol is too large")
+    # rounded up past the log-Gamma rounding (under 2.5e-13 relative
+    # wherever the factor is finite), since it enters an upper bound
+    tv = 1.0 if z.imag == 0 else math.exp(log_tv) * (1.0 + 5e-13)
     d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0
     b = -1.0
@@ -150,7 +157,9 @@ def _rising(s: complex, count: int) -> complex:
 
 
 def hurwitz_zeta(s, a, tol: float = 1e-12) -> SeriesValue:
-    """Hurwitz zeta zeta(s, a) by Euler-Maclaurin, a > 0, s != 1."""
+    """Hurwitz zeta zeta(s, a) by Euler-Maclaurin, a > 0, s != 1 and
+    |Im s| <= 1000, past which the rounding of its 14 + 1.5 |Im s| terms
+    exceeds 1e-12 (against mpmath: 2.3e-13 at |Im s| = 1e3, 7.9e-12 at 1e4)."""
     _positive("tol", tol)
     z = complex(s)
     _finite("s", z)
@@ -159,6 +168,9 @@ def hurwitz_zeta(s, a, tol: float = 1e-12) -> SeriesValue:
     _finite("a", af)
     if z == 1:
         raise DomainError("pole at s = 1")
+    if abs(z.imag) > _HURWITZ_MAX_IM:
+        raise DomainError(f"|Im s| = {abs(z.imag):.6g} above the Hurwitz "
+                          f"route's limit of {_HURWITZ_MAX_IM:g}")
     big_n = max(0, int(math.ceil(14 + 1.5 * abs(z.imag) - af)))
     w = af + big_n
     acc = 0j

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from hbq import (DomainError, character_from_label, characters_mod, chi_eval)
+from hbq.characters import chi_table
 
 
 def _phi(f):
@@ -72,3 +73,17 @@ def test_labels():
         character_from_label("5:9")
     with pytest.raises(DomainError):
         character_from_label("nonsense")
+
+
+def test_period_table_matches_chi_eval():
+    # every series reads chi from this one cached period
+    assert chi_table(None) == (1,)
+    for f in range(1, 61):
+        for chi in characters_mod(f):
+            table = chi_table(chi)
+            assert table is chi.table  # computed once per character
+            assert table == tuple(chi_eval(chi, r) for r in range(f))
+            if chi.order <= 2:
+                # real characters stay exact: +-1 on units, 0 elsewhere
+                assert all(v in (1, -1) if math.gcd(r, f) == 1 else v == 0
+                           for r, v in enumerate(table))

@@ -137,6 +137,41 @@ def test_nan_z_exit_2(fn):
     assert proc.stderr == "error: z must be finite\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("qzeta", "--fn", "im", "--s", "2"),
+    ("qsum", "--kind", "gen", "--h", "1", "--k", "2"),
+    ("numbers", "--kind", "q-euler", "--m", "3"),
+    ("verify", "thm5"),
+], ids=["qzeta", "qsum", "numbers", "verify"])
+def test_zero_denominator_q_exit_2(capsys, argv):
+    # used to die with a ZeroDivisionError traceback and exit 1
+    code, out, err = run(capsys, *argv, "--q", "1/0")
+    assert code == 2 and out == ""
+    assert err == "error: zero denominator in '1/0'\n"
+
+
+@pytest.mark.parametrize("fn", ["zeta", "genocchi-zeta", "zeta-star"])
+def test_accelerated_zeta_large_imaginary_s_exit_2(capsys, fn):
+    # the Gamma ratio of the error bound overflowed into an OverflowError
+    code, out, err = run(capsys, "zeta", "--fn", fn, "--s", "2,500")
+    assert code == 2 and out == ""
+    assert err.startswith("error: s = (2+500j) needs ")
+    assert err.endswith(": |Im s| or 1/tol is too large\n")
+
+
+@pytest.mark.parametrize("s", ["2,1e7", "1e308,1e308"])
+def test_hurwitz_large_imaginary_s_exit_2(s):
+    # 14 + 1.5 |Im s| terms used to take 8 s at 1e7 and forever at 1e308;
+    # a fresh process with a timeout keeps a regression from hanging
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "hbq.cli", "zeta", "--fn",
+                           "hurwitz", "--s", s, "--a", "0.5"],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "above the Hurwitz route's limit of 1000" in proc.stderr
+
+
 def test_verify_with_no_checks_exit_2(capsys):
     # an empty sweep would report PASS without checking anything
     for k_max in ("0", "-1"):

@@ -1,5 +1,6 @@
-"""Cold start: ``import hbq`` and the exact commands load neither numpy nor
-scipy, and no computation loads scipy.  Each check runs a fresh interpreter
+"""Cold start: ``import hbq``, the exact commands and ``qzeta --fn cck`` load
+neither numpy nor scipy, numpy is imported only inside the array kernels, and
+no computation loads scipy.  Each check runs a fresh interpreter
 and reads its ``sys.modules``; nothing is timed."""
 
 import ast
@@ -45,6 +46,12 @@ def test_exact_commands_load_neither_numpy_nor_scipy():
     assert _heavy_modules_after(_cli("verify", "thm4", "--k-max", "5")) == []
 
 
+def test_cck_zeta_loads_no_numpy():
+    # cck_zeta runs no array kernel, and importing hbq.qzeta loads no numpy
+    assert _heavy_modules_after(_cli("qzeta", "--fn", "cck", "--s", "2",
+                                     "--q", "1/2")) == []
+
+
 def test_acceptance_imports_without_numpy():
     # the verify grids live in hbq.acceptance, which loads the numpy layers
     # only inside the checks that need them
@@ -62,10 +69,15 @@ def test_no_computation_loads_scipy():
     assert "numpy" in loaded  # the verify run did reach the numpy layers
 
 
-def test_scipy_is_not_a_dependency():
+def _imports():
+    """(file name, line, top-level module names, inside a function) for each
+    import statement in hbq."""
     for path in glob.glob(os.path.join(SRC, "hbq", "*.py")):
         with open(path) as f:
             tree = ast.parse(f.read(), path)
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -73,12 +85,25 @@ def test_scipy_is_not_a_dependency():
                 names = [node.module or ""]
             else:
                 continue
-            assert not any(n.split(".")[0] == "scipy" for n in names), \
-                (path, node.lineno)
+            yield (os.path.basename(path), node.lineno,
+                   {n.split(".")[0] for n in names}, id(node) in inside)
+
+
+def test_scipy_is_not_a_dependency():
+    for name, line, modules, _ in _imports():
+        assert "scipy" not in modules, (name, line)
     tomllib = pytest.importorskip("tomllib")
     with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as f:
         deps = tomllib.load(f)["project"]["dependencies"]
     assert [d.split(">")[0].split("=")[0].strip() for d in deps] == ["numpy"]
+
+
+def test_numpy_is_imported_only_inside_the_array_kernels():
+    # one place decides how arrays are used: the function bodies of
+    # hbq._kernels; every other module reads chi from the character table
+    for name, line, modules, in_function in _imports():
+        if "numpy" in modules:
+            assert name == "_kernels.py" and in_function, (name, line)
 
 
 def test_lazy_names_are_the_module_objects():

@@ -84,6 +84,14 @@ def test_qparam_validation():
     assert QParam.parse("2/5").value == Fraction(2, 5)
 
 
+def test_zero_denominator_is_a_domain_error():
+    # Fraction("1/0") raises ZeroDivisionError, which the CLI did not catch
+    for call in (lambda: hbq.as_fraction("1/0"), lambda: QParam.real("1/0"),
+                 lambda: QParam.parse("1/0")):
+        with pytest.raises(DomainError, match="zero denominator"):
+            call()
+
+
 
 _NAN = float("nan")
 

@@ -75,6 +75,13 @@ def test_capped_generating_series_is_not_certified():
         mellin_transform("F", 2, q, cfg=QuadratureConfig(tol=1e-8))
 
 
+def test_bound_above_tol_is_not_certified():
+    # the 8e-15 |value| rounding term alone exceeds tol = 1e-15; the
+    # transform used to succeed with tail_bound 3.6e-15
+    with pytest.raises(ConvergenceError, match="above tol"):
+        mellin_transform("F", 2, Q_HALF, cfg=QuadratureConfig(tol=1e-15))
+
+
 def test_product_identities_at_even_s():
     chi4 = characters_mod(4)[1]
     for tid in (19, 20, 21, 22, 23):

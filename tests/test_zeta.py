@@ -86,6 +86,26 @@ def test_hurwitz_domain():
         hurwitz_zeta(2, 0.0)
 
 
+def test_imaginary_s_limits():
+    # the accelerated series caps its term count at 390 and the Hurwitz
+    # route takes |Im s| <= 1000; inside the limits the values hold
+    with mpmath.workdps(30):
+        for s in (complex(2, 300), complex(0.5, -380)):
+            sv = riemann_zeta(s)
+            assert abs(mpmath.mpc(sv.value) - mpmath.zeta(s)) < 1e-12
+        s = complex(1.5, 1000)
+        sv = hurwitz_zeta(s, 0.3)
+        assert abs(mpmath.mpc(sv.value) - mpmath.zeta(s, 0.3)) < 1e-12
+    for call in (lambda: riemann_zeta(complex(2, 500)),
+                 lambda: genocchi_zeta(complex(0.5, -450)),
+                 lambda: zeta_star(complex(2, 500)),
+                 lambda: riemann_zeta(2, 1e-320),
+                 lambda: hurwitz_zeta(complex(2, 1000.5), 0.5),
+                 lambda: lerch_phi(1, complex(2, 2e3), 0.5)):
+        with pytest.raises(DomainError):
+            call()
+
+
 def test_nonpositive_tol_rejected():
     for tol in (0.0, -1e-12):
         for call in (lambda: hurwitz_zeta(2, 0.5, tol),
