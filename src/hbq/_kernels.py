@@ -21,21 +21,26 @@ KERNEL_MODE = "numpy"  # the one implementation, named for run metadata
 
 
 def qzeta_partial_sum(logq, s, x, chi, alt, n0, n1):
-    """sum_{n=n0}^{n1-1} sign^n chi[n mod f] q^{n(s-1)} ([n] + x q^n)^(-s).
-
-    x = 0 together with n0 = 1 gives the plain series over [n]^(-s).
+    """sum_{n=n0}^{n1-1} sign^n chi[n mod f] q^{n(s-1)} ([n] + x q^n)^(-s)
+    and |term n1|, the first omitted, from one array pass.  logq is real for
+    0 < q < 1 and complex for |q| < 1, with principal powers q^a = exp(a Log q)
+    and base^(-s) = exp(-s Log base).  x = 0 gives the series over [n]^(-s).
     """
     import numpy as np
 
-    n = np.arange(n0, n1, dtype=np.float64)
-    qn = np.exp(n * logq)
-    omq = -math.expm1(logq)  # 1 - q
-    bracket = -np.expm1(n * logq) / omq  # [n]
-    base = bracket + x * qn
-    sgn = np.where(np.arange(n0, n1) % 2 == 0, 1.0, -1.0) if alt else 1.0
-    chiv = np.asarray(chi, dtype=np.complex128)[np.arange(n0, n1) % len(chi)]
-    terms = sgn * chiv * np.exp(n * logq * (s - 1.0)) * np.exp(-s * np.log(base))
-    return complex(np.sum(terms))
+    n = np.arange(n0, n1 + 1, dtype=np.float64)
+    nl = n * logq
+    # 1 - q; numpy's real expm1 differs from math's in the last bit
+    omq = -(math.expm1(logq) if isinstance(logq, float) else np.expm1(logq))
+    base = np.expm1(nl) / -omq  # [n]
+    if x:
+        base = base + x * np.exp(nl)
+    # sign^n chi(n) on one period 2f of both, gathered once
+    coef = [complex(-1.0 if alt and r % 2 else 1.0, 0.0) * complex(chi[r % len(chi)])
+            for r in range(2 * len(chi))]
+    coef = np.asarray(coef, dtype=np.complex128)[np.arange(n0, n1 + 1) % len(coef)]
+    terms = coef * np.exp(nl * (s - 1.0)) * np.exp(-s * np.log(base))
+    return complex(np.sum(terms[:-1])), abs(complex(terms[-1]))
 
 
 def damped_pair_sum(s, eps, logq, alt, chi, odd_weights, m_count, n_count):

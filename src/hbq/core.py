@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -54,6 +55,8 @@ class ConvergenceError(RuntimeError):
 
 ExactLike = Union[int, Fraction, str]
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 def _positive(name: str, value) -> None:
     """The one check for a tolerance, shift or offset: ``value > 0``, which
@@ -67,6 +70,27 @@ def _finite(name: str, value) -> None:
     no nan and no infinite part."""
     if not cmath.isfinite(value):
         raise DomainError(f"{name} must be finite")
+
+
+def _shift(name: str, value) -> float:
+    """The one check for a shift or offset: a positive, finite float."""
+    v = float(value)
+    _positive(name, v)
+    _finite(name, v)
+    return v
+
+
+def _im_limit(s: complex, limit: float, route: str) -> None:
+    """The one check for a route's |Im s| limit, past which the rounding of
+    its phases Im(s) log(...) exceeds the default tol."""
+    if abs(s.imag) > limit:
+        raise DomainError(f"|Im s| = {abs(s.imag):.6g} above the {route} route's limit of {limit:g}")
+
+
+def _fits(name: str, log_magnitude: float) -> None:
+    """The one overflow check: exp(log_magnitude) must fit a float."""
+    if log_magnitude > _LOG_FLOAT_MAX:
+        raise DomainError(f"{name} overflows the float range")
 
 
 def as_fraction(x: ExactLike) -> Fraction:
@@ -165,6 +189,10 @@ class SeriesValue:
             raise DomainError("tail_bound must be nonnegative")
         if not math.isfinite(self.tail_bound):
             raise DomainError("tail_bound must be finite")
+
+    def scaled(self, factor: complex) -> "SeriesValue":
+        return SeriesValue(factor * self.value, abs(factor) * self.tail_bound,
+                           self.terms_used)
 
 
 @dataclass(frozen=True)

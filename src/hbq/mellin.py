@@ -31,7 +31,7 @@ from . import _kernels
 from .characters import DirichletCharacter, chi_table
 from .core import (ConvergenceError, DomainError, QParam, QRegime,
                    SeriesValue, VerificationOutcome, _finite, _logq,
-                   _positive)
+                   _positive, _shift)
 from .qsums import RegularizationSchedule, _richardson
 from .qzeta import q_alt_l, q_alt_zeta, q_alt_zeta_hurwitz, q_plain_zeta
 from .zeta import _loggamma, hurwitz_zeta, riemann_zeta, zeta_star
@@ -124,9 +124,7 @@ def mellin_transform(kind: str, s, q: QParam,
     xv = 0.0
     n0coef = 0.0
     if x is not None:
-        xv = float(x)
-        _positive("x", xv)
-        _finite("x", xv)
+        xv = _shift("x", x)
         n0coef = complex(chiv[0]).real
 
     inner_tol = cfg.tol * 1e-3

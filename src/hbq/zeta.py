@@ -12,10 +12,12 @@ nonpositive integers go through exact Bernoulli-number arithmetic.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
-from .core import DomainError, SeriesValue, _finite, _positive
+from .core import (ConvergenceError, DomainError, SeriesValue, _finite, _fits,
+                   _im_limit, _positive, _shift)
 from .numbers import NumberKind, number_table
 
 __all__ = [
@@ -34,6 +36,9 @@ _LOG_ACCEL = math.log(3.0 + math.sqrt(8.0))
 _BERN = number_table(NumberKind.BERNOULLI, 40)
 _ETA_MAX_TERMS = 390  # keeps n (3+sqrt 8)^n below the float range
 _HURWITZ_MAX_IM = 1000.0
+_EM_COEF = tuple(float(_BERN[2 * j]) / math.factorial(2 * j) for j in range(1, 14))
+_LERCH_MAX_IM = 1e4
+_DIRECT_MAX_TERMS = 50_000_000
 
 
 def _is_nonpositive_int(s) -> bool:
@@ -112,17 +117,13 @@ def zeta_star(s, tol: float = 1e-12, route: str = "identity") -> SeriesValue:
     """
     z = complex(s)
     if route == "identity":
-        zv = riemann_zeta(z, tol / 2)
-        factor = 1.0 - cmath.exp(-z * math.log(2.0))
-        return SeriesValue(factor * zv.value, abs(factor) * zv.tail_bound,
-                           zv.terms_used)
+        return riemann_zeta(z, tol / 2).scaled(
+            1.0 - cmath.exp(-z * math.log(2.0)))
     if route == "direct":
         if z.real <= 1:
             raise DomainError("direct route needs Re(s) > 1")
-        hz = hurwitz_zeta(z, 0.5, tol / 2)
-        factor = cmath.exp(-z * math.log(2.0))
-        return SeriesValue(factor * hz.value, abs(factor) * hz.tail_bound,
-                           hz.terms_used)
+        return hurwitz_zeta(z, 0.5, tol / 2).scaled(
+            cmath.exp(-z * math.log(2.0)))
     raise DomainError(f"unknown route {route!r}")
 
 
@@ -149,13 +150,6 @@ def genocchi_zeta_exact(s0: int) -> Fraction:
     return -2 * (1 - Fraction(2) ** (1 - s0)) * zeta_exact_nonpositive(s0)
 
 
-def _rising(s: complex, count: int) -> complex:
-    acc = 1.0 + 0j
-    for i in range(count):
-        acc *= s + i
-    return acc
-
-
 def hurwitz_zeta(s, a, tol: float = 1e-12) -> SeriesValue:
     """Hurwitz zeta zeta(s, a) by Euler-Maclaurin, a > 0, s != 1 and
     |Im s| <= 1000, past which the rounding of its 14 + 1.5 |Im s| terms
@@ -163,27 +157,25 @@ def hurwitz_zeta(s, a, tol: float = 1e-12) -> SeriesValue:
     _positive("tol", tol)
     z = complex(s)
     _finite("s", z)
-    af = float(a)
-    _positive("a", af)
-    _finite("a", af)
+    af = _shift("a", a)
     if z == 1:
         raise DomainError("pole at s = 1")
-    if abs(z.imag) > _HURWITZ_MAX_IM:
-        raise DomainError(f"|Im s| = {abs(z.imag):.6g} above the Hurwitz "
-                          f"route's limit of {_HURWITZ_MAX_IM:g}")
+    _im_limit(z, _HURWITZ_MAX_IM, "Hurwitz")
     big_n = max(0, int(math.ceil(14 + 1.5 * abs(z.imag) - af)))
     w = af + big_n
+    _fits("zeta(s, a)'s largest term", max(-z.real * math.log(af), (1.0 - z.real) * math.log(w)))
     acc = 0j
     for n in range(big_n):
         acc += cmath.exp(-z * math.log(af + n))
     acc += cmath.exp((1.0 - z) * math.log(w)) / (z - 1.0)
     acc += 0.5 * cmath.exp(-z * math.log(w))
     j_max = 12
+    rise = z  # the rising factorial (z)_(2j-1) = z (z+1) ... (z+2j-2)
     for j in range(1, j_max + 1):
-        coef = float(_BERN[2 * j]) / math.factorial(2 * j)
-        acc += coef * _rising(z, 2 * j - 1) * cmath.exp(-(z + 2 * j - 1) * math.log(w))
-    nxt = abs(float(_BERN[2 * j_max + 2]) / math.factorial(2 * j_max + 2)
-              * _rising(z, 2 * j_max + 1)) * w ** (-(z.real + 2 * j_max + 1))
+        acc += _EM_COEF[j - 1] * rise * cmath.exp(-(z + 2 * j - 1) * math.log(w))
+        rise *= z + (2 * j - 1)
+        rise *= z + 2 * j
+    nxt = abs(_EM_COEF[j_max] * rise) * w ** (-(z.real + 2 * j_max + 1))
     bound = nxt * (abs(z + 2 * j_max + 1) / (z.real + 2 * j_max + 1))
     if bound > tol:
         raise DomainError(f"Euler-Maclaurin tail {bound:.2e} above tol; "
@@ -191,50 +183,61 @@ def hurwitz_zeta(s, a, tol: float = 1e-12) -> SeriesValue:
     return SeriesValue(acc, bound, big_n + j_max)
 
 
+def _power_tail(az: float, sr: float, m: int, step: int, offset) -> float:
+    """Bound on the terms after m of sum z^m b_m^(-s), b_m = step m + offset,
+    or inf until r = |z| (b_(m+1)/b_m)^max(0, -Re s), which falls with m, is
+    below 1; on |z| = 1 (Re s > 1, b_m = m + a) the integral tail."""
+    u, v = step * m + offset, step * (m + 1) + offset
+    if az == 1:
+        return u ** (1.0 - sr) / (sr - 1.0)
+    r = az * (v / u) ** max(0.0, -sr)
+    return (az ** (m + 1)) * v ** (-sr) / (1.0 - r) if r < 1 else math.inf
+
+
+def _power_series(zc: complex, sc: complex, tol: float, m0: int, step: int,
+                  offset) -> SeriesValue:
+    """sum_{m>=m0} z^m (step m + offset)^(-s); an input whose bound misses
+    tol at the cap of 5e7 terms fails before anything is summed."""
+    az, sr = abs(zc), sc.real
+    if not _power_tail(az, sr, m0 + _DIRECT_MAX_TERMS, step, offset) <= tol:
+        raise ConvergenceError(f"the series needs more than {_DIRECT_MAX_TERMS} terms")
+    acc = 0j
+    zp = 1.0 + 0j
+    for _ in range(m0):
+        zp *= zc
+    for m in itertools.count(m0):  # ends by the cap, as checked above
+        acc += zp * cmath.exp(-sc * math.log(step * m + offset))
+        tail = _power_tail(az, sr, m, step, offset)
+        if tail <= tol:
+            return SeriesValue(acc, tail, m - m0 + 1)
+        zp *= zc
+
+
 def lerch_phi(z, s, a, tol: float = 1e-12) -> SeriesValue:
     """Hurwitz-Lerch transcendent Phi(z,s,a) = sum_{m>=0} z^m (m+a)^(-s).
 
     Summation starts at m = 0, the convention under which Phi(1,s,a)
     reduces to the Hurwitz zeta.  |z| < 1, or |z| = 1 with Re(s) > 1; a > 0.
+    For z != 1, |Im s| <= 1e4: against mpmath the error at tol 1e-12 is
+    7.1e-13 at |Im s| = 1e4 and 2.9e-12 at 1e5.
     """
     _positive("tol", tol)
-    af = float(a)
-    _positive("a", af)
-    _finite("a", af)
+    af = _shift("a", a)
     zc = complex(z)
     sc = complex(s)
     _finite("z", zc)
     _finite("s", sc)
-    if zc == 0:
-        return SeriesValue(cmath.exp(-sc * math.log(af)), 0.0, 1)
-    if zc == 1:
-        return hurwitz_zeta(sc, af, tol)
     az = abs(zc)
     if az > 1:
         raise DomainError("|z| <= 1 required")
     if az == 1 and sc.real <= 1:
         raise DomainError("|z| = 1 needs Re(s) > 1")
-    acc = 0j
-    zp = 1.0 + 0j
-    m = 0
-    while True:
-        acc += zp * cmath.exp(-sc * math.log(m + af))
-        # tail after m terms
-        if az < 1:
-            grow = max(1.0, (m + 1 + af) / (m + af)) ** max(0.0, -sc.real)
-            r = az * grow
-            if r < 0.95:
-                tail = (az ** (m + 1)) * (m + 1 + af) ** (-sc.real) / (1.0 - r)
-                if tail <= tol:
-                    return SeriesValue(acc, tail, m + 1)
-        else:
-            tail = (m + af) ** (1.0 - sc.real) / (sc.real - 1.0)
-            if tail <= tol:
-                return SeriesValue(acc, tail, m + 1)
-        zp *= zc
-        m += 1
-        if m > 50_000_000:
-            raise DomainError("series did not reach tolerance")
+    if zc == 1:
+        return hurwitz_zeta(sc, af, tol)
+    _im_limit(sc, _LERCH_MAX_IM, "Lerch")
+    if zc == 0:
+        return SeriesValue(cmath.exp(-sc * math.log(af)), 0.0, 1)
+    return _power_series(zc, sc, tol, 0, 1, af)
 
 
 def odd_power_sum(z, s, b: int = 1, tol: float = 1e-12,
@@ -248,6 +251,7 @@ def odd_power_sum(z, s, b: int = 1, tol: float = 1e-12,
 
     with the sum over j restored and the leading z fixed against the direct
     oracle (the m-from-0 Phi convention shifts every exponent down by one).
+    For z != 1 both routes take |Im s| <= 1e4, the limit of `lerch_phi`.
     """
     _positive("tol", tol)
     if b < 1:
@@ -256,6 +260,8 @@ def odd_power_sum(z, s, b: int = 1, tol: float = 1e-12,
     sc = complex(s)
     _finite("z", zc)
     _finite("s", sc)
+    if zc != 1:
+        _im_limit(sc, _LERCH_MAX_IM, "Lerch")
     if route == "decomposition":
         acc = 0j
         bound = 0.0
@@ -272,27 +278,10 @@ def odd_power_sum(z, s, b: int = 1, tol: float = 1e-12,
     if zc == 1:
         if sc.real <= 1:
             raise DomainError("z = 1 needs Re(s) > 1")
-        hz = hurwitz_zeta(sc, 0.5, tol)
-        scale = cmath.exp(-sc * math.log(2.0))
-        return SeriesValue(scale * hz.value, abs(scale) * hz.tail_bound,
-                           hz.terms_used)
+        return hurwitz_zeta(sc, 0.5, tol).scaled(cmath.exp(-sc * math.log(2.0)))
     if abs(zc) >= 1:
         raise DomainError("|z| < 1 required for the direct sum (or z = 1)")
-    acc = 0j
-    zp = 1.0 + 0j
-    m = 0
-    while True:
-        m += 1
-        zp *= zc
-        acc += zp * cmath.exp(-sc * math.log(2 * m - 1))
-        grow = ((2 * m + 1) / (2 * m - 1)) ** max(0.0, -sc.real)
-        r = abs(zc) * grow
-        if r < 0.95:
-            tail = (abs(zc) ** (m + 1)) * (2 * m + 1) ** (-sc.real) / (1.0 - r)
-            if tail <= tol:
-                return SeriesValue(acc, tail, m)
-        if m > 50_000_000:
-            raise DomainError("series did not reach tolerance")
+    return _power_series(zc, sc, tol, 1, 2, -1)
 
 
 def digamma(x: float, tol: float = 1e-12) -> float:

@@ -172,6 +172,54 @@ def test_hurwitz_large_imaginary_s_exit_2(s):
     assert "above the Hurwitz route's limit of 1000" in proc.stderr
 
 
+def _fresh(*argv):
+    # a fresh process with a timeout keeps a hang or a spin from stalling
+    # the suite
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "hbq.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=10)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("qzeta", "--fn", "im", "--s", "2,1e300", "--q", "1/2"),
+     "above the q-series route's limit of 1000"),
+    (("qzeta", "--fn", "cck", "--s", "2,1e300", "--q", "1/2"),
+     "above the cck route's limit of 10000"),
+    (("zeta", "--fn", "lerch", "--s", "2,1e300", "--z", "0.5"),
+     "above the Lerch route's limit of 10000"),
+    (("zeta", "--fn", "hurwitz", "--s", "1000", "--a", "0.1"),
+     "overflows the float range"),
+    (("zeta", "--fn", "hurwitz", "--s", "1e308", "--a", "0.5"),
+     "overflows the float range"),
+    (("zeta", "--fn", "lerch", "--s", "0.5", "--z", "1", "--a", "1"),
+     "|z| = 1 needs Re(s) > 1"),
+    (("zeta", "--fn", "odd-power", "--s", "0.5", "--z", "1", "--route",
+      "decomposition"), "|z| = 1 needs Re(s) > 1"),
+    (("zeta", "--fn", "lerch", "--s", "2", "--z", "-1", "--a", "1"),
+     "needs more than 50000000 terms"),
+], ids=["qzeta-im-s", "cck-im-s", "lerch-im-s", "hurwitz-overflow",
+        "hurwitz-overflow-1e308", "lerch-z1-divergent", "odd-power-z1-divergent",
+        "lerch-unit-circle-cap"])
+def test_out_of_domain_exit_2(argv, message):
+    # each used to exit 0 with a value that has no correct digit, die with a
+    # traceback, or spin for most of a minute
+    proc = _fresh(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
+def test_lerch_near_unit_circle_returns():
+    # the r < 0.95 gate kept 0.95 <= |z| < 1 summing to the 5e7-term cap
+    import mpmath
+    proc = _fresh("zeta", "--fn", "lerch", "--s", "2", "--z", "0.96", "--a",
+                  "0.5", "--format", "json")
+    assert proc.returncode == 0
+    value = json.loads(proc.stdout)["results"][0]["value"]
+    ref = mpmath.lerchphi(0.96, 2, 0.5)
+    assert abs(complex(value["re"], value["im"]) - complex(ref)) <= 1e-12
+
+
 def test_verify_with_no_checks_exit_2(capsys):
     # an empty sweep would report PASS without checking anything
     for k_max in ("0", "-1"):

@@ -215,6 +215,17 @@ def test_richardson_exact_on_polynomials():
     assert resid < 1e-1
 
 
+def test_richardson_order_zero_keeps_the_last_value():
+    # no extrapolation: the value at the smallest offset, and the move from
+    # the one before it as the residual
+    vals = [2.0 + 1.0j, 2.5 + 0.5j, 2.25 + 0.75j]
+    value, resid = _richardson((0.2, 0.1, 0.05), vals, 0)
+    assert value == vals[-1]
+    assert resid == abs(vals[-1] - vals[-2])
+    value, resid = _richardson((0.1,), [3.0 + 4.0j], 0)
+    assert value == 3.0 + 4.0j and resid == 5.0
+
+
 # ----------------------------------------------------------------------
 # q-Dedekind sums
 # ----------------------------------------------------------------------

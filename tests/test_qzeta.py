@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hbq import (DomainError, QParam, cck_zeta, characters_mod, chi_eval,
+from hbq import (ConvergenceError, DomainError, QParam, cck_zeta, characters_mod, chi_eval,
                  genocchi_zeta, q_alt_l, q_alt_zeta, q_alt_zeta_hurwitz,
                  q_plain_zeta, verify_conductor_decomposition)
 
@@ -120,12 +120,58 @@ def test_convergence_certificate():
 
 def test_complex_disk_regime():
     qc = QParam.complex_disk(0.3 + 0.1j)
-    sv = q_alt_zeta(2, qc, 1e-10)
-    brute = sum((-1) ** n * (1 / (0.3 + 0.1j)) ** n
-                * ((1 / (0.3 + 0.1j)) ** n * (1 - (0.3 + 0.1j) ** n)
-                   / (1 - (0.3 + 0.1j))) ** -2.0
-                for n in range(1, 300))
-    assert abs(sv.value - brute) <= sv.tail_bound + 1e-10
+    # the one engine serves the plain series on the disk too
+    for sign, series in ((-1, q_alt_zeta), (1, q_plain_zeta)):
+        sv = series(2, qc, 1e-10)
+        brute = sum(sign ** n * (1 / (0.3 + 0.1j)) ** n
+                    * ((1 / (0.3 + 0.1j)) ** n * (1 - (0.3 + 0.1j) ** n)
+                       / (1 - (0.3 + 0.1j))) ** -2.0
+                    for n in range(1, 300))
+        assert abs(sv.value - brute) <= sv.tail_bound + 1e-10
+
+
+def test_imaginary_s_and_phase_limits():
+    # |Im s| past 1000 (1e4 for cck) used to be certified with no correct
+    # digit, e.g. tail_bound 5.7e-14 at Im s = 1e300
+    for call in (lambda: q_alt_zeta(complex(2, 1e300), Q_HALF),
+                 lambda: q_alt_zeta(complex(2, 1000.5), Q_HALF),
+                 lambda: q_alt_zeta(complex(2, 1001), QParam.complex_disk(0.5j)),
+                 lambda: cck_zeta(complex(2, 1e300), Q_HALF),
+                 lambda: cck_zeta(complex(2, -10001), Q_HALF)):
+        with pytest.raises(DomainError, match="route's limit"):
+            call()
+    # near Re s = 1 the phase n Im(s) log q grows past its limit first
+    with pytest.raises(DomainError, match="phase of q"):
+        q_alt_zeta(complex(1.05, 900), Q_HALF)
+    # inside the limits the values hold
+    import mpmath
+    with mpmath.workdps(40):
+        q = mpmath.mpf(1) / 2
+        for s in (complex(2, 1000), complex(3.5, -640)):
+            sm = mpmath.mpc(s)
+            ref = mpmath.nsum(lambda n: (-1) ** n * q ** (n * (sm - 1))
+                              * ((1 - q ** n) / (1 - q)) ** -sm, [1, mpmath.inf])
+            assert abs(q_alt_zeta(s, Q_HALF).value - complex(ref)) < 1e-12
+        s = mpmath.mpc(2, 1e4)
+        ref = q * (1 + q) * mpmath.nsum(
+            lambda n: (-1) ** (n + 1) * q ** n * ((1 - q ** n) / (1 - q)) ** -s,
+            [1, mpmath.inf])
+        assert abs(cck_zeta(complex(s), Q_HALF).value - complex(ref)) < 1e-12
+
+
+def test_term_count_is_checked_before_summing():
+    # 1 - q = 1e-7 at Re s = 1.5 needs about 9e8 terms, 14 GB of arrays
+    with pytest.raises(ConvergenceError, match="above the cap"):
+        q_alt_zeta(1.5, QParam.real(1 - Fraction(1, 10 ** 7)))
+
+
+def test_overflowing_terms_are_domain_errors():
+    # x^(-s) used to escape as an OverflowError from cmath.exp; on the disk
+    # the base 1 + q = 0.1 of n = 2 puts 0.1^(-400) past the float range
+    with pytest.raises(DomainError, match="overflows the float range"):
+        q_alt_zeta_hurwitz(2, 1e-300, Q_HALF)
+    with pytest.raises(DomainError, match="overflow the float range"):
+        q_alt_zeta(400, QParam.complex_disk(-0.9))
 
 
 def test_cck_zeta():

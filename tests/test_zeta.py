@@ -1,10 +1,11 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from hbq import (DomainError, digamma, genocchi_zeta, genocchi_zeta_exact,
+from hbq import (ConvergenceError, DomainError, digamma, genocchi_zeta, genocchi_zeta_exact,
                  hurwitz_zeta, lerch_phi, number_table, odd_power_sum,
                  riemann_zeta, zeta_star)
 from hbq.zeta import zeta_exact_nonpositive
@@ -145,6 +146,66 @@ def test_odd_power_sum_routes():
         split = odd_power_sum(0.5, 2, b, route="decomposition")
         assert abs(direct.value - split.value) <= \
             direct.tail_bound + split.tail_bound + 1e-12
+
+
+def test_hurwitz_overflow_is_a_domain_error():
+    # a^(-s) past the float range used to escape as an OverflowError from
+    # cmath.exp; just inside the range the value still holds
+    for s, a in ((1000, 0.1), (1e308, 0.5), (-300, 0.5)):
+        with pytest.raises(DomainError, match="overflows the float range"):
+            hurwitz_zeta(s, a)
+    with mpmath.workdps(30):
+        sv = hurwitz_zeta(300, 0.1)
+        ref = mpmath.zeta(300, mpmath.mpf(0.1))
+        assert abs(sv.value - complex(ref)) <= 1e-14 * float(ref)
+
+
+def test_unit_circle_rule_comes_before_the_hurwitz_shortcut():
+    # z = 1 with Re s <= 1 used to return the Hurwitz continuation of a
+    # divergent series, with a tail bound of 4e-26
+    for call in (lambda: lerch_phi(1, 0.5, 1),
+                 lambda: lerch_phi(-1, 1, 1),
+                 lambda: odd_power_sum(1, 0.5, route="decomposition"),
+                 lambda: odd_power_sum(1, 0.5)):
+        with pytest.raises(DomainError, match="needs Re\\(s\\) > 1"):
+            call()
+
+
+def test_lerch_family_near_and_on_the_unit_circle_fails_fast():
+    # the old r < 0.95 gate never opened at 0.95 <= |z| < 1, and |z| = 1
+    # ran to the 5e7-term cap (55 s) before giving up
+    with mpmath.workdps(30):
+        t0 = time.monotonic()
+        sv = lerch_phi(0.96, 2, 0.5)
+        assert abs(sv.value - complex(mpmath.lerchphi(0.96, 2, 0.5))) <= 1e-12
+        z = complex(0.6, -0.78)  # |z| = 0.984
+        sv = odd_power_sum(z, 3)
+        ref = z * mpmath.mpf(2) ** -3 * mpmath.lerchphi(z, 3, 0.5)
+        assert abs(sv.value - complex(ref)) <= 1e-12
+        with pytest.raises(ConvergenceError, match="needs more than"):
+            lerch_phi(-1, 2, 1)
+        with pytest.raises(ConvergenceError, match="needs more than"):
+            odd_power_sum(1 - 1e-9, 2)
+        assert time.monotonic() - t0 < 2.0
+
+
+def test_lerch_imaginary_s_limit():
+    # past |Im s| = 1e4 the phases Im(s) log(m + a) keep no correct digit
+    for call in (lambda: lerch_phi(0.5, complex(2, 1e4 + 1), 1),
+                 lambda: lerch_phi(0, complex(2, 1e300), 1),
+                 lambda: odd_power_sum(0.5, complex(2, -2e4)),
+                 lambda: odd_power_sum(0.5, complex(2, 2e4), 2,
+                                       route="decomposition")):
+        with pytest.raises(DomainError, match="above the Lerch route's limit"):
+            call()
+    s, z, a = complex(2, 1e4), complex(0.3, 0.4), 1.5
+    with mpmath.workdps(40):
+        ref = mpmath.nsum(lambda m: mpmath.mpc(z) ** m * (m + a) ** -mpmath.mpc(s),
+                          [0, mpmath.inf])
+        assert abs(lerch_phi(z, s, a).value - complex(ref)) <= 1e-12
+        ref = mpmath.nsum(lambda m: mpmath.mpc(z) ** m * (2 * m - 1) ** -mpmath.mpc(s),
+                          [1, mpmath.inf])
+        assert abs(odd_power_sum(z, s).value - complex(ref)) <= 1e-12
 
 
 def test_digamma():
