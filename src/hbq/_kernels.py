@@ -8,6 +8,7 @@ one period of character values.  Exact-rational code paths stay elsewhere.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 __all__ = [
@@ -20,11 +21,23 @@ __all__ = [
 KERNEL_MODE = "numpy"  # the one implementation, named for run metadata
 
 
-def qzeta_partial_sum(logq, s, x, chi, alt, n0, n1):
-    """sum_{n=n0}^{n1-1} sign^n chi[n mod f] q^{n(s-1)} ([n] + x q^n)^(-s)
+@functools.lru_cache(maxsize=None)
+def _sign_chi_period(chi, alt):
+    """sign^r chi(r) over one period 2f of both: one read-only array each."""
+    import numpy as np
+
+    coef = np.asarray([complex(-1.0 if alt and r % 2 else 1.0, 0.0) * complex(chi[r % len(chi)])
+                       for r in range(2 * len(chi))], dtype=np.complex128)
+    coef.flags.writeable = False
+    return coef
+
+
+def qzeta_partial_sum(logq, s, x, chi, alt, n0, n1, alpha):
+    """sum_{n=n0}^{n1-1} sign^n chi[n mod f] q^(n alpha) ([n] + x q^n)^(-s)
     and |term n1|, the first omitted, from one array pass.  logq is real for
     0 < q < 1 and complex for |q| < 1, with principal powers q^a = exp(a Log q)
     and base^(-s) = exp(-s Log base).  x = 0 gives the series over [n]^(-s).
+    Terms past the float range come back as inf or nan, without a warning.
     """
     import numpy as np
 
@@ -32,15 +45,14 @@ def qzeta_partial_sum(logq, s, x, chi, alt, n0, n1):
     nl = n * logq
     # 1 - q; numpy's real expm1 differs from math's in the last bit
     omq = -(math.expm1(logq) if isinstance(logq, float) else np.expm1(logq))
-    base = np.expm1(nl) / -omq  # [n]
-    if x:
-        base = base + x * np.exp(nl)
-    # sign^n chi(n) on one period 2f of both, gathered once
-    coef = [complex(-1.0 if alt and r % 2 else 1.0, 0.0) * complex(chi[r % len(chi)])
-            for r in range(2 * len(chi))]
-    coef = np.asarray(coef, dtype=np.complex128)[np.arange(n0, n1 + 1) % len(coef)]
-    terms = coef * np.exp(nl * (s - 1.0)) * np.exp(-s * np.log(base))
-    return complex(np.sum(terms[:-1])), abs(complex(terms[-1]))
+    period = _sign_chi_period(chi, alt)
+    coef = period[np.arange(n0, n1 + 1) % len(period)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.expm1(nl) / -omq  # [n]
+        if x:
+            base = base + x * np.exp(nl)
+        terms = coef * np.exp(nl * alpha) * np.exp(-s * np.log(base))
+        return complex(np.add.reduce(terms[:-1])), abs(complex(terms[-1]))
 
 
 def damped_pair_sum(s, eps, logq, alt, chi, odd_weights, m_count, n_count):

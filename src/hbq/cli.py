@@ -2,8 +2,8 @@
 machine-readable reports.
 
 The ``qzeta`` and ``mellin`` layers load only in the handlers and checks that
-use them, and numpy only when an array kernel runs, so the exact commands,
-``qzeta --fn cck`` and ``verify thm4`` start without numpy.
+use them, and numpy only when an array kernel runs, so the exact commands
+and ``verify thm4`` start without numpy.
 
 Reports are deterministic: floats are rendered with 17 significant digits,
 keys and result rows are sorted, and no timestamps are embedded, so identical

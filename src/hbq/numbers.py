@@ -131,7 +131,8 @@ def q_genocchi_number(m: int, q: QParam, tol: float = 1e-12):
     """q-Genocchi number G_{m,q} = [2] m sum_{n>=0} (-1)^n q^n [n]^(m-1).
 
     Returns an exact Fraction for m <= 1 and for exact rational q; a
-    :class:`SeriesValue` from the truncated series for complex q.
+    :class:`SeriesValue` from the truncated series for complex q, sized in
+    advance: past 1e7 terms it raises ConvergenceError before summing.
     """
     if m < 0:
         raise DomainError("m must be nonnegative")
@@ -146,23 +147,11 @@ def q_genocchi_number(m: int, q: QParam, tol: float = 1e-12):
     qv = q.value
     if isinstance(qv, Fraction):
         return _q_genocchi_closed(m, qv)
+    if qv == 0:  # every term carries q^n, n >= 1
+        return SeriesValue(0j, 0.0, 1)
+    # complex q: the q-series engine at s = 1 - m and alpha = 1
+    from .qzeta import _alt_series
 
-    # complex q: direct partial summation with a geometric majorant
-    aq = abs(qv)
-    cap = (1.0 / (1.0 - aq)) ** (m - 1)
-    two = 1 + qv
-    total = 0j
-    qn = 1.0 + 0j
-    bracket = 0j
-    n = 0
-    while True:
-        n += 1
-        qn *= qv
-        bracket = bracket * qv + 1  # [n] = 1 + q [n-1]
-        total += (-1) ** n * qn * bracket ** (m - 1)
-        tail = (aq ** (n + 1) / (1 - aq)) * cap * abs(two) * m
-        if tail <= tol:
-            return SeriesValue(value=two * m * total, tail_bound=tail,
-                               terms_used=n)
-        if n > 10_000_000:
-            raise DomainError("series did not reach tolerance")
+    scale = (1 + qv) * m
+    return _alt_series(1 - m, q, None, None, tol / abs(scale),
+                       alpha=1.0).scaled(scale)

@@ -9,7 +9,8 @@ The basic object is the series (Re s > 1 for 0 < q < 1)
 its Hurwitz shift (n from 0, base [n] + x q^n after the same rewriting), and
 the character twist.  One engine sums them all, for exact rational q and for
 complex |q| < 1, in one pass of `_kernels.qzeta_partial_sum`; its tails are
-controlled by a geometric majorant B decay^n.
+controlled by a geometric majorant B decay^n.  With q^n in place of
+q^(n(s-1)) it also sums `cck_zeta` and the complex-q q-Genocchi numbers.
 """
 
 from __future__ import annotations
@@ -55,26 +56,33 @@ def _disk_majorant(s: complex, qc: complex, x: float):
 
 def _alt_series(s, q: QParam, x: Optional[float],
                 chi: Optional[DirichletCharacter], tol: float,
-                min_terms: int = 0, alternating: bool = True) -> SeriesValue:
-    """The one engine, n from 0 with a shift x, else from 1.  The regime
-    sets log q and B in |term_n| <= B decay^n (B = 1 for rational q, as
-    [n] + x q^n >= 1), and B decay^(n+1) / (1 - decay) <= tol the term count.
-    Phase rounding limits |Im s| to 1000 (against mpmath the error at tol
-    1e-12 is 5.5e-13 there, 1.8e-12 at 3e3) and n |Im(log q (s-1))| to 1e5
-    rad: on 25 disk points with decay near 1 the error stayed under 6.6e-13
-    below it, and was 3e-12 at 6.4e5."""
+                min_terms: int = 0, alternating: bool = True,
+                alpha=None) -> SeriesValue:
+    """The one engine for sum sign^n chi(n) q^(n alpha) ([n] + x q^n)^(-s),
+    n from 0 with a shift x, else from 1.  alpha defaults to s - 1, whose
+    domain checks run here; a caller passing alpha checks its own.  The
+    regime sets log q and B in |term_n| <= B decay^n (B = 1 for rational q,
+    as [n] + x q^n >= 1 and Re s > 0), and B decay^(n+1) / (1 - decay) <= tol
+    the term count.  Phase rounding limits |Im s| to 1000 (against mpmath the
+    error at tol 1e-12 is 5.5e-13 there at q = 1/2, 1.8e-12 at 3e3; more as
+    q nears 1, see the README) and n |Im(alpha log q)| to 1e5 rad: on 25
+    disk points with decay near 1 the error stayed under 6.6e-13 below it,
+    and was 3e-12 at 6.4e5."""
     xv = 0.0 if x is None else _shift("x", x)
     if q.regime is QRegime.LIMIT1:
         raise DomainError("q = 1 not admissible; use the classical zeta module")
     s = complex(s)
     _finite("s", s)
-    if q.regime is QRegime.REAL_UNIT and s.real <= 1:
-        raise DomainError("Re(s) > 1 required")
-    _positive("tol", tol)
-    _im_limit(s, _QSERIES_MAX_IM, "q-series")
+    power = "q^n"
+    if alpha is None:
+        if q.regime is QRegime.REAL_UNIT and s.real <= 1:
+            raise DomainError("Re(s) > 1 required")
+        _positive("tol", tol)
+        _im_limit(s, _QSERIES_MAX_IM, "q-series")
+        alpha, power = s - 1.0, "q^(n(s-1))"
     logq, log_b, n_min = (_logq(q.value), 0.0, 0) if q.regime is QRegime.REAL_UNIT \
         else _disk_majorant(s, complex(q.value), xv)
-    log_qs = logq * (s - 1.0)
+    log_qs = logq * alpha
     log_decay = log_qs.real
     if log_decay >= 0:
         raise DomainError("series does not decay for this (s, q) pair")
@@ -83,7 +91,7 @@ def _alt_series(s, q: QParam, x: Optional[float],
     n_stop = max(n_stop, 8 if x is not None else 9, min_terms, n_min)
     phase = (n_stop + 1) * abs(log_qs.imag)
     if phase > _MAX_PHASE:
-        raise DomainError(f"phase of q^(n(s-1)) {phase:.3g} above the limit of {_MAX_PHASE:g}")
+        raise DomainError(f"phase of {power} {phase:.3g} above the limit of {_MAX_PHASE:g}")
     if n_stop > _MAX_TERMS:
         raise ConvergenceError(f"series needs {n_stop} terms, above the cap of {_MAX_TERMS}")
     chiv = chi_table(chi)
@@ -92,7 +100,7 @@ def _alt_series(s, q: QParam, x: Optional[float],
         _fits("x^(-s)", -s.real * math.log(xv))
         head = complex(chiv[0]) * cmath.exp(-s * math.log(xv))
     body, check = _kernels.qzeta_partial_sum(logq, s, xv, chiv, alternating,
-                                             1, n_stop + 1)
+                                             1, n_stop + 1, alpha)
     # B decay^(n+1) as one power of decay, so B itself never overflows
     tail = rate ** (n_stop + 1 + log_b / log_decay) / (1.0 - rate)
     # belt and suspenders: the first omitted term must sit under the majorant
@@ -119,8 +127,8 @@ def q_plain_zeta(s, q: QParam, tol: float = 1e-12,
 
 
 def q_alt_zeta_hurwitz(s, x, q: QParam, tol: float = 1e-12,
-                       variant: str = "additive", genocchi_scale: bool = False,
-                       min_terms: int = 0) -> SeriesValue:
+                       variant: str = "additive",
+                       genocchi_scale: bool = False) -> SeriesValue:
     """Hurwitz variants (n from 0).
 
     additive: sum (-1)^n q^(-n) (q^(-n)[n] + x)^(-s)
@@ -138,23 +146,24 @@ def q_alt_zeta_hurwitz(s, x, q: QParam, tol: float = 1e-12,
         xv = (1.0 - qv ** xv) / (1.0 - qv)  # [x]
     elif variant != "additive":
         raise DomainError(f"unknown Hurwitz variant {variant!r}")
-    sv = _alt_series(s, q, xv, None, tol, min_terms)
+    sv = _alt_series(s, q, xv, None, tol)
     return sv.scaled(1 + q.as_complex()) if genocchi_scale else sv
 
 
 def q_alt_l(s, chi: DirichletCharacter, q: QParam, tol: float = 1e-12,
-            genocchi_scale: bool = False, x: Optional[float] = None,
-            min_terms: int = 0) -> SeriesValue:
+            genocchi_scale: bool = False,
+            x: Optional[float] = None) -> SeriesValue:
     """Character twist; with x the two-variable version (n from 0, shifted
     base), without it the plain l-series (n from 1)."""
-    sv = _alt_series(s, q, x, chi, tol, min_terms)
+    sv = _alt_series(s, q, x, chi, tol)
     return sv.scaled(1 + q.as_complex()) if genocchi_scale else sv
 
 
 def cck_zeta(s, q: QParam, tol: float = 1e-12) -> SeriesValue:
-    """The comparison q-deformation q(1+q) sum_{n>=1} (-1)^(n+1) q^n [n]^(-s);
-    terms decay like q^n, so Re(s) > 0 suffices.  |Im s| <= 1e4: against
-    mpmath the error at tol 1e-12 is 4.8e-13 there, 4.9e-12 at 1e5."""
+    """The comparison q-deformation q(1+q) sum_{n>=1} (-1)^(n+1) q^n [n]^(-s),
+    the engine at alpha = 1; terms decay like q^n, so Re(s) > 0 suffices.
+    |Im s| <= 1e4, where the rounding of log q leaves errors up to 5.0e-11
+    against mpmath (1 - q in [0.01, 0.9]; 5.6e-10 at 1e5)."""
     if q.regime is not QRegime.REAL_UNIT:
         raise DomainError("cck variant implemented for exact rational 0 < q < 1")
     s = complex(s)
@@ -163,20 +172,8 @@ def cck_zeta(s, q: QParam, tol: float = 1e-12) -> SeriesValue:
         raise DomainError("Re(s) > 0 required")
     _positive("tol", tol)
     _im_limit(s, _CCK_MAX_IM, "cck")
-    qv = float(q.value)
-    pref = qv * (1.0 + qv)
-    acc = 0j
-    qn = 1.0
-    bracket = 0.0
-    n = 0
-    while True:
-        n += 1
-        qn *= qv
-        bracket = 1.0 + qv * bracket
-        acc += (-1) ** (n + 1) * qn * cmath.exp(-s * math.log(bracket))
-        tail = pref * qn * qv / (1.0 - qv)
-        if tail <= tol and n >= 8:
-            return SeriesValue(pref * acc, tail, n)
+    pref = float(q.value) * (1.0 + float(q.value))
+    return _alt_series(s, q, None, None, tol / pref, alpha=1.0).scaled(-pref)
 
 
 def verify_conductor_decomposition(s, chi: DirichletCharacter, q: QParam,

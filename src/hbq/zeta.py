@@ -235,6 +235,7 @@ def lerch_phi(z, s, a, tol: float = 1e-12) -> SeriesValue:
     if zc == 1:
         return hurwitz_zeta(sc, af, tol)
     _im_limit(sc, _LERCH_MAX_IM, "Lerch")
+    _fits("a^(-s)", -sc.real * math.log(af))  # the largest term for Re s > 0
     if zc == 0:
         return SeriesValue(cmath.exp(-sc * math.log(af)), 0.0, 1)
     return _power_series(zc, sc, tol, 0, 1, af)

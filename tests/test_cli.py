@@ -198,9 +198,16 @@ def _fresh(*argv):
       "decomposition"), "|z| = 1 needs Re(s) > 1"),
     (("zeta", "--fn", "lerch", "--s", "2", "--z", "-1", "--a", "1"),
      "needs more than 50000000 terms"),
+    (("zeta", "--fn", "lerch", "--s", "2", "--z", "0.5", "--a", "1e-300"),
+     "a^(-s) overflows the float range"),
+    (("zeta", "--fn", "lerch", "--s", "2", "--z", "0", "--a", "1e-300"),
+     "a^(-s) overflows the float range"),
+    (("zeta", "--fn", "lerch", "--s", "2,3", "--z", "0.5", "--a", "1e-200"),
+     "a^(-s) overflows the float range"),
 ], ids=["qzeta-im-s", "cck-im-s", "lerch-im-s", "hurwitz-overflow",
         "hurwitz-overflow-1e308", "lerch-z1-divergent", "odd-power-z1-divergent",
-        "lerch-unit-circle-cap"])
+        "lerch-unit-circle-cap", "lerch-tiny-shift", "lerch-tiny-shift-z0",
+        "lerch-tiny-shift-complex-s"])
 def test_out_of_domain_exit_2(argv, message):
     # each used to exit 0 with a value that has no correct digit, die with a
     # traceback, or spin for most of a minute

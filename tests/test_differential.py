@@ -1,10 +1,12 @@
 """Differential tests: the Mellin quadrature against the q-series it
-transforms, and complex-s zeta values and the complex-q series against
-mpmath.  Seeded draws from each documented domain; a few seconds in all."""
+transforms, and complex-s zeta values, the complex-q series, cck_zeta and
+the disk q-Genocchi numbers against mpmath.  Seeded draws from each
+documented domain; a few seconds in all."""
 
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -116,3 +118,78 @@ def test_disk_series_where_the_old_loop_divided_by_zero():
                   (3.0 - 18.74j, -0.277 - 0.146j)):
         sv = hbq.q_alt_zeta(s, hbq.QParam.complex_disk(qv))
         assert abs(sv.value - _disk_reference(s, qv, None, None)) <= 1e-12
+
+
+def _cck_reference(s, q, direct):
+    """q(1+q) sum_{n>=1} (-1)^(n+1) q^n [n]^(-s) at 30 digits: mpmath's
+    accelerated nsum, or term by term, which large |Im s| needs."""
+    with mpmath.workdps(30):
+        qm = mpmath.mpf(q.numerator) / q.denominator
+        sm = mpmath.mpc(s)
+        if not direct:
+            total = mpmath.nsum(lambda n: (-1) ** (n + 1) * qm ** n
+                                * ((1 - qm ** n) / (1 - qm)) ** -sm, [1, mpmath.inf])
+            return complex(qm * (1 + qm) * total)
+        total, qn, bracket, n = mpmath.mpc(0), mpmath.mpf(1), mpmath.mpf(0), 0
+        while qn > mpmath.mpf(10) ** -26:
+            n += 1
+            qn *= qm
+            bracket = 1 + qm * bracket
+            total += (-1) ** (n + 1) * qn * mpmath.exp(-sm * mpmath.log(bracket))
+        return complex(qm * (1 + qm) * total)
+
+
+def test_cck_zeta_against_mpmath():
+    # 1 - q log-uniform in [1e-4, 0.9], Re s in [0.25, 4], |Im s| <= 20
+    rng = random.Random("cck-differential")
+    tol = 1e-12
+    for _ in range(30):
+        q = 1 - Fraction(round(10 ** rng.uniform(0, 4.05)), 10 ** 4)
+        s = complex(rng.uniform(0.25, 4), rng.uniform(-20, 20))
+        sv = hbq.cck_zeta(s, hbq.QParam.real(q), tol)
+        ref = _cck_reference(s, q, direct=False)
+        err = abs(sv.value - ref)
+        assert err <= tol, (s, str(q))
+        assert err <= sv.tail_bound + 1e-14 * (1 + abs(ref)), (s, str(q))
+
+
+def test_cck_zeta_at_the_imaginary_limit():
+    # |Im s| = 1e4 with 1 - q log-uniform in [0.01, 0.9]: the phases
+    # Im(s) log[n] carry the rounding of log q = log(num) - log(den), which
+    # tail_bound leaves out; it grows like |Im s| / (1 - q), up to 5e-11 on
+    # 40 such points
+    rng = random.Random("cck-differential-limit")
+    for _ in range(5):
+        q = 1 - Fraction(round(10 ** rng.uniform(2, 3.95)), 10 ** 4)
+        s = complex(rng.uniform(0.25, 4), rng.choice((-1e4, 1e4)))
+        sv = hbq.cck_zeta(s, hbq.QParam.real(q))
+        assert abs(sv.value - _cck_reference(s, q, direct=True)) <= 1e-10, (s, str(q))
+
+
+def test_disk_q_genocchi_against_mpmath():
+    # |q| in [0.05, 0.5], m in 2..8, term by term at 30 digits
+    rng = random.Random("qgenocchi-disk")
+    tol = 1e-12
+    for _ in range(40):
+        qv = cmath.rect(rng.uniform(0.05, 0.5), rng.uniform(-math.pi, math.pi))
+        m = rng.randint(2, 8)
+        sv = hbq.q_genocchi_number(m, hbq.QParam.complex_disk(qv), tol)
+        with mpmath.workdps(30):
+            q = mpmath.mpc(qv)
+            total, qn, bracket = mpmath.mpc(0), mpmath.mpc(1), mpmath.mpc(0)
+            for n in range(1, 120):
+                qn *= q
+                bracket = 1 + q * bracket
+                total += (-1) ** n * qn * bracket ** (m - 1)
+            ref = complex((1 + q) * m * total)
+        err = abs(sv.value - ref)
+        assert err <= tol, (m, qv)
+        assert err <= sv.tail_bound + 1e-14 * (1 + abs(ref)), (m, qv)
+
+
+def test_disk_q_genocchi_near_one_fails_fast():
+    # 7.2e7 terms: the old loop spun to its 1e7-term cap for 13 s
+    start = time.perf_counter()
+    with pytest.raises(hbq.ConvergenceError, match="above the cap"):
+        hbq.q_genocchi_number(3, hbq.QParam.complex_disk(0.999999))
+    assert time.perf_counter() - start < 1.0

@@ -14,16 +14,18 @@ def test_qzeta_partial_sum_complex_logq():
     q = cmath.rect(0.6, 2.2)
     logq = cmath.log(q)
     s, x = complex(2.5, -3.0), 1.7
-    terms = []
-    for n in range(2, 25):
-        qn = q ** n
-        base = (1 - qn) / (1 - q) + x * qn
-        terms.append((-1) ** n * CHI5[n % 5] * cmath.exp(n * logq * (s - 1))
-                     * cmath.exp(-s * cmath.log(base)))
-    body, first_omitted = _kernels.qzeta_partial_sum(logq, s, x, CHI5, True,
-                                                     2, 24)
-    assert abs(body - sum(terms[:-1])) < 1e-13 * max(1.0, abs(body))
-    assert abs(first_omitted - abs(terms[-1])) < 1e-13 * abs(terms[-1])
+    # alpha = s - 1 for the q-series family, 1 for cck and q-Genocchi
+    for alpha in (s - 1, 1.0):
+        terms = []
+        for n in range(2, 25):
+            qn = q ** n
+            base = (1 - qn) / (1 - q) + x * qn
+            terms.append((-1) ** n * CHI5[n % 5] * cmath.exp(n * logq * alpha)
+                         * cmath.exp(-s * cmath.log(base)))
+        body, first_omitted = _kernels.qzeta_partial_sum(logq, s, x, CHI5, True,
+                                                         2, 24, alpha)
+        assert abs(body - sum(terms[:-1])) < 1e-13 * max(1.0, abs(body))
+        assert abs(first_omitted - abs(terms[-1])) < 1e-13 * abs(terms[-1])
 
 
 def test_damped_pair_sum_complex_s():

@@ -126,3 +126,5 @@ def test_q_genocchi_complex_disk_series():
     brute = (1 + qc) * 2 * sum((-1) ** n * qc ** n * (1 - qc ** n) / (1 - qc)
                                for n in range(1, 200))
     assert abs(sv.value - brute) < 1e-10 + sv.tail_bound
+    # q = 0 has no log q for the engine; every term of the series is 0
+    assert q_genocchi_number(3, QParam.complex_disk(0)).value == 0
