@@ -18,8 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-from .core import (DomainError, QParam, QRegime, SeriesValue, _positive,
-                   as_fraction)
+from .core import DomainError, QParam, QRegime, _positive, as_fraction
 
 __all__ = [
     "NumberKind",
@@ -147,8 +146,6 @@ def q_genocchi_number(m: int, q: QParam, tol: float = 1e-12):
     qv = q.value
     if isinstance(qv, Fraction):
         return _q_genocchi_closed(m, qv)
-    if qv == 0:  # every term carries q^n, n >= 1
-        return SeriesValue(0j, 0.0, 1)
     # complex q: the q-series engine at s = 1 - m and alpha = 1
     from .qzeta import _alt_series
 

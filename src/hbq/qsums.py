@@ -13,20 +13,21 @@ cut: for fixed n the m-sums are classical Fourier series (square wave,
 sawtooth, Bernoulli polynomial) whose values are computed in exact rational
 arithmetic from the exact rational angle q^(-n)[n] h / k.
 
-At q = 1 the damped sums collapse to geometric ratios.  For the Hardy-Berndt
-variants the per-term limit is read through the tan/cot corollary forms
-(doubled exponent), under which the extrapolated values reproduce the
-classical finite sums; the extrapolated value itself is taken from the
-digamma closed form of the classical series.  The q-Dedekind sums use the
-literal reading, whose q = 1 limit has an exact closed form via the period
-structure of the angle lattice.
+At q = 1 the damped sums collapse to geometric ratios over one period of
+the angle lattice, and the value is their exact Abel limit whenever the
+period sum cancels.  The Hardy-Berndt variants are read through the tan/cot
+corollary forms (doubled exponent), under which that limit reproduces the
+classical finite sums; the q-Dedekind sums use the literal reading.  The
+Richardson value of the damped offsets is kept beside it as ``extrapolated``
+for the schedule-stability check, and the digamma closed form of the
+classical series (`classical_trig_series`) is a separate, independent route.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -214,7 +215,7 @@ class YSumResult:
     residual: float
     route: str
     diverged: bool
-    extrapolated: complex  # Richardson value of per_offset (diagnostic)
+    extrapolated: complex  # Richardson value of per_offset
 
 
 # ----------------------------------------------------------------------
@@ -392,22 +393,15 @@ def oscillatory_sum(variant, h: int, k: int, q: QParam,
     offset and extrapolated; a divergence flag is raised through ``diverged``
     when the offsets do not stabilize, which is the generic situation for
     q < 1.  At q = 1 the corollary reading applies and the value is the
-    digamma closed form of the matching classical series (exact Abel limit
-    when the closed form does not apply).
+    exact Abel limit of one period (route ``limit1-abel-period``), or the
+    extrapolated value when the period sum does not cancel.
     """
     variant = _hardy_variant(variant)
     _validate_pair(h, k)
     chi = _normalize_chi(chi)
     reg = reg or DEFAULT_SCHEDULE
     _positive("tol", tol)
-    res = _damped_sum(variant, h, k, q, chi, reg, m_max, tol)
-    if res.route == "limit1-abel-period" and chi is None \
-            and parity_condition(variant, abs(h), k).holds:
-        classical = classical_trig_series(variant, abs(h), k,
-                                          tol=min(tol, 1e-10))
-        value = (1.0 if h > 0 else -1.0) * classical / HB_SCALE[variant]
-        return replace(res, value=value, route="limit1-closed-form")
-    return res
+    return _damped_sum(variant, h, k, q, chi, reg, m_max, tol)
 
 
 def dedekind_oscillatory_sum(p: int, h: int, k: int, q: QParam,

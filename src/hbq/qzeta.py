@@ -63,11 +63,12 @@ def _alt_series(s, q: QParam, x: Optional[float],
     domain checks run here; a caller passing alpha checks its own.  The
     regime sets log q and B in |term_n| <= B decay^n (B = 1 for rational q,
     as [n] + x q^n >= 1 and Re s > 0), and B decay^(n+1) / (1 - decay) <= tol
-    the term count.  Phase rounding limits |Im s| to 1000 (against mpmath the
-    error at tol 1e-12 is 5.5e-13 there at q = 1/2, 1.8e-12 at 3e3; more as
-    q nears 1, see the README) and n |Im(alpha log q)| to 1e5 rad: on 25
-    disk points with decay near 1 the error stayed under 6.6e-13 below it,
-    and was 3e-12 at 6.4e5."""
+    the term count; at complex q = 0 the terms n >= 1 vanish if Re alpha > 0.
+    Phase rounding limits |Im s| to 1000 (against mpmath the error at tol
+    1e-12 is 5.5e-13 there at q = 1/2, 1.8e-12 at 3e3; more as q nears 1,
+    see the README) and n |Im(alpha log q)| to 1e5 rad: on 25 disk points
+    with decay near 1 the error stayed under 6.6e-13 below it, and was 3e-12
+    at 6.4e5."""
     xv = 0.0 if x is None else _shift("x", x)
     if q.regime is QRegime.LIMIT1:
         raise DomainError("q = 1 not admissible; use the classical zeta module")
@@ -80,6 +81,15 @@ def _alt_series(s, q: QParam, x: Optional[float],
         _positive("tol", tol)
         _im_limit(s, _QSERIES_MAX_IM, "q-series")
         alpha, power = s - 1.0, "q^(n(s-1))"
+    chiv = chi_table(chi)
+    head = 0j
+    if x is not None:  # the n = 0 term
+        _fits("x^(-s)", -s.real * math.log(xv))
+        head = complex(chiv[0]) * cmath.exp(-s * math.log(xv))
+    if q.value == 0:  # no log q: q^(n alpha) is 0 for n >= 1 iff Re alpha > 0
+        if alpha.real <= 0:
+            raise DomainError("series does not decay for this (s, q) pair")
+        return SeriesValue(head, 0.0, 1)
     logq, log_b, n_min = (_logq(q.value), 0.0, 0) if q.regime is QRegime.REAL_UNIT \
         else _disk_majorant(s, complex(q.value), xv)
     log_qs = logq * alpha
@@ -94,11 +104,6 @@ def _alt_series(s, q: QParam, x: Optional[float],
         raise DomainError(f"phase of {power} {phase:.3g} above the limit of {_MAX_PHASE:g}")
     if n_stop > _MAX_TERMS:
         raise ConvergenceError(f"series needs {n_stop} terms, above the cap of {_MAX_TERMS}")
-    chiv = chi_table(chi)
-    head = 0j
-    if x is not None:  # the n = 0 term
-        _fits("x^(-s)", -s.real * math.log(xv))
-        head = complex(chiv[0]) * cmath.exp(-s * math.log(xv))
     body, check = _kernels.qzeta_partial_sum(logq, s, xv, chiv, alternating,
                                              1, n_stop + 1, alpha)
     # B decay^(n+1) as one power of decay, so B itself never overflows

@@ -1,8 +1,10 @@
 """Exact evaluation of the classical Dedekind sum and the six finite
 Hardy-Berndt sums S, s1..s5.
 
-Every value is an exact rational; S and s4 are integers, the sawtooth-based
-variants have denominators dividing 2k (4k^2 for the two-sawtooth products).
+All seven are one sum over j = 1..k-1 of a sign times the sawtooth factors
+((j/k)) = (2j - k)/(2k) and ((hj/k)) = (2(hj mod k) - k)/(2k), added as
+integers and divided once: S and s4 are integers, the one-sawtooth variants
+have denominators dividing 2k, the two-sawtooth products (s2, Dedekind) 4k^2.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DomainError, sawtooth
+from .core import DomainError
 
 __all__ = [
     "HARDY_VARIANTS",
@@ -72,30 +74,29 @@ def parity_condition(variant: str, h: int, k: int) -> ParityCondition:
     return ParityCondition(variant, pred(h, k), desc)
 
 
-def hardy_berndt_sum(variant: str, h: int, k: int) -> Fraction:
-    """Exact finite Hardy-Berndt sum for one of the variants S, s1..s5.
+# Per sum, (c, a, b, x, y) for the term (-1)^(c + a j + b floor(hj/k))
+# ((j/k))^x ((hj/k))^y.  The j = k terms vanish (the sawtooth is 0 at
+# integers; S and s4 stop at k - 1 by definition).
+_TERMS = {"S": (1, 1, 1, 0, 0), "s1": (0, 0, 1, 1, 0), "s2": (0, 1, 0, 1, 1),
+          "s3": (0, 1, 0, 0, 1), "s4": (0, 0, 1, 0, 0), "s5": (0, 1, 1, 1, 0),
+          "dedekind": (0, 0, 0, 1, 1)}
 
-    Upper limits follow the classical definitions verbatim (k-1 for S and s4,
-    k otherwise; the j = k terms vanish for the sawtooth factors anyway).
-    """
-    v = _hardy_args(variant, h, k)
-    total = Fraction(0)
-    top = k - 1 if v in ("S", "s4") else k
-    for j in range(1, top + 1):
-        fl = (h * j) // k
-        if v == "S":
-            total += (-1) ** (j + 1 + fl)
-        elif v == "s1":
-            total += (-1) ** fl * sawtooth(Fraction(j, k))
-        elif v == "s2":
-            total += (-1) ** j * sawtooth(Fraction(j, k)) * sawtooth(Fraction(h * j, k))
-        elif v == "s3":
-            total += (-1) ** j * sawtooth(Fraction(h * j, k))
-        elif v == "s4":
-            total += (-1) ** fl
-        elif v == "s5":
-            total += (-1) ** (j + fl) * sawtooth(Fraction(j, k))
-    return total
+
+def _finite_sum(name: str, h: int, k: int) -> Fraction:
+    """The sum over j = 1..k-1 as integer numerators over (2k)^(x + y);
+    gcd(h, k) = 1 keeps hj off the multiples of k, where ((hj/k)) is 0."""
+    c, a, b, x, y = _TERMS[name]
+    total = 0
+    for j in range(1, k):
+        fl, r = divmod(h * j, k)
+        term = (2 * j - k) ** x * (2 * r - k) ** y
+        total += -term if (c + a * j + b * fl) & 1 else term
+    return Fraction(total, (2 * k) ** (x + y))
+
+
+def hardy_berndt_sum(variant: str, h: int, k: int) -> Fraction:
+    """Exact finite Hardy-Berndt sum for one of the variants S, s1..s5."""
+    return _finite_sum(_hardy_args(variant, h, k), h, k)
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
@@ -104,7 +105,4 @@ def dedekind_sum(h: int, k: int) -> Fraction:
         raise DomainError("k must be >= 1")
     if math.gcd(h, k) != 1:
         raise DomainError("h and k must be coprime")
-    total = Fraction(0)
-    for j in range(1, k):
-        total += sawtooth(Fraction(j, k)) * sawtooth(Fraction(h * j, k))
-    return total
+    return _finite_sum("dedekind", h, k)

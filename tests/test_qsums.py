@@ -128,22 +128,20 @@ def test_limit1_matches_exact_sums():
 
 def test_limit1_y0_example():
     res = oscillatory_sum("S", 1, 2, ONE)
-    assert abs((4 / (math.pi * 1j)) * res.value - 1.0) < 1e-6
-    assert res.route == "limit1-closed-form"
+    assert abs((4 / (math.pi * 1j)) * res.value - 1.0) < 1e-13
+    assert res.route == "limit1-abel-period"
     assert not res.diverged
 
 
 def test_limit1_closed_form_vs_period_route():
-    # two exact routes for the q = 1 value: digamma closed form and the
-    # Abel limit of the damped period structure
-    from hbq.qsums import _abel_period_value, _limit1_period
+    # two independent routes for the q = 1 value: the digamma closed form of
+    # the classical series and the Abel limit of the damped period structure
     for v, h, k in (("S", 1, 2), ("S", 2, 3), ("s3", 1, 3), ("s4", 1, 3),
                     ("s5", 1, 5), ("s2", 3, 4), ("s1", 2, 3), ("s3", 4, 9)):
-        period, d = _limit1_period(v, h, k, None)
-        abel, summable = _abel_period_value(period, d)
-        assert summable
-        closed = oscillatory_sum(v, h, k, ONE).value
-        assert abs(abel - closed) < 1e-9
+        res = oscillatory_sum(v, h, k, ONE)
+        assert res.route == "limit1-abel-period"
+        closed = classical_trig_series(v, h, k) / HB_SCALE[v]
+        assert abs(closed - res.value) < 1e-9
 
 
 def test_richardson_diagnostic_tracks_value():
@@ -280,4 +278,4 @@ def test_damped_stability_at_limit1():
     for v, h, k in (("S", 1, 2), ("s3", 1, 3), ("s4", 1, 5)):
         base = oscillatory_sum(v, h, k, ONE)
         fine = oscillatory_sum(v, h, k, ONE, reg=DEFAULT_SCHEDULE.refined())
-        assert abs(fine.value - base.value) < base.residual
+        assert abs(fine.extrapolated - base.extrapolated) < base.residual

@@ -130,6 +130,19 @@ def test_complex_disk_regime():
         assert abs(sv.value - brute) <= sv.tail_bound + 1e-10
 
 
+def test_complex_q_zero():
+    # every term with n >= 1 carries q^(n(s-1)) = 0 when Re s > 1; the
+    # Hurwitz shift keeps its n = 0 term x^(-s); for Re s <= 1 the terms
+    # do not decay
+    zero = QParam.complex_disk(0)
+    sv = q_alt_zeta(2, zero)
+    assert sv.value == 0 and sv.tail_bound == 0
+    assert q_alt_zeta_hurwitz(2, 0.5, zero).value == 4
+    assert q_alt_l(2, characters_mod(4)[1], zero).value == 0
+    with pytest.raises(DomainError, match="does not decay"):
+        q_alt_zeta(0.5, zero)
+
+
 def test_imaginary_s_and_phase_limits():
     # |Im s| past 1000 (1e4 for cck) used to be certified with no correct
     # digit, e.g. tail_bound 5.7e-14 at Im s = 1e300

@@ -22,7 +22,7 @@ def _brute(variant, h, k):
     # independent re-evaluation straight from the definitions
     saw = lambda x: sawtooth(x)
     total = Fraction(0)
-    top = k - 1 if variant in ("S", "s4") else k
+    top = k - 1 if variant in ("S", "s4", "dedekind") else k
     for j in range(1, top + 1):
         fl = (h * j) // k
         term = {
@@ -32,6 +32,7 @@ def _brute(variant, h, k):
             "s3": (-1) ** j * saw(Fraction(h * j, k)),
             "s4": Fraction((-1) ** fl),
             "s5": (-1) ** (j + fl) * saw(Fraction(j, k)),
+            "dedekind": saw(Fraction(j, k)) * saw(Fraction(h * j, k)),
         }[variant]
         total += term
     return total
@@ -40,11 +41,33 @@ def _brute(variant, h, k):
 def test_against_brute_force():
     assert hardy_berndt_sum("s1", 2, 3) == _brute("s1", 2, 3) == Fraction(-1, 3)
     for k in range(1, 13):
-        for h in range(1, 2 * k + 1):
+        for h in range(-2 * k, 2 * k + 1):
             if math.gcd(h, k) != 1:
+                continue
+            assert dedekind_sum(h, k) == _brute("dedekind", h, k)
+            if h < 1:
                 continue
             for v in HARDY_VARIANTS:
                 assert hardy_berndt_sum(v, h, k) == _brute(v, h, k)
+
+
+def test_property_against_brute_force_and_reciprocity():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.integers(1, 400), st.integers(-800, 800),
+                      st.sampled_from(HARDY_VARIANTS))
+    def check(k, h, variant):
+        hypothesis.assume(math.gcd(h, k) == 1)
+        assert dedekind_sum(h, k) == _brute("dedekind", h, k)
+        if h >= 1:
+            assert hardy_berndt_sum(variant, h, k) == _brute(variant, h, k)
+            # Dedekind reciprocity for coprime h, k >= 1
+            assert 12 * h * k * (dedekind_sum(h, k) + dedekind_sum(k, h)) \
+                == h * h + k * k + 1 - 3 * h * k
+
+    check()
 
 
 def test_periodicity_h_plus_2k():
