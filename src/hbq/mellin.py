@@ -277,7 +277,7 @@ def verify_product_identity(tid: int, s, q: QParam,
     # 2i sin(pi s/2) w^(-s) to O(eps/w), and the m-sum collapses to a
     # Hurwitz zeta of s+1
     if alt:
-        x_series = q_alt_zeta(s, q, inner_tol, min_terms=n_terms).value if chi is None \
+        x_series = q_alt_zeta(s, q, inner_tol).value if chi is None \
             else q_alt_l(s, chi, q, inner_tol).value
     else:
         x_series = q_plain_zeta(s, q, inner_tol, chi=chi).value

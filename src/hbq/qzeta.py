@@ -8,15 +8,22 @@ The basic object is the series (Re s > 1 for 0 < q < 1)
 
 its Hurwitz shift (n from 0, base [n] + x q^n after the same rewriting), and
 the character twist.  One engine sums them all, for exact rational q and for
-complex |q| < 1, in one pass of `_kernels.qzeta_partial_sum`; its tails are
+complex |q| < 1.  At real s and rational q it splits the series into
+antiperiodic residue classes, each an alternating moment sequence, and sums
+them with the Cohen-Rodriguez Villegas-Zagier acceleration
+(`_kernels.crvz_sum`) when that needs fewer terms; otherwise it sums the
+terms in one pass of `_kernels.qzeta_partial_sum`, whose tails are
 controlled by a geometric majorant B decay^n.  With q^n in place of
-q^(n(s-1)) it also sums `cck_zeta` and the complex-q q-Genocchi numbers.
+q^(n(s-1)) it also sums `cck_zeta`, at any s, and the complex-q q-Genocchi
+numbers.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from fractions import Fraction
 from typing import Optional
 
 from . import _kernels
@@ -54,21 +61,105 @@ def _disk_majorant(s: complex, qc: complex, x: float):
     return cmath.log(qc), log_b, n_min
 
 
+@functools.lru_cache(maxsize=None)
+def _antiperiod(chi: tuple, alternating: bool):
+    """(c_1, ..., c_P) for the smallest antiperiod P of c_n = sign^n chi(n),
+    c_(n+P) = -c_n for all n, or None when c has none.  c then has minimal
+    period 2P, which divides the period L of sign^n chi(n), so P runs over
+    the divisors of L/2."""
+    f = len(chi)
+    period = math.lcm(2 if alternating else 1, f)
+    coef = [(-1 if alternating and n % 2 else 1) * chi[n % f] for n in range(period)]
+    if period % 2:
+        return None
+    half = period // 2
+    for p in range(1, half + 1):
+        if half % p == 0 and all(abs(coef[(n + p) % period] + coef[n]) < 1e-12
+                                 for n in range(period)):
+            return tuple(coef[r % period] for r in range(1, p + 1))
+    return None
+
+
+def _crvz(s: complex, x: float, chi: tuple, alternating: bool, alpha,
+          q: Fraction, tol: float, n_direct: int):
+    """The CRVZ route for rational q: (value, bound, terms) of
+    sum_{n>=1} c_n g(n), g(n) = q^(n alpha) ([n] + x q^n)^(-s), or None where
+    it does not apply or needs n_direct terms or more.
+
+    With an antiperiod P, class r = 1..P is c_r sum_m (-1)^m g(r + Pm).  For
+    real alpha > 0 and b = 1 - x(1-q) > 0, g(n) = (1-q)^s sum_k
+    C(s+k-1, k) b^k q^(n(alpha+k)), so each class is a moment sequence with
+    nodes q^(P(alpha+k)) in (0, 1) and total variation at most
+    (1-q)^(Re s - |s|) q^(r alpha) ([r] + x q^r)^(-|s|), which is g(r) at
+    real s.  N terms per class then bound the error by 3 M (3+sqrt 8)^(-N),
+    M the sum of |c_r| times these masses.
+
+    log q comes from the exact 1 - q for q > 1/2: log(num) - log(den) is
+    off by up to 1.8e-11 relative at 1 - q = 1e-5, and every route that
+    reads it sums the series at that other q."""
+    num, den = q.numerator, q.denominator
+    logq = math.log1p((num - den) / den) if 2 * num > den else _logq(q)
+    omq = -math.expm1(logq)
+    alpha = complex(alpha)
+    if alpha.imag != 0 or alpha.real <= 0 or x * omq >= 1.0:
+        return None
+    coef = _antiperiod(chi, alternating)
+    if coef is None:
+        return None
+    classes = [(r, c) for r, c in enumerate(coef, 1) if c != 0]
+    if _kernels.CRVZ_MIN_TERMS * len(classes) >= n_direct:
+        return None
+    alpha = alpha.real
+    period = len(coef)
+    # log M, summed past the float range: the masses may underflow
+    log_tv = (s.real - abs(s)) * math.log(omq)
+    logs = [math.log(abs(c)) + log_tv + r * alpha * logq
+            - abs(s) * math.log(-math.expm1(r * logq) / omq + x * math.exp(r * logq))
+            for r, c in classes]
+    top = max(logs)
+    log_mass = top + math.log(sum(math.exp(v - top) for v in logs))
+    n = _kernels.crvz_terms(log_mass, tol)
+    if n > _kernels.CRVZ_MAX_TERMS or n * len(classes) >= n_direct:
+        return None
+    exp, power = (math.exp, s.real) if s.imag == 0 else (cmath.exp, s)
+    q_step = math.exp(period * logq)
+    bracket_step = -math.expm1(period * logq) / omq  # [P]
+
+    def class_terms(r):
+        # g(r + Pm) for m = 0..n-1; [k+P] = [k] + q^k [P] adds positive
+        # terms, so the bracket keeps its digits as q nears 1
+        qk, bracket = math.exp(r * logq), -math.expm1(r * logq) / omq
+        for k in range(r, r + period * n, period):
+            yield exp(k * alpha * logq - power * math.log(bracket + x * qk))
+            bracket += qk * bracket_step
+            qk *= q_step
+
+    value = sum(c * _kernels.crvz_sum(class_terms(r), n) for r, c in classes)
+    return value, 3.0 * math.exp(log_mass - n * _kernels.CRVZ_LOG_RATE), n * len(classes)
+
+
 def _alt_series(s, q: QParam, x: Optional[float],
                 chi: Optional[DirichletCharacter], tol: float,
-                min_terms: int = 0, alternating: bool = True,
-                alpha=None) -> SeriesValue:
+                alternating: bool = True, alpha=None) -> SeriesValue:
     """The one engine for sum sign^n chi(n) q^(n alpha) ([n] + x q^n)^(-s),
     n from 0 with a shift x, else from 1.  alpha defaults to s - 1, whose
-    domain checks run here; a caller passing alpha checks its own.  The
-    regime sets log q and B in |term_n| <= B decay^n (B = 1 for rational q,
-    as [n] + x q^n >= 1 and Re s > 0), and B decay^(n+1) / (1 - decay) <= tol
-    the term count; at complex q = 0 the terms n >= 1 vanish if Re alpha > 0.
+    domain checks run here; a caller passing alpha checks its own.
+
+    Two routes, chosen by term count.  For rational q, real alpha > 0, a
+    shift with 1 - x(1-q) > 0 and coefficients with an antiperiod, the CRVZ
+    route (`_crvz`) sums each residue class with the one CRVZ loop; it runs
+    whenever it needs fewer terms than the direct route.  That covers the
+    real-s q-series and `cck_zeta` at any s, but not the complex-s q-series,
+    whose nodes q^(P(k+s-1)) leave [0, 1].  The direct route sums the terms
+    in one pass of `_kernels.qzeta_partial_sum`.  The regime sets log q and
+    B in |term_n| <= B decay^n (B = 1 for rational q, as [n] + x q^n >= 1
+    and Re s > 0), and B decay^(n+1) / (1 - decay) <= tol the term count;
+    at complex q = 0 the terms n >= 1 vanish if Re alpha > 0.
     Phase rounding limits |Im s| to 1000 (against mpmath the error at tol
     1e-12 is 5.5e-13 there at q = 1/2, 1.8e-12 at 3e3; more as q nears 1,
-    see the README) and n |Im(alpha log q)| to 1e5 rad: on 25 disk points
-    with decay near 1 the error stayed under 6.6e-13 below it, and was 3e-12
-    at 6.4e5."""
+    see the README) and, on the direct route, n |Im(alpha log q)| to 1e5 rad:
+    on 25 disk points with decay near 1 the error stayed under 6.6e-13 below
+    it, and was 3e-12 at 6.4e5."""
     xv = 0.0 if x is None else _shift("x", x)
     if q.regime is QRegime.LIMIT1:
         raise DomainError("q = 1 not admissible; use the classical zeta module")
@@ -98,7 +189,12 @@ def _alt_series(s, q: QParam, x: Optional[float],
         raise DomainError("series does not decay for this (s, q) pair")
     rate = math.exp(log_decay)
     n_stop = math.ceil((math.log(tol * (1.0 - rate)) - math.log(2.0) - log_b) / log_decay) + 2
-    n_stop = max(n_stop, 8 if x is not None else 9, min_terms, n_min)
+    n_stop = max(n_stop, 8 if x is not None else 9, n_min)
+    if q.regime is QRegime.REAL_UNIT:
+        crvz = _crvz(s, xv, chiv, alternating, alpha, q.value, tol, n_stop)
+        if crvz is not None:
+            body, bound, terms = crvz
+            return SeriesValue(head + body, bound, terms)
     phase = (n_stop + 1) * abs(log_qs.imag)
     if phase > _MAX_PHASE:
         raise DomainError(f"phase of {power} {phase:.3g} above the limit of {_MAX_PHASE:g}")
@@ -116,11 +212,11 @@ def _alt_series(s, q: QParam, x: Optional[float],
     return SeriesValue(head + body, tail, n_stop)
 
 
-def q_alt_zeta(s, q: QParam, tol: float = 1e-12, genocchi_scale: bool = False,
-               min_terms: int = 0) -> SeriesValue:
+def q_alt_zeta(s, q: QParam, tol: float = 1e-12,
+               genocchi_scale: bool = False) -> SeriesValue:
     """sum_{n>=1} (-1)^n q^(n(s-1)) [n]^(-s); with genocchi_scale the value is
-    multiplied by [2] = 1 + q; at least min_terms terms are summed."""
-    sv = _alt_series(s, q, None, None, tol, min_terms)
+    multiplied by [2] = 1 + q."""
+    sv = _alt_series(s, q, None, None, tol)
     return sv.scaled(1 + q.as_complex()) if genocchi_scale else sv
 
 
@@ -167,8 +263,8 @@ def q_alt_l(s, chi: DirichletCharacter, q: QParam, tol: float = 1e-12,
 def cck_zeta(s, q: QParam, tol: float = 1e-12) -> SeriesValue:
     """The comparison q-deformation q(1+q) sum_{n>=1} (-1)^(n+1) q^n [n]^(-s),
     the engine at alpha = 1; terms decay like q^n, so Re(s) > 0 suffices.
-    |Im s| <= 1e4, where the rounding of log q leaves errors up to 5.0e-11
-    against mpmath (1 - q in [0.01, 0.9]; 5.6e-10 at 1e5)."""
+    |Im s| <= 1e4, where the direct sum's rounding of log q leaves errors up
+    to 5.0e-11 against mpmath (1 - q in [0.01, 0.9]; 5.6e-10 at 1e5)."""
     if q.regime is not QRegime.REAL_UNIT:
         raise DomainError("cck variant implemented for exact rational 0 < q < 1")
     s = complex(s)

@@ -16,6 +16,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from ._kernels import CRVZ_LOG_RATE, CRVZ_MAX_TERMS, crvz_sum, crvz_terms
 from .core import (ConvergenceError, DomainError, SeriesValue, _finite, _fits,
                    _im_limit, _positive, _shift)
 from .numbers import NumberKind, number_table
@@ -32,11 +33,10 @@ __all__ = [
     "zeta_star",
 ]
 
-_LOG_ACCEL = math.log(3.0 + math.sqrt(8.0))
 _BERN = number_table(NumberKind.BERNOULLI, 40)
-_ETA_MAX_TERMS = 390  # keeps n (3+sqrt 8)^n below the float range
+_BERN_FLOAT = tuple(float(b) for b in _BERN)
 _HURWITZ_MAX_IM = 1000.0
-_EM_COEF = tuple(float(_BERN[2 * j]) / math.factorial(2 * j) for j in range(1, 14))
+_EM_COEF = tuple(_BERN_FLOAT[2 * j] / math.factorial(2 * j) for j in range(1, 14))
 _LERCH_MAX_IM = 1e4
 _DIRECT_MAX_TERMS = 50_000_000
 
@@ -69,25 +69,16 @@ def _eta_accelerated(s: complex, tol: float):
     if z.real <= 0:
         raise DomainError("alternating route needs Re(s) > 0")
     log_tv = 0.0 if z.imag == 0 else math.lgamma(z.real) - _loggamma(z).real
-    n = max(12, int((max(log_tv, 0.0) + math.log(3.0) - math.log(tol))
-                    / _LOG_ACCEL) + 3)
-    if n > _ETA_MAX_TERMS:
-        raise DomainError(f"s = {z} needs {n} > {_ETA_MAX_TERMS} terms at tol "
+    n = crvz_terms(max(log_tv, 0.0), tol)
+    if n > CRVZ_MAX_TERMS:
+        raise DomainError(f"s = {z} needs {n} > {CRVZ_MAX_TERMS} terms at tol "
                           f"{tol:.3g}: |Im s| or 1/tol is too large")
     # rounded up past the log-Gamma rounding (under 2.5e-13 relative
     # wherever the factor is finite), since it enters an upper bound
     tv = 1.0 if z.imag == 0 else math.exp(log_tv) * (1.0 + 5e-13)
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = (d + 1.0 / d) / 2.0
-    b = -1.0
-    c = -d
-    acc = 0j
-    for k in range(n):
-        c = b - c
-        acc += c * (k + 1) ** (-z)
-        b *= 2.0 * (k + n) * (k - n) / ((2.0 * k + 1.0) * (k + 1.0))
-    bound = 3.0 * max(tv, 1.0) * math.exp(-n * _LOG_ACCEL)
-    return acc / d, bound, n
+    eta = crvz_sum(((k + 1) ** (-z) for k in range(n)), n)
+    bound = 3.0 * max(tv, 1.0) * math.exp(-n * CRVZ_LOG_RATE)
+    return eta, bound, n
 
 
 def riemann_zeta(s, tol: float = 1e-12) -> SeriesValue:
@@ -301,10 +292,10 @@ def digamma(x: float, tol: float = 1e-12) -> float:
     y2 = y * y
     yp = y2
     for j in range(1, 10):
-        term = float(_BERN[2 * j]) / (2 * j) / yp
+        term = _BERN_FLOAT[2 * j] / (2 * j) / yp
         acc -= term
         yp *= y2
-        nxt = abs(float(_BERN[2 * j + 2])) / (2 * j + 2) / yp
+        nxt = abs(_BERN_FLOAT[2 * j + 2]) / (2 * j + 2) / yp
         if nxt < tol:
             break
     return acc + shift
@@ -327,6 +318,6 @@ def _loggamma(z: complex) -> complex:
     w = 1.0 / z
     w2 = w * w
     for k in range(1, 9):
-        acc += float(_BERN[2 * k]) / (2 * k * (2 * k - 1)) * w
+        acc += _BERN_FLOAT[2 * k] / (2 * k * (2 * k - 1)) * w
         w *= w2
     return acc - shift

@@ -1,6 +1,6 @@
-"""Cold start: ``import hbq``, ``import hbq.qzeta`` and the exact commands
-load neither numpy nor scipy, numpy is imported only inside the array
-kernels, and no computation loads scipy.  Each check runs a fresh interpreter
+"""Cold start: ``import hbq``, ``import hbq.qzeta``, the exact commands and
+the real-s q-series commands load neither numpy nor scipy, numpy is imported
+only inside the array kernels, and no computation loads scipy.  Each check runs a fresh interpreter
 and reads its ``sys.modules``; nothing is timed."""
 
 import ast
@@ -47,9 +47,14 @@ def test_exact_commands_load_neither_numpy_nor_scipy():
 
 
 def test_qzeta_imports_without_numpy():
-    # every q-series, cck_zeta included, runs the array kernel, which
-    # imports numpy on its first call, not when hbq.qzeta is imported
+    # the direct route's array kernel imports numpy on its first call, not
+    # when hbq.qzeta is imported; the CRVZ route (real s, rational q) never
+    # does
     assert _heavy_modules_after("import hbq.qzeta") == []
+    assert _heavy_modules_after(_cli("qzeta", "--fn", "im", "--s", "2",
+                                     "--q", "1/2")) == []
+    assert _heavy_modules_after(_cli("qzeta", "--fn", "cck", "--s", "2",
+                                     "--q", "99999/100000")) == []
 
 
 def test_acceptance_imports_without_numpy():
@@ -63,10 +68,11 @@ def test_no_computation_loads_scipy():
     half = "hbq.QParam.real('1/2')"
     for code in (f"hbq.mellin_transform('F', 2, {half})",
                  "hbq.riemann_zeta(complex(2, 1))",
-                 _cli("verify", "mellin-defs")):
+                 _cli("verify", "mellin-defs"),
+                 _cli("verify", "thm19")):
         loaded = _heavy_modules_after(code)
         assert not any(m.split(".")[0] == "scipy" for m in loaded), code
-    assert "numpy" in loaded  # the verify run did reach the numpy layers
+    assert "numpy" in loaded  # thm19's damped double sum reached numpy
 
 
 def _imports():

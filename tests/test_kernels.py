@@ -1,6 +1,7 @@
 """The float kernels against small direct sums, on the branches the engine
 tests reach least: complex log q, complex s in the damped double sum, and a
-complex argument t of the generating series."""
+complex argument t of the generating series; and the CRVZ loop against
+closed forms."""
 
 import cmath
 import math
@@ -54,3 +55,18 @@ def test_gen_series_sum_complex_t():
                                                   1e-14)
     assert tail <= 1e-14 and n_used < 40
     assert abs(value - direct) < 1e-14
+
+
+def test_crvz_sum_within_its_bound():
+    # log 2 = sum (-1)^k / (k+1), moments of dt on [0, 1], and
+    # 1 / (1 + t) = sum (-1)^k t^k, moments of the point mass at t
+    for n in (1, 5, 12, 20):
+        bound = 2 * math.exp(-n * _kernels.CRVZ_LOG_RATE)
+        got = _kernels.crvz_sum((1 / (k + 1) for k in range(n)), n)
+        assert abs(got - math.log(2)) <= bound + 1e-16
+        for t in (0.0, 0.3, 0.999):
+            got = _kernels.crvz_sum((t ** k for k in range(n)), n)
+            assert abs(got - 1 / (1 + t)) <= bound + 1e-16
+    for log_mass, tol in ((0.0, 1e-12), (-30.0, 1e-12), (75.0, 1e-15)):
+        n = _kernels.crvz_terms(log_mass, tol)
+        assert 3 * math.exp(log_mass - n * _kernels.CRVZ_LOG_RATE) <= tol

@@ -1,12 +1,22 @@
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from hbq import (ConvergenceError, DomainError, QParam, cck_zeta, characters_mod, chi_eval,
                  genocchi_zeta, q_alt_l, q_alt_zeta, q_alt_zeta_hurwitz,
-                 q_plain_zeta, verify_conductor_decomposition)
+                 q_plain_zeta, qzeta, verify_conductor_decomposition)
 
 Q_HALF = QParam.real(Fraction(1, 2))
+Q_NEAR_ONE = QParam.real(Fraction(99999, 100000))  # 1 - q = 1e-5
+
+
+def _direct(monkeypatch, call):
+    """call() with the CRVZ route switched off, so the direct sum runs."""
+    with monkeypatch.context() as m:
+        m.setattr(qzeta, "_crvz", lambda *args: None)
+        return call()
 
 
 def _brute_alt(s, qv, n_max=400, chi=None, x=None):
@@ -108,14 +118,111 @@ def test_l_series_two_variable():
     assert abs(with_x - brute) < 1e-10
 
 
-def test_convergence_certificate():
-    # doubling the number of terms moves the value by less than the bound
+def test_convergence_certificate(monkeypatch):
+    # the CRVZ route against the direct route: fewer terms, and the two
+    # values within the sum of their bounds
     for s in (2, 3):
         for qv in (Fraction(1, 2), Fraction(4, 5)):
             q = QParam.real(qv)
-            base = q_alt_zeta(s, q, 1e-10)
-            more = q_alt_zeta(s, q, 1e-10, min_terms=2 * base.terms_used)
-            assert abs(base.value - more.value) <= base.tail_bound
+            crvz = q_alt_zeta(s, q, 1e-10)
+            direct = _direct(monkeypatch, lambda: q_alt_zeta(s, q, 1e-10))
+            assert crvz.terms_used < direct.terms_used
+            assert abs(crvz.value - direct.value) <= crvz.tail_bound + direct.tail_bound
+
+
+def test_antiperiods():
+    # P = 1 for the plain alternating series, the period of chi for an odd
+    # modulus (f for mod 3 and 5, 3 for the two characters mod 9 that come
+    # from mod 3), 2 for the nonprincipal character mod 4, with or without
+    # the sign; none for the plain series and the principal character mod 4
+    chi4 = characters_mod(4)
+    assert qzeta._antiperiod((1,), True) == (-1,)
+    for chi in characters_mod(3) + characters_mod(5) + characters_mod(9):
+        coef = qzeta._antiperiod(chi.table, True)
+        p = len(coef)
+        f = chi.modulus
+        assert p == min(d for d in range(1, f + 1)
+                        if all(chi.table[n] == chi.table[(n + d) % f] for n in range(f)))
+        assert all(abs((-1) ** n * chi_eval(chi, n) - (-1) ** (n // p)
+                       * coef[(n - 1) % p]) < 1e-15 for n in range(1, 40))
+    assert qzeta._antiperiod(chi4[1].table, True) == (-1, 0)
+    assert qzeta._antiperiod(chi4[1].table, False) == (1, 0)
+    assert qzeta._antiperiod((1,), False) is None
+    assert qzeta._antiperiod(chi4[0].table, True) is None
+
+
+def test_crvz_against_direct_seeded(monkeypatch):
+    # real s, every character mod 1..12, shifts with 1 - x(1-q) > 0, all
+    # five families; 1 - q log-uniform in [1e-3, 0.5]
+    rng = random.Random("crvz-vs-direct")
+    chis = [chi for f in range(1, 13) for chi in characters_mod(f)]
+    crvz_runs = 0
+    for i in range(160):
+        q = QParam.real(1 - Fraction(round(10 ** rng.uniform(0, 2.7)), 1000))
+        s = rng.uniform(1.2, 4)
+        chi = rng.choice(chis)
+        x = rng.uniform(0.05, 3) if rng.random() < 0.5 else None
+        call = (lambda: q_alt_zeta(s, q),
+                lambda: q_alt_zeta_hurwitz(s, x or 1.0, q),
+                lambda: q_alt_l(s, chi, q, x=x),
+                lambda: q_plain_zeta(s, q, chi=chi),
+                lambda: cck_zeta(s, q))[i % 5]
+        got = call()
+        ref = _direct(monkeypatch, call)
+        crvz_runs += got.terms_used != ref.terms_used
+        assert got.tail_bound <= 1e-12
+        err = abs(got.value - ref.value)
+        assert err <= got.tail_bound + ref.tail_bound + 1e-14 * (1 + abs(ref.value)), (i, s, str(q.value))
+    assert crvz_runs >= 100
+
+
+def _mp_series(qv: Fraction, s, alpha=None, odd_only=False):
+    """sum_{n>=1} (-1)^n q^(n alpha) [n]^(-s), or with odd_only the series
+    twisted by the nonprincipal character mod 4, -sum_m (-1)^m g(2m+1), by
+    mpmath's Richardson-Shanks extrapolation at 30 digits."""
+    with mpmath.workdps(30):
+        q = mpmath.mpf(qv.numerator) / qv.denominator
+        s = mpmath.mpmathify(s)
+        a = s - 1 if alpha is None else mpmath.mpmathify(alpha)
+
+        def g(n):
+            return q ** (n * a) * ((1 - q ** n) / (1 - q)) ** -s
+        if odd_only:
+            return -mpmath.nsum(lambda m: (-1) ** m * g(2 * m + 1), [0, mpmath.inf])
+        return mpmath.nsum(lambda n: (-1) ** n * g(n), [1, mpmath.inf])
+
+
+def test_crvz_near_one_against_mpmath():
+    # 1 - q = 1e-5, where the direct sum needed 4 to 8 million terms
+    qv = Q_NEAR_ONE.value
+    chi4 = characters_mod(4)[1]
+    pref = float(qv) * (1 + float(qv))
+    cases = []
+    for s in (1.5, 2):
+        cases += [(q_alt_zeta(s, Q_NEAR_ONE), _mp_series(qv, s)),
+                  (q_alt_l(s, chi4, Q_NEAR_ONE), _mp_series(qv, s, odd_only=True)),
+                  (cck_zeta(s, Q_NEAR_ONE), -pref * _mp_series(qv, s, alpha=1))]
+    cases.append((cck_zeta(complex(1.5, 8), Q_NEAR_ONE),
+                  -pref * _mp_series(qv, complex(1.5, 8), alpha=1)))
+    for sv, ref in cases:
+        assert sv.terms_used < 100
+        assert abs(sv.value - complex(ref)) <= sv.tail_bound + 1e-15
+
+
+def test_direct_route_fallbacks(monkeypatch):
+    # the complex-s q-series (nodes off [0, 1]), the plain series and the
+    # principal character mod 4 (no antiperiod), and shifts with
+    # 1 - x(1-q) < 0 stay on the direct sum, with its term count
+    q = QParam.real(Fraction(7, 10))
+    for call in (lambda: q_alt_zeta(complex(2, 1), q),
+                 lambda: q_plain_zeta(2, q),
+                 lambda: q_alt_l(2, characters_mod(4)[0], q),
+                 lambda: q_alt_zeta_hurwitz(2, 3.5, q),
+                 lambda: q_alt_zeta_hurwitz(2, 5.0, q)):
+        got = call()
+        ref = _direct(monkeypatch, call)
+        assert got.terms_used == ref.terms_used > 40
+        assert got.value == ref.value
 
 
 def test_complex_disk_regime():
@@ -157,7 +264,6 @@ def test_imaginary_s_and_phase_limits():
     with pytest.raises(DomainError, match="phase of q"):
         q_alt_zeta(complex(1.05, 900), Q_HALF)
     # inside the limits the values hold
-    import mpmath
     with mpmath.workdps(40):
         q = mpmath.mpf(1) / 2
         for s in (complex(2, 1000), complex(3.5, -640)):
@@ -173,9 +279,15 @@ def test_imaginary_s_and_phase_limits():
 
 
 def test_term_count_is_checked_before_summing():
-    # 1 - q = 1e-7 at Re s = 1.5 needs about 9e8 terms, 14 GB of arrays
+    # 1 - q = 1e-7 at Re s = 1.5 needs about 9e8 direct terms, 14 GB of
+    # arrays; at complex s the direct sum is the only route
+    q = QParam.real(1 - Fraction(1, 10 ** 7))
     with pytest.raises(ConvergenceError, match="above the cap"):
-        q_alt_zeta(1.5, QParam.real(1 - Fraction(1, 10 ** 7)))
+        q_alt_zeta(complex(1.5, 1), q)
+    # at real s the CRVZ route needs 19 terms
+    sv = q_alt_zeta(1.5, q)
+    assert sv.terms_used < 100
+    assert abs(sv.value - complex(_mp_series(q.value, 1.5))) <= sv.tail_bound
 
 
 def test_overflowing_terms_are_domain_errors():
