@@ -359,7 +359,7 @@ def _cmd_qzeta(args, argv):
     else:  # cck; argparse restricts --fn to these choices
         sv = cck_zeta(s, q, tol)
         entry = _series_entry("cck-zeta", {"s": s, "q": str(q)}, sv,
-                              "direct-series")
+                              "alternating-series")
     _emit(_report(argv, [entry], True), args.format, args.out)
     return 0
 

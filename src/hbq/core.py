@@ -235,9 +235,13 @@ def qbracket(n: int, q: Union[QParam, ExactLike]):
 
 
 def _logq(q: Fraction) -> float:
-    """log q for exact rational q, as log(num) - log(den): no rounding of q
-    through a float first, and no underflow for tiny q."""
-    return math.log(q.numerator) - math.log(q.denominator)
+    """log q for exact rational q, the one place hbq forms it: log1p of the
+    exact 1 - q for q > 1/2, where log(num) - log(den) cancels, else that
+    difference, which neither rounds q to a float nor underflows."""
+    num, den = q.numerator, q.denominator
+    if 2 * num > den:
+        return math.log1p((num - den) / den)
+    return math.log(num) - math.log(den)
 
 
 def _maybe_int(z: complex):

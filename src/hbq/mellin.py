@@ -47,6 +47,11 @@ __all__ = [
 
 _SPLIT = 1.0       # the (0, split] / [split, T] boundary of the quadrature
 _TS_LEVELS = 10    # last tanh-sinh level: step 2^-10
+# the product identities' damped double sum: m-terms before the analytic
+# m-tail, and the offsets and Richardson order; the integrand limits are
+# smooth in eps, so a deeper tableau than the oscillatory-sum default pays
+_PRODUCT_M_TERMS = 2500
+_PRODUCT_REG = RegularizationSchedule((0.2, 0.1, 0.05, 0.025, 0.0125), 4)
 
 
 @dataclass(frozen=True)
@@ -238,9 +243,7 @@ _PRODUCT_WIRING = {
 
 def verify_product_identity(tid: int, s, q: QParam,
                             chi: Optional[DirichletCharacter] = None,
-                            tol: float = 1e-4,
-                            reg: Optional[RegularizationSchedule] = None,
-                            m_terms: int = 2500) -> VerificationOutcome:
+                            tol: float = 1e-4) -> VerificationOutcome:
     """Damped-extrapolated left side of product identity ``tid`` in 19..23
     against its closed right side.
 
@@ -261,9 +264,6 @@ def verify_product_identity(tid: int, s, q: QParam,
     _finite("s", s)
     if s.real <= 1:
         raise DomainError("Re(s) > 1 required")
-    # the integrand limits are smooth in eps, so a deeper tableau than the
-    # oscillatory-sum default pays for itself here
-    reg = reg or RegularizationSchedule((0.2, 0.1, 0.05, 0.025, 0.0125), 4)
     qfrac = q.value
     logq = _logq(qfrac)
     chiv = chi_table(chi)
@@ -283,17 +283,17 @@ def verify_product_identity(tid: int, s, q: QParam,
         x_series = q_plain_zeta(s, q, inner_tol, chi=chi).value
     if odd_w:
         m_tail_zeta = cmath.exp(-(s + 1.0) * math.log(2.0)) \
-            * hurwitz_zeta(s + 1.0, m_terms + 0.5, 1e-14).value
+            * hurwitz_zeta(s + 1.0, _PRODUCT_M_TERMS + 0.5, 1e-14).value
     else:
-        m_tail_zeta = hurwitz_zeta(s + 1.0, m_terms + 1.0, 1e-14).value
+        m_tail_zeta = hurwitz_zeta(s + 1.0, _PRODUCT_M_TERMS + 1.0, 1e-14).value
     m_tail = 2j * cmath.sin(math.pi * s / 2.0) * x_series * m_tail_zeta
 
     per = []
-    for eps in reg.offsets:
+    for eps in _PRODUCT_REG.offsets:
         core = _kernels.damped_pair_sum(s, eps, logq, alt, chiv, odd_w,
-                                        m_terms, n_terms)
+                                        _PRODUCT_M_TERMS, n_terms)
         per.append(core + m_tail)
-    lhs, resid = _richardson(reg.offsets, per, reg.order)
+    lhs, resid = _richardson(_PRODUCT_REG.offsets, per, _PRODUCT_REG.order)
 
     if tid == 21:
         second = riemann_zeta(s + 1.0, inner_tol).value

@@ -36,7 +36,7 @@ from .characters import DirichletCharacter, chi_table
 from .core import (ConvergenceError, DomainError, ParityError, PoleError,
                    QParam, QRegime, SeriesValue, _logq, _positive)
 from .numbers import bernoulli_polynomial
-from .sums import _hardy_args, _hardy_variant, parity_condition
+from .sums import _TERMS, _hardy_args, _hardy_variant, parity_condition
 from .zeta import digamma, hurwitz_zeta
 
 __all__ = [
@@ -52,12 +52,12 @@ __all__ = [
     "q_hardy_berndt_sum",
 ]
 
-# per-variant wiring: generating kind, odd (2m-1) vs plain m weights,
-# congruence exclusion, theorem scaling constant
-_F_FAMILY = {"S": True, "s1": False, "s2": True, "s3": True, "s4": False,
-             "s5": True}
-_ODD_WEIGHTS = {"S": True, "s1": True, "s2": False, "s3": False, "s4": True,
-                "s5": True}
+# per-variant wiring: generating kind (F alternates in n), odd (2m-1) vs
+# plain m weights, congruence exclusion, theorem scaling constant.  The
+# first two are the signs (-1)^j and (-1)^floor(hj/k) of the finite sum,
+# bits a and b of `sums._TERMS`, so `sums` alone decides them.
+_F_FAMILY = {v: bool(t[1]) for v, t in _TERMS.items()}
+_ODD_WEIGHTS = {v: bool(t[2]) for v, t in _TERMS.items()}
 _EXCLUDED = {"S": None, "s1": "odd", "s2": "even", "s3": None, "s4": None,
              "s5": "odd"}
 

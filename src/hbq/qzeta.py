@@ -23,7 +23,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from fractions import Fraction
 from typing import Optional
 
 from . import _kernels
@@ -81,7 +80,7 @@ def _antiperiod(chi: tuple, alternating: bool):
 
 
 def _crvz(s: complex, x: float, chi: tuple, alternating: bool, alpha,
-          q: Fraction, tol: float, n_direct: int):
+          logq: float, tol: float, n_direct: int):
     """The CRVZ route for rational q: (value, bound, terms) of
     sum_{n>=1} c_n g(n), g(n) = q^(n alpha) ([n] + x q^n)^(-s), or None where
     it does not apply or needs n_direct terms or more.
@@ -92,13 +91,8 @@ def _crvz(s: complex, x: float, chi: tuple, alternating: bool, alpha,
     nodes q^(P(alpha+k)) in (0, 1) and total variation at most
     (1-q)^(Re s - |s|) q^(r alpha) ([r] + x q^r)^(-|s|), which is g(r) at
     real s.  N terms per class then bound the error by 3 M (3+sqrt 8)^(-N),
-    M the sum of |c_r| times these masses.
-
-    log q comes from the exact 1 - q for q > 1/2: log(num) - log(den) is
-    off by up to 1.8e-11 relative at 1 - q = 1e-5, and every route that
-    reads it sums the series at that other q."""
-    num, den = q.numerator, q.denominator
-    logq = math.log1p((num - den) / den) if 2 * num > den else _logq(q)
+    M the sum of |c_r| times these masses.  log q is the engine's, from
+    `core._logq`, so both routes sum the series at the same q."""
     omq = -math.expm1(logq)
     alpha = complex(alpha)
     if alpha.imag != 0 or alpha.real <= 0 or x * omq >= 1.0:
@@ -151,15 +145,16 @@ def _alt_series(s, q: QParam, x: Optional[float],
     whenever it needs fewer terms than the direct route.  That covers the
     real-s q-series and `cck_zeta` at any s, but not the complex-s q-series,
     whose nodes q^(P(k+s-1)) leave [0, 1].  The direct route sums the terms
-    in one pass of `_kernels.qzeta_partial_sum`.  The regime sets log q and
-    B in |term_n| <= B decay^n (B = 1 for rational q, as [n] + x q^n >= 1
-    and Re s > 0), and B decay^(n+1) / (1 - decay) <= tol the term count;
-    at complex q = 0 the terms n >= 1 vanish if Re alpha > 0.
-    Phase rounding limits |Im s| to 1000 (against mpmath the error at tol
-    1e-12 is 5.5e-13 there at q = 1/2, 1.8e-12 at 3e3; more as q nears 1,
-    see the README) and, on the direct route, n |Im(alpha log q)| to 1e5 rad:
-    on 25 disk points with decay near 1 the error stayed under 6.6e-13 below
-    it, and was 3e-12 at 6.4e5."""
+    in one pass of `_kernels.qzeta_partial_sum`.  The regime sets log q
+    (`core._logq` for rational q, on both routes) and B in |term_n| <=
+    B decay^n (B = 1 for rational q, as [n] + x q^n >= 1 and Re s > 0), and
+    B decay^(n+1) / (1 - decay) <= tol the term count; at complex q = 0 the
+    terms n >= 1 vanish if Re alpha > 0.  Phase rounding limits |Im s| to
+    1000 (at tol 1e-12 the error against mpmath there is up to 5.6e-13 for
+    1 - q in [0.05, 0.9]; 1.8e-12 at 3e3, q = 1/2; see the README) and, on
+    the direct route, n |Im(alpha log q)| to 1e5 rad: on 25 disk points with
+    decay near 1 the error stayed under 6.6e-13 below it, and was 3e-12 at
+    6.4e5."""
     xv = 0.0 if x is None else _shift("x", x)
     if q.regime is QRegime.LIMIT1:
         raise DomainError("q = 1 not admissible; use the classical zeta module")
@@ -191,7 +186,7 @@ def _alt_series(s, q: QParam, x: Optional[float],
     n_stop = math.ceil((math.log(tol * (1.0 - rate)) - math.log(2.0) - log_b) / log_decay) + 2
     n_stop = max(n_stop, 8 if x is not None else 9, n_min)
     if q.regime is QRegime.REAL_UNIT:
-        crvz = _crvz(s, xv, chiv, alternating, alpha, q.value, tol, n_stop)
+        crvz = _crvz(s, xv, chiv, alternating, alpha, logq, tol, n_stop)
         if crvz is not None:
             body, bound, terms = crvz
             return SeriesValue(head + body, bound, terms)
@@ -243,8 +238,8 @@ def q_alt_zeta_hurwitz(s, x, q: QParam, tol: float = 1e-12,
     if variant == "bracket":
         if q.regime is not QRegime.REAL_UNIT:
             raise DomainError("bracket variant needs exact rational q")
-        qv = float(q.value)
-        xv = (1.0 - qv ** xv) / (1.0 - qv)  # [x]
+        logq = _logq(q.value)
+        xv = math.expm1(xv * logq) / math.expm1(logq)  # [x]
     elif variant != "additive":
         raise DomainError(f"unknown Hurwitz variant {variant!r}")
     sv = _alt_series(s, q, xv, None, tol)
@@ -263,8 +258,9 @@ def q_alt_l(s, chi: DirichletCharacter, q: QParam, tol: float = 1e-12,
 def cck_zeta(s, q: QParam, tol: float = 1e-12) -> SeriesValue:
     """The comparison q-deformation q(1+q) sum_{n>=1} (-1)^(n+1) q^n [n]^(-s),
     the engine at alpha = 1; terms decay like q^n, so Re(s) > 0 suffices.
-    |Im s| <= 1e4, where the direct sum's rounding of log q leaves errors up
-    to 5.0e-11 against mpmath (1 - q in [0.01, 0.9]; 5.6e-10 at 1e5)."""
+    |Im s| <= 1e4, where the rounding of the phases Im(s) log[n] leaves
+    errors up to 2.6e-12 against mpmath (40 seeded points, 1 - q in
+    [0.01, 0.9]; 6e-11 at 1e5)."""
     if q.regime is not QRegime.REAL_UNIT:
         raise DomainError("cck variant implemented for exact rational 0 < q < 1")
     s = complex(s)

@@ -289,6 +289,16 @@ def test_every_value_carries_certificate(capsys):
     assert "residual" in row and "per_offset" in row and row["route"]
 
 
+def test_cck_route_is_named_as_its_siblings(capsys):
+    # cck runs the alternating-series engine of --fn im, im-hurwitz and l;
+    # here it takes 19 CRVZ terms, not a direct sum
+    code, out, _ = run(capsys, "qzeta", "--fn", "cck", "--s", "2", "--q",
+                       "99999/100000", "--format", "json")
+    row = json.loads(out)["results"][0]
+    assert code == 0
+    assert (row["route"], row["terms_used"]) == ("alternating-series", 19)
+
+
 def test_qsum_dedekind_reports_classical_alongside(capsys):
     code, out, _ = run(capsys, "qsum", "--kind", "dedekind", "--p", "1",
                        "--h", "1", "--k", "3", "--q", "1", "--format", "json")

@@ -120,6 +120,23 @@ def test_disk_series_where_the_old_loop_divided_by_zero():
         assert abs(sv.value - _disk_reference(s, qv, None, None)) <= 1e-12
 
 
+def _real_q_reference(s, q, alpha):
+    """sum_{n>=1} (-1)^n q^(n alpha) [n]^(-s) for rational q at 30 digits,
+    term by term, which large |Im s| needs: each term is at most
+    q^(n Re alpha) in modulus."""
+    with mpmath.workdps(30):
+        qm = mpmath.mpf(q.numerator) / q.denominator
+        sm = mpmath.mpc(s)
+        step = mpmath.exp(mpmath.mpc(alpha) * mpmath.log(qm))  # q^alpha
+        total, qa, bracket, n = mpmath.mpc(0), mpmath.mpc(1), mpmath.mpf(0), 0
+        while abs(qa) > mpmath.mpf(10) ** -26:
+            n += 1
+            qa *= step
+            bracket = 1 + qm * bracket
+            total += (-1) ** n * qa * mpmath.exp(-sm * mpmath.log(bracket))
+        return total
+
+
 def _cck_reference(s, q, direct):
     """q(1+q) sum_{n>=1} (-1)^(n+1) q^n [n]^(-s) at 30 digits: mpmath's
     accelerated nsum, or term by term, which large |Im s| needs."""
@@ -130,13 +147,7 @@ def _cck_reference(s, q, direct):
             total = mpmath.nsum(lambda n: (-1) ** (n + 1) * qm ** n
                                 * ((1 - qm ** n) / (1 - qm)) ** -sm, [1, mpmath.inf])
             return complex(qm * (1 + qm) * total)
-        total, qn, bracket, n = mpmath.mpc(0), mpmath.mpf(1), mpmath.mpf(0), 0
-        while qn > mpmath.mpf(10) ** -26:
-            n += 1
-            qn *= qm
-            bracket = 1 + qm * bracket
-            total += (-1) ** (n + 1) * qn * mpmath.exp(-sm * mpmath.log(bracket))
-        return complex(qm * (1 + qm) * total)
+        return complex(-qm * (1 + qm) * _real_q_reference(s, q, 1))
 
 
 def test_cck_zeta_against_mpmath():
@@ -154,16 +165,29 @@ def test_cck_zeta_against_mpmath():
 
 
 def test_cck_zeta_at_the_imaginary_limit():
-    # |Im s| = 1e4 with 1 - q log-uniform in [0.01, 0.9]: the phases
-    # Im(s) log[n] carry the rounding of log q = log(num) - log(den), which
-    # tail_bound leaves out; it grows like |Im s| / (1 - q), up to 5e-11 on
-    # 40 such points
+    # |Im s| = 1e4 with 1 - q log-uniform in [0.01, 0.9].  tail_bound leaves
+    # out the rounding of the phases Im(s) log[n], formed in one float: up
+    # to 2.6e-12 on these 40 points, 6 of them above tol.  A log q formed as
+    # log(num) - log(den), which cancels as q nears 1, is up to 1.2e-10 off
     rng = random.Random("cck-differential-limit")
-    for _ in range(5):
+    for _ in range(40):
         q = 1 - Fraction(round(10 ** rng.uniform(2, 3.95)), 10 ** 4)
         s = complex(rng.uniform(0.25, 4), rng.choice((-1e4, 1e4)))
         sv = hbq.cck_zeta(s, hbq.QParam.real(q))
-        assert abs(sv.value - _cck_reference(s, q, direct=True)) <= 1e-10, (s, str(q))
+        assert abs(sv.value - _cck_reference(s, q, direct=True)) <= 5e-12, (s, str(q))
+
+
+def test_q_series_at_the_imaginary_limit_near_one():
+    # |Im s| = 1000 with 1 - q log-uniform in [0.01, 0.1], where a log q
+    # formed as log(num) - log(den) cancels: up to 1.8e-12 off mpmath on
+    # these points, against 3e-14 from log1p of the exact 1 - q
+    rng = random.Random("qseries-differential-limit")
+    tol = 1e-12
+    for _ in range(6):
+        q = 1 - Fraction(round(10 ** rng.uniform(2, 3)), 10 ** 4)
+        s = complex(rng.uniform(1.5, 4), rng.choice((-1000, 1000)))
+        sv = hbq.q_alt_zeta(s, hbq.QParam.real(q), tol)
+        assert abs(sv.value - complex(_real_q_reference(s, q, s - 1))) <= tol, (s, str(q))
 
 
 def test_disk_q_genocchi_against_mpmath():

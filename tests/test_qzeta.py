@@ -176,20 +176,21 @@ def test_crvz_against_direct_seeded(monkeypatch):
     assert crvz_runs >= 100
 
 
-def _mp_series(qv: Fraction, s, alpha=None, odd_only=False):
+def _mp_series(qv: Fraction, s, alpha=None, odd_only=False, x=0):
     """sum_{n>=1} (-1)^n q^(n alpha) [n]^(-s), or with odd_only the series
-    twisted by the nonprincipal character mod 4, -sum_m (-1)^m g(2m+1), by
-    mpmath's Richardson-Shanks extrapolation at 30 digits."""
+    twisted by the nonprincipal character mod 4, -sum_m (-1)^m g(2m+1), or
+    with a shift x the bracket variant sum_{n>=0} (-1)^n q^(n alpha)
+    [n+x]^(-s), by mpmath's Richardson-Shanks extrapolation at 30 digits."""
     with mpmath.workdps(30):
         q = mpmath.mpf(qv.numerator) / qv.denominator
         s = mpmath.mpmathify(s)
         a = s - 1 if alpha is None else mpmath.mpmathify(alpha)
 
         def g(n):
-            return q ** (n * a) * ((1 - q ** n) / (1 - q)) ** -s
+            return q ** (n * a) * ((1 - q ** (n + x)) / (1 - q)) ** -s
         if odd_only:
             return -mpmath.nsum(lambda m: (-1) ** m * g(2 * m + 1), [0, mpmath.inf])
-        return mpmath.nsum(lambda n: (-1) ** n * g(n), [1, mpmath.inf])
+        return mpmath.nsum(lambda n: (-1) ** n * g(n), [0 if x else 1, mpmath.inf])
 
 
 def test_crvz_near_one_against_mpmath():
@@ -207,6 +208,16 @@ def test_crvz_near_one_against_mpmath():
     for sv, ref in cases:
         assert sv.terms_used < 100
         assert abs(sv.value - complex(ref)) <= sv.tail_bound + 1e-15
+
+
+def test_bracket_shift_near_one_against_mpmath():
+    # [x] formed as (1 - q^x)/(1 - q) in floats cancels as q nears 1, 9.2e-12
+    # off mpmath here; from expm1 of log q it is 4.4e-16 off
+    tol = 1e-12
+    for s, x in ((2, 0.5), (1.5, 2.5)):
+        sv = q_alt_zeta_hurwitz(s, x, Q_NEAR_ONE, tol, variant="bracket")
+        ref = _mp_series(Q_NEAR_ONE.value, s, x=mpmath.mpf(x))
+        assert abs(sv.value - complex(ref)) <= tol, (s, x)
 
 
 def test_direct_route_fallbacks(monkeypatch):
