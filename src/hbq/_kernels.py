@@ -2,8 +2,10 @@
 one Cohen-Rodriguez Villegas-Zagier loop for alternating series, the damped
 double sums of the product-identity checks, generating-function evaluation
 inside quadrature and for ``eval_gen``).  The two array kernels import numpy
-when called, the only numpy imports in hbq.  ``chi`` is always one period of
-character values.  Exact-rational code paths stay elsewhere.
+when called, the only numpy imports in hbq; the direct q-series sum runs in
+blocks of at most 32,768 terms with the bits of one array pass.  ``chi`` is
+always one period of character values.  Exact-rational code paths stay
+elsewhere.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ KERNEL_MODE = "numpy"  # the one implementation, named for run metadata
 CRVZ_LOG_RATE = math.log(3.0 + math.sqrt(8.0))
 CRVZ_MIN_TERMS = 12
 CRVZ_MAX_TERMS = 390  # keeps n (3+sqrt 8)^n below the float range
+# terms per block of the direct q-series sum; its halves hold at least
+# 16,384 complex terms (256 KiB), the size from which numpy multiplies
+# temporaries in place, as one array of the whole sum does (see
+# tests/test_kernels.py)
+_LEAF = 1 << 15
 
 
 def crvz_terms(log_mass: float, tol: float) -> int:
@@ -66,25 +73,42 @@ def _sign_chi_period(chi, alt):
 
 def qzeta_partial_sum(logq, s, x, chi, alt, n0, n1, alpha):
     """sum_{n=n0}^{n1-1} sign^n chi[n mod f] q^(n alpha) ([n] + x q^n)^(-s)
-    and |term n1|, the first omitted, from one array pass.  logq is real for
-    0 < q < 1 and complex for |q| < 1, with principal powers q^a = exp(a Log q)
-    and base^(-s) = exp(-s Log base).  x = 0 gives the series over [n]^(-s).
-    Terms past the float range come back as inf or nan, without a warning.
+    and |term n1|, the first omitted, with the bits of one array pass.  logq
+    is real for 0 < q < 1 and complex for |q| < 1, with principal powers
+    q^a = exp(a Log q) and base^(-s) = exp(-s Log base).  x = 0 gives the
+    series over [n]^(-s).  Terms past the float range come back as inf or
+    nan, without a warning.
+
+    The terms are formed in blocks of at most _LEAF, split as numpy's
+    pairwise summation splits one complex array, so the sum keeps its bits
+    while the arrays held at once stay O(_LEAF), not O(n1 - n0).
     """
     import numpy as np
 
-    n = np.arange(n0, n1 + 1, dtype=np.float64)
-    nl = n * logq
     # 1 - q; numpy's real expm1 differs from math's in the last bit
     omq = -(math.expm1(logq) if isinstance(logq, float) else np.expm1(logq))
     period = _sign_chi_period(chi, alt)
-    coef = period[np.arange(n0, n1 + 1) % len(period)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        base = np.expm1(nl) / -omq  # [n]
-        if x:
-            base = base + x * np.exp(nl)
-        terms = coef * np.exp(nl * alpha) * np.exp(-s * np.log(base))
-        return complex(np.add.reduce(terms[:-1])), abs(complex(terms[-1]))
+
+    def pairwise(lo, hi):
+        """(sum of terms lo..hi-1, term hi)"""
+        count = hi - lo
+        if count > _LEAF:  # numpy's split: the left part a multiple of 8 reals
+            mid = lo + (count - count % 8) // 2
+            left = pairwise(lo, mid)[0]
+            right, last = pairwise(mid, hi)
+            return left + right, last
+        n = np.arange(lo, hi + 1, dtype=np.float64)
+        nl = n * logq
+        coef = period[np.arange(lo, hi + 1) % len(period)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = np.expm1(nl) / -omq  # [n]
+            if x:
+                base = base + x * np.exp(nl)
+            terms = coef * np.exp(nl * alpha) * np.exp(-s * np.log(base))
+            return complex(np.add.reduce(terms[:-1])), complex(terms[-1])
+
+    body, first_omitted = pairwise(n0, n1)
+    return body, abs(first_omitted)
 
 
 def damped_pair_sum(s, eps, logq, alt, chi, odd_weights, m_count, n_count):

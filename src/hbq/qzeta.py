@@ -12,10 +12,10 @@ complex |q| < 1.  At real s and rational q it splits the series into
 antiperiodic residue classes, each an alternating moment sequence, and sums
 them with the Cohen-Rodriguez Villegas-Zagier acceleration
 (`_kernels.crvz_sum`) when that needs fewer terms; otherwise it sums the
-terms in one pass of `_kernels.qzeta_partial_sum`, whose tails are
-controlled by a geometric majorant B decay^n.  With q^n in place of
-q^(n(s-1)) it also sums `cck_zeta`, at any s, and the complex-q q-Genocchi
-numbers.
+terms directly, with tails controlled by a geometric majorant B decay^n;
+`_kernels.qzeta_partial_sum` forms them in bounded blocks with the bits of
+one array pass.  With q^n in place of q^(n(s-1)) it also sums `cck_zeta`,
+at any s, and the complex-q q-Genocchi numbers.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ __all__ = [
 _QSERIES_MAX_IM = 1000.0
 _MAX_PHASE = 1e5
 _CCK_MAX_IM = 1e4
-_MAX_TERMS = 10_000_000  # about 1 GB of kernel arrays
+_MAX_TERMS = 10_000_000  # about 2 s of direct sum at 0.2 s a million terms
 
 
 def _disk_majorant(s: complex, qc: complex, x: float):
@@ -145,8 +145,9 @@ def _alt_series(s, q: QParam, x: Optional[float],
     whenever it needs fewer terms than the direct route.  That covers the
     real-s q-series and `cck_zeta` at any s, but not the complex-s q-series,
     whose nodes q^(P(k+s-1)) leave [0, 1].  The direct route sums the terms
-    in one pass of `_kernels.qzeta_partial_sum`.  The regime sets log q
-    (`core._logq` for rational q, on both routes) and B in |term_n| <=
+    with `_kernels.qzeta_partial_sum`, in blocks of at most 32,768 terms with
+    the bits of one array pass.  The regime sets log q (`core._logq` for
+    rational q, on both routes) and B in |term_n| <=
     B decay^n (B = 1 for rational q, as [n] + x q^n >= 1 and Re s > 0), and
     B decay^(n+1) / (1 - decay) <= tol the term count; at complex q = 0 the
     terms n >= 1 vanish if Re alpha > 0.  Phase rounding limits |Im s| to

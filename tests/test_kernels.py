@@ -1,10 +1,13 @@
 """The float kernels against small direct sums, on the branches the engine
 tests reach least: complex log q, complex s in the damped double sum, and a
-complex argument t of the generating series; and the CRVZ loop against
-closed forms."""
+complex argument t of the generating series; the blocked q-series sum
+against one array, bit for bit; and the CRVZ loop against closed forms."""
 
 import cmath
 import math
+
+import numpy as np
+import pytest
 
 from hbq import _kernels, characters_mod
 
@@ -27,6 +30,46 @@ def test_qzeta_partial_sum_complex_logq():
                                                          2, 24, alpha)
         assert abs(body - sum(terms[:-1])) < 1e-13 * max(1.0, abs(body))
         assert abs(first_omitted - abs(terms[-1])) < 1e-13 * abs(terms[-1])
+
+
+def _one_array(logq, s, x, chi, alt, n0, n1, alpha):
+    # the kernel as one array pass: its expressions and one np.add.reduce
+    omq = -(math.expm1(logq) if isinstance(logq, float) else np.expm1(logq))
+    period = _kernels._sign_chi_period(chi, alt)
+    n = np.arange(n0, n1 + 1, dtype=np.float64)
+    nl = n * logq
+    coef = period[np.arange(n0, n1 + 1) % len(period)]
+    base = np.expm1(nl) / -omq
+    if x:
+        base = base + x * np.exp(nl)
+    terms = coef * np.exp(nl * alpha) * np.exp(-s * np.log(base))
+    return complex(np.add.reduce(terms[:-1])), abs(complex(terms[-1]))
+
+
+# The blocked sum keeps the bits of one array for two reasons.  numpy sums a
+# complex array pairwise, splitting it so that the left part takes
+# (count - count % 8) // 2 terms, and the kernel splits its blocks the same
+# way.  And numpy evaluates `-s * np.log(base)` in place in the temporary, as
+# `np.log(base) * -s`, once that temporary holds 256 KiB (16,384 complex
+# terms); a complex product's last bit depends on the order of its operands,
+# so each block must hold 16,384 terms wherever the one array does.  Halves
+# of _LEAF = 1 << 15 hold at least that; 1 << 13, np.getbufsize(), moved the
+# last bit.  For the same reason no ufunc in the kernel writes with out=: an
+# explicit in-place product keeps the operand order and loses the match.
+@pytest.mark.parametrize("count", [1, _kernels._LEAF, _kernels._LEAF + 1,
+                                   2 * _kernels._LEAF + 1, 70_001, 200_003])
+def test_qzeta_partial_sum_keeps_the_bits_of_one_array(count):
+    s = complex(1.5, 3.0)
+    logq_real = math.log1p(-1e-5)
+    logq_complex = cmath.log(cmath.rect(1 - 1e-5, 1e-4))
+    for logq, x, chi, alt, alpha in ((logq_real, 0.0, (1,), True, s - 1),
+                                     (logq_real, 0.0, CHI5, False, 1.0),
+                                     (logq_complex, 1.7, (1,), True, s - 1),
+                                     (logq_complex, 0.0, CHI5, True, 1.0)):
+        args = (logq, s, x, chi, alt, 1, 1 + count, alpha)
+        body, first_omitted = _kernels.qzeta_partial_sum(*args)
+        assert (body, first_omitted) == _one_array(*args)
+        assert body != 0
 
 
 def test_damped_pair_sum_complex_s():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -290,8 +291,8 @@ def test_imaginary_s_and_phase_limits():
 
 
 def test_term_count_is_checked_before_summing():
-    # 1 - q = 1e-7 at Re s = 1.5 needs about 9e8 direct terms, 14 GB of
-    # arrays; at complex s the direct sum is the only route
+    # 1 - q = 1e-7 at Re s = 1.5 needs about 9e8 direct terms, three minutes
+    # at 0.2 s a million; at complex s the direct sum is the only route
     q = QParam.real(1 - Fraction(1, 10 ** 7))
     with pytest.raises(ConvergenceError, match="above the cap"):
         q_alt_zeta(complex(1.5, 1), q)
@@ -299,6 +300,23 @@ def test_term_count_is_checked_before_summing():
     sv = q_alt_zeta(1.5, q)
     assert sv.terms_used < 100
     assert abs(sv.value - complex(_mp_series(q.value, 1.5))) <= sv.tail_bound
+
+
+def test_direct_sums_past_the_crvz_cap_stay_small():
+    # at 1 - q = 1e-4 both take the direct sum, 764,517 and 382,258 terms;
+    # one array of them traced 67 and 34 MB, blocks of 32K terms 2.1 MB
+    q = QParam.real(1 - Fraction(1, 10 ** 4))
+    q_alt_zeta(complex(2, 1), Q_HALF)  # numpy imported outside the trace
+    for call, s, terms in ((q_alt_zeta, complex(1.5, 1), 764_517),
+                           (cck_zeta, complex(2, 100), 382_258)):
+        tracemalloc.start()
+        try:
+            sv = call(s, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sv.terms_used == terms
+        assert peak < 8e6, peak
 
 
 def test_overflowing_terms_are_domain_errors():
