@@ -371,7 +371,7 @@ def _cmd_qsum(args, argv):
     results = []
     if args.kind == "gen":
         res = oscillatory_sum(args.variant, args.h, args.k, q, chi=chi,
-                              reg=reg, m_max=args.terms_max, tol=args.tol)
+                              reg=reg, tol=args.tol)
         cert = {"residual": res.residual, "diverged": res.diverged,
                 "per_offset": [[e, v] for e, v in res.per_offset]}
         results.append(_value_entry("oscillatory-sum",
@@ -382,8 +382,7 @@ def _cmd_qsum(args, argv):
     elif args.kind == "hardy-berndt":
         v = q_hardy_berndt_sum(args.variant, args.h, args.k, q, chi=chi,
                                reg=reg, tol=args.tol,
-                               enforce_parity=not args.no_parity_check,
-                               m_max=args.terms_max)
+                               enforce_parity=not args.no_parity_check)
         results.append(_value_entry("q-hardy-berndt",
                                     {"variant": args.variant, "h": args.h,
                                      "k": args.k, "q": str(q)},
@@ -397,8 +396,7 @@ def _cmd_qsum(args, argv):
                                              "h": args.h, "k": args.k},
                                             exact, "exact"))
     else:
-        v = q_dedekind_sum(args.p, args.h, args.k, q, reg=reg, tol=args.tol,
-                           m_max=args.terms_max)
+        v = q_dedekind_sum(args.p, args.h, args.k, q, reg=reg, tol=args.tol)
         results.append(_value_entry("q-dedekind",
                                     {"p": args.p, "h": args.h, "k": args.k,
                                      "q": str(q)},
@@ -537,7 +535,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma list of damping offsets, decreasing")
     p.add_argument("--order", type=int, default=2,
                    help="extrapolation order for --eps")
-    p.add_argument("--terms-max", type=int, default=100000)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--no-parity-check", action="store_true")
     add_output(p)

@@ -9,9 +9,12 @@ q^(-n), so each sum is evaluated on a decreasing schedule of damping offsets
 eps (argument i*theta replaced by eps + i*theta) and Richardson-extrapolated
 to eps = 0, with a divergence flag when the per-offset values do not
 stabilize.  Summing n-first makes each offset value exact up to the damping
-cut: for fixed n the m-sums are classical Fourier series (square wave,
-sawtooth, Bernoulli polynomial) whose values are computed in exact rational
-arithmetic from the exact rational angle q^(-n)[n] h / k.
+cut: for fixed n the m-sum (the n-slice) is a classical Fourier series
+(square wave, sawtooth, Bernoulli polynomial), computed exactly at the exact
+rational angle q^(-n)[n] h / k by one slice builder (`_slices`) for every
+shape and both readings.  The slices are formed once per call and damped per
+offset, each offset with its own stop rule; they grow by the bits of q's
+denominator a term, so a sum sized past a fixed cap is refused up front.
 
 At q = 1 the damped sums collapse to geometric ratios over one period of
 the angle lattice, and the value is their exact Abel limit whenever the
@@ -34,8 +37,9 @@ from typing import Optional, Sequence, Tuple
 from . import _kernels
 from .characters import DirichletCharacter, chi_table
 from .core import (ConvergenceError, DomainError, ParityError, PoleError,
-                   QParam, QRegime, SeriesValue, _logq, _positive)
-from .numbers import bernoulli_polynomial
+                   QParam, QRegime, SeriesValue, _fits, _logq, _positive,
+                   _shift)
+from .numbers import NumberKind, number_table
 from .sums import _TERMS, _hardy_args, _hardy_variant, parity_condition
 from .zeta import digamma, hurwitz_zeta
 
@@ -58,65 +62,100 @@ __all__ = [
 # bits a and b of `sums._TERMS`, so `sums` alone decides them.
 _F_FAMILY = {v: bool(t[1]) for v, t in _TERMS.items()}
 _ODD_WEIGHTS = {v: bool(t[2]) for v, t in _TERMS.items()}
-_EXCLUDED = {"S": None, "s1": "odd", "s2": "even", "s3": None, "s4": None,
-             "s5": "odd"}
 
-HB_SCALE = {
-    "S": 4.0 / (math.pi * 1j),
-    "s1": -2.0 / (math.pi * 1j),
-    "s2": -1.0 / (2.0 * math.pi * 1j),
-    "s3": 1.0 / (math.pi * 1j),
-    "s4": 4.0 / (math.pi * 1j),
-    "s5": 2.0 / (math.pi * 1j),
-}
+# largest odd Dedekind order p with p! inside the float range
+_P_MAX = 169
+
+# cap on n (n p b)^2 of a literal damped sum (n terms, order p, b bits of q's
+# denominator): n exact slices of at most n p b bits, each formed in at most
+# quadratic time in its bits; set so the slowest admitted call takes ~10 s
+_LITERAL_WORK_MAX = 15 * 10 ** 12
+
+HB_SCALE = {v: c / (math.pi * 1j) for v, c in (
+    ("S", 4.0), ("s1", -2.0), ("s2", -0.5), ("s3", 1.0), ("s4", 4.0), ("s5", 2.0))}
 
 
 # ----------------------------------------------------------------------
-# exact Fourier shapes (arguments carried as rational multiples of pi)
+# exact Fourier shapes at u = n/d (radians / pi, d > 0, not reduced): each
+# value is one int/int true division, rounded as float() of the Fraction
 # ----------------------------------------------------------------------
 
-def _sw_coef(u: Fraction) -> Fraction:
-    """sum_m sin((2m-1) pi u)/(2m-1) = (pi/4) sgn(sin(pi u)); coefficient
-    of pi, 0 on the lattice."""
-    v = u % 2
-    if v == 0 or v == 1:
-        return Fraction(0)
-    return Fraction(1, 4) if v < 1 else Fraction(-1, 4)
+def _excluded_step(variant: str, k: int) -> Optional[int]:
+    """e whose multiples the weights skip: the odd 2m - 1 of s1 and s5 at
+    odd k, the m of s2; None for the other variants."""
+    if variant in ("s1", "s5"):
+        return k if k % 2 == 1 else None
+    return (k // 2 if k % 2 == 0 else k) if variant == "s2" else None
 
 
-def _st_coef(u: Fraction) -> Fraction:
-    """sum_m sin(m pi u)/m = pi (1 - v)/2 with v = u mod 2; coefficient of
-    pi, 0 on the lattice."""
-    v = u % 2
-    if v == 0:
-        return Fraction(0)
-    return (1 - v) / 2
+def _hb_shape(variant: str, n: int, d: int, k: int) -> float:
+    """Exact m-sum of one n-slice for a Hardy-Berndt variant at u = n/d, as
+    the coefficient of pi: the square wave sum_m sin((2m-1) pi u)/(2m-1) =
+    (pi/4) sgn(sin(pi u)) for odd weights, else the sawtooth sum_m
+    sin(m pi u)/m = pi (1 - v)/2 with v = u mod 2, both 0 on the lattice;
+    less 1/e times the same at e u when the weights skip multiples of e."""
+    odd = _ODD_WEIGHTS[variant]
+
+    def wave(n):  # times 4 (square wave) or 2d (sawtooth)
+        v = n % (2 * d)
+        if odd:
+            return 0 if v == 0 or v == d else (1 if v < d else -1)
+        return 0 if v == 0 else d - v
+    den = 4 if odd else 2 * d
+    e = _excluded_step(variant, k)
+    return wave(n) / den if e is None else (e * wave(n) - wave(e * n)) / (e * den)
 
 
-def _clausen_coef(u: Fraction, p: int) -> Fraction:
-    """sum_m sin(2 pi m u)/m^p for odd p, as the coefficient of pi^p:
-    (-1)^((p+1)/2) 2^p B_p({u}) / (2 p!), with the Fourier value 0 on the
-    lattice."""
-    v = u % 1
-    if v == 0:
-        return Fraction(0)
-    sign = -1 if ((p + 1) // 2) % 2 else 1
-    return sign * Fraction(2 ** p) * bernoulli_polynomial(p, v) / (2 * math.factorial(p))
+def _clausen_coef(p: int):
+    """(n, d) -> sum_m sin(2 pi m u)/m^p for odd p as the coefficient of pi^p,
+    (-1)^((p+1)/2) 2^p B_p({u}) / (2 p!), 0 on the lattice; B_0..B_p, read
+    once into c_i / L, give sum_i c_i v^(p-i) d^i / (L d^p) at {u} = v/d."""
+    b = number_table(NumberKind.BERNOULLI, p)
+    scale = (-1 if ((p + 1) // 2) % 2 else 1) * Fraction(2 ** p, 2 * math.factorial(p))
+    coefs = [scale * math.comb(p, i) * b[i] for i in range(p + 1)]
+    lcd = math.lcm(*(c.denominator for c in coefs))
+    ints = [c.numerator * (lcd // c.denominator) for c in coefs]
 
-
-def _hb_shape(variant: str, u: Fraction, k: int) -> Fraction:
-    """Exact m-sum of one n-slice for a Hardy-Berndt variant, as the
-    coefficient of pi; u is the per-unit angle (radians / pi)."""
-    if _ODD_WEIGHTS[variant]:
-        coef = _sw_coef(u)
-        if _EXCLUDED[variant] == "odd" and k % 2 == 1:
-            coef -= Fraction(1, k) * _sw_coef(k * u)
-        return coef
-    coef = _st_coef(u)
-    if _EXCLUDED[variant] == "even":
-        d = k // 2 if k % 2 == 0 else k
-        coef -= Fraction(1, d) * _st_coef(d * u)
+    def coef(n: int, d: int) -> float:
+        v = n % d
+        if v == 0:
+            return 0.0
+        acc, dpow = ints[0], 1
+        for c in ints[1:]:
+            dpow *= d
+            acc = acc * v + c * dpow
+        return acc / (lcd * dpow)
     return coef
+
+
+def _slices(shape, h: int, k: int, chi: Optional[DirichletCharacter],
+            corollary: bool):
+    """The one slice builder of the oscillatory sums, for a Hardy-Berndt
+    variant (p = 1) or an odd Dedekind order p, read through the tan/cot
+    corollary forms used at q = 1 (doubled angle, sign (-1)^(n+1) in the F
+    family) or literally (sign (-1)^n).  Returns value(n, d), the exact m-sum
+    at the angle n/d as float(shape) * pi^p; factor(n) = (sign, chi(n)); the
+    sup of |value| for the stop rule; the q = 1 period in n; and p."""
+    chiv = chi_table(chi)
+    if isinstance(shape, str):
+        odd = _ODD_WEIGHTS[shape]
+        num, den = h * (1 + corollary), k * (1 + odd)
+        p, alternating, period = 1, _F_FAMILY[shape], 2 * k
+        sup = math.pi * (0.25 + 0.25 / k) if odd else math.pi
+        coef = lambda n, d: _hb_shape(shape, n, d, k)  # noqa: E731
+    else:
+        p, alternating, period, num, den = shape, False, k, h, k
+        sup = math.pi ** p * 4.0 ** p  # crude sup of the Bernoulli shape
+        coef = _clausen_coef(p)
+    pi_p = math.pi ** p
+
+    def value(n: int, d: int) -> float:
+        return coef(n * num, d * den) * pi_p
+
+    def factor(n: int):
+        return (-1.0 if alternating and (n + corollary) % 2 else 1.0,
+                chiv[n % len(chiv)])
+    return value, factor, sup, math.lcm(period, len(chiv)), p
 
 
 # ----------------------------------------------------------------------
@@ -163,8 +202,12 @@ class RegularizationSchedule:
     order: int = 2
 
     def __post_init__(self):
-        if len(self.offsets) < 1 or not all(e > 0 for e in self.offsets):
+        if len(self.offsets) < 1:
             raise DomainError("offsets must be positive")
+        for e in self.offsets:
+            _shift("offsets", e)
+        if self.order < 0:
+            raise DomainError("order must be >= 0")
         if any(a <= b for a, b in zip(self.offsets, self.offsets[1:])):
             raise DomainError("offsets must be strictly decreasing")
         if self.order >= 1 and len(self.offsets) < 2:
@@ -197,13 +240,9 @@ def _richardson(offsets: Sequence[float], values: Sequence[complex],
             lo = offsets[i]
             row[i] = (hi * tab[j - 1][i] - lo * tab[j - 1][i - 1]) / (hi - lo)
         tab.append(row)
-    if order == 0:
-        value = values[-1]
-        resid = abs(values[-1] - values[-2]) if m > 1 else abs(values[-1])
-        return value, max(resid, 1e-18)
     value = tab[order][m - 1]
-    resid = abs(value - tab[order - 1][m - 1])
-    return value, max(resid, 1e-18)
+    prev = tab[order - 1][m - 1] if order else (values[-2] if m > 1 else 0)
+    return value, max(abs(value - prev), 1e-18)
 
 
 @dataclass(frozen=True)
@@ -222,49 +261,19 @@ class YSumResult:
 # q = 1: exact period structure
 # ----------------------------------------------------------------------
 
-def _limit1_period(variant_or_p, h: int, k: int,
-                   chi: Optional[DirichletCharacter]):
-    """Per-n coefficients d_n of the damped series sum_n d_n e^(-n eps) at
-    q = 1, as one full period (complex values, exact rational skeleton); the
-    Hardy-Berndt variants are read through their corollary forms."""
-    chiv = chi_table(chi)
-    f = len(chiv)
-    if isinstance(variant_or_p, str):
-        variant = variant_or_p
-        base = 2 * k
-        period = math.lcm(base, 2, f)
-        d = []
-        for r in range(1, period + 1):
-            u = Fraction(r * h, k) if _ODD_WEIGHTS[variant] else Fraction(2 * r * h, k)
-            coef = _hb_shape(variant, u, k)
-            val = float(coef) * math.pi
-            if _F_FAMILY[variant]:
-                val *= 1.0 if (r % 2 == 1) else -1.0  # (-1)^(n+1)
-            d.append(val * chiv[r % f])
-        return period, d
-    p = variant_or_p
-    period = math.lcm(k, f)
-    d = []
-    for r in range(1, period + 1):
-        coef = _clausen_coef(Fraction(r * h, k), p)
-        d.append(float(coef) * math.pi ** p * chiv[r % f])
-    return period, d
-
-
 def _abel_period_value(period: int, d) -> Tuple[complex, bool]:
     """Abel limit of 2i sum_n d_n x^n as x -> 1 for period-P coefficients:
     exists iff the period sum vanishes, and then equals -2i sum r d_r / P."""
-    total = sum(d)
     scale = max(1.0, max(abs(v) for v in d)) * period
-    summable = abs(total) <= 1e-9 * scale
     value = -2j * sum((r + 1) * v for r, v in enumerate(d)) / period
-    return value, summable
+    return value, abs(sum(d)) <= 1e-9 * scale
 
 
 def _limit1_offset_value(period: int, d, eps: float) -> complex:
     x = math.exp(-eps)
-    rx = 0j
-    xp = 1.0
+    if x ** period == 1.0:
+        raise DomainError(f"offset {eps:g} is too small for the q = 1 period of {period}")
+    rx, xp = 0j, 1.0
     for v in d:
         xp *= x
         rx += v * xp
@@ -275,116 +284,121 @@ def _limit1_offset_value(period: int, d, eps: float) -> complex:
 # 0 < q < 1: literal damped evaluation, n-first
 # ----------------------------------------------------------------------
 
-def _literal_offset_value(variant_or_p, h: int, k: int, qfrac: Fraction,
-                          chi: Optional[DirichletCharacter], eps: float,
-                          tol: float, n_cap: int) -> Tuple[complex, float]:
-    """One damping offset of the literal reading, summed n-first with the
-    exact rational Fourier shapes.  Returns (value, tail bound)."""
+def _literal_values(shape, h: int, k: int, qfrac: Fraction,
+                    chi: Optional[DirichletCharacter], offsets, tol: float):
+    """(value, tail bound) of each literal offset, summed n-first.  The exact
+    angles a_n = q^(-n)[n], q^(-n) and the slices are formed once, in one
+    list shared by all offsets; each offset runs its own stop rule."""
+    value, factor, sup, _, p = _slices(shape, h, k, chi, False)
     logq = _logq(qfrac)
-    is_hb = isinstance(variant_or_p, str)
-    if is_hb:
-        variant = variant_or_p
-        # shape sup: pi/4 (+ exclusion correction) or pi/2 (+ correction)
-        cmax = math.pi * (0.25 + 0.25 / k) if _ODD_WEIGHTS[variant] \
-            else math.pi
+    omq = -math.expm1(logq)  # 1 - q
+    qn, qd = qfrac.numerator, qfrac.denominator
+    bits = p * qd.bit_length()
+
+    def stops(cur, nxt):  # on the majorants of terms n and n + 1
+        return nxt < tol * 0.25 and (cur == 0.0 or nxt < 0.5 * cur)
+
+    def major(m, eps):  # in floats, a_m = (q^(-m) - 1)/(1 - q) < q^(-m)/(1 - q) < max/e
+        _fits("q^(-n)[n]", 1.0 - m * logq - math.log(omq))
+        return math.exp(-m * logq) * math.exp(-math.expm1(-m * logq) / omq * eps) * sup
+
+    eps = min(offsets)  # sized first: the exact slice n has about n * bits bits
+    n, cur = 1, major(1, eps)
+    while n * (n * bits) ** 2 <= _LITERAL_WORK_MAX:
+        nxt = major(n + 1, eps)
+        if stops(cur, nxt):
+            break
+        n, cur = n + 1, nxt
     else:
-        p = variant_or_p
-        cmax = math.pi ** p * 4.0 ** p  # crude sup of the Bernoulli shape
-    chiv = chi_table(chi)
-    inv_q = 1 / qfrac
-    a_exact = Fraction(0)
-    qinv_pow = Fraction(1)
-    acc = 0j
-    n = 0
-    while True:
-        n += 1
-        if n > n_cap:
-            raise ConvergenceError("literal damped series hit the term cap")
-        qinv_pow *= inv_q
-        a_exact += qinv_pow  # q^(-n)[n] = sum_{i<=n} q^(-i)
-        af = float(a_exact)
-        damp = math.exp(-af * eps)
-        qinv_f = math.exp(-n * logq)
-        if is_hb:
-            u = a_exact * h / (2 * k) if _ODD_WEIGHTS[variant] else a_exact * h / k
-            coef = float(_hb_shape(variant, u, k)) * math.pi
-            sgn = 1.0
-            if _F_FAMILY[variant] and n % 2 == 1:
-                sgn = -1.0
-        else:
-            coef = float(_clausen_coef(a_exact * h / k, p)) * math.pi ** p
-            sgn = 1.0
-        acc += 2j * sgn * chiv[n % len(chiv)] * qinv_f * damp * coef
-        nxt_qinv = math.exp(-(n + 1) * logq)
-        nxt_major = nxt_qinv * math.exp(-float(a_exact + qinv_pow * inv_q) * eps) * cmax
-        cur_major = qinv_f * damp * cmax
-        if nxt_major < tol * 0.25 and (cur_major == 0.0 or nxt_major < 0.5 * cur_major):
-            return acc, 2.0 * nxt_major
+        raise ConvergenceError(
+            f"literal damped series hit the term cap: {n} terms of up to {n * bits} bits "
+            f"pass the work cap n (n p b)^2 <= {_LITERAL_WORK_MAX:.3g}")
+
+    num, qn_pow, qd_pow = 0, 1, 1  # a_n = num / qn^n
+    rows = [None]  # rows[n]: (2i sign chi q^(-n), q^(-n), float a_n, slice)
+
+    def row(n):
+        nonlocal num, qn_pow, qd_pow
+        while len(rows) <= n:
+            m = len(rows)
+            qn_pow *= qn
+            qd_pow *= qd
+            num = num * qn + qd_pow  # a_m = a_(m-1) + q^(-m)
+            qinv_f = math.exp(-m * logq)
+            sign, c = factor(m)
+            rows.append((2j * sign * c * qinv_f, qinv_f, num / qn_pow,
+                         value(num, qn_pow)))
+        return rows[n]
+
+    out = []
+    for eps in offsets:
+        acc, n = 0j, 1
+        while True:
+            weight, qinv_f, af, coef = row(n)
+            damp = math.exp(-af * eps)
+            acc += weight * damp * coef
+            _, nxt_qinv, nxt_af, _ = row(n + 1)
+            nxt = nxt_qinv * math.exp(-nxt_af * eps) * sup
+            if stops(qinv_f * damp * sup, nxt):
+                out.append((acc, 2.0 * nxt))
+                break
+            n += 1
+    return out
 
 
 # ----------------------------------------------------------------------
 # public oscillatory sums
 # ----------------------------------------------------------------------
 
-def _normalize_chi(chi):
-    if chi is not None and chi.modulus == 1:
-        return None
-    return chi
-
-
-def _validate_pair(h: int, k: int):
+def _checked(h: int, k: int, chi, reg, tol):
+    """The checks shared by the oscillatory sums; returns the character (a
+    character mod 1 is none) and the schedule."""
     if k < 1:
         raise DomainError("k must be >= 1")
     if h == 0:
         raise DomainError("h must be nonzero")
     if math.gcd(abs(h), k) != 1:
         raise DomainError(f"h and k must be coprime, got ({h}, {k})")
+    _positive("tol", tol)
+    return (None if chi is not None and chi.modulus == 1 else chi), reg or DEFAULT_SCHEDULE
 
 
 def _damped_sum(shape, h: int, k: int, q: QParam,
                 chi: Optional[DirichletCharacter],
-                reg: RegularizationSchedule, m_max: int,
-                tol: float) -> YSumResult:
-    """Shared engine of the oscillatory sums.  ``shape`` is a Hardy-Berndt
-    variant name (corollary reading at q = 1) or an odd Dedekind order p
-    (literal reading).
-
-    At q = 1 the per-offset values come from one period of coefficients and
-    the value is the exact Abel limit when the period sum cancels.  For
-    0 < q < 1 each offset is summed n-first and the values are
-    Richardson-extrapolated; the residual also covers the truncation bounds.
-    """
+                reg: RegularizationSchedule, tol: float) -> YSumResult:
+    """Shared engine of the oscillatory sums for a Hardy-Berndt variant name
+    or an odd Dedekind order p.  At q = 1 the per-offset values come from one
+    period of slices and the value is the exact Abel limit when the period
+    sum cancels.  For 0 < q < 1 the literal offsets are Richardson-
+    extrapolated; the residual also covers their truncation bounds."""
     if q.regime is QRegime.LIMIT1:
-        period, d = _limit1_period(shape, h, k, chi)
+        value, factor, _, period, _ = _slices(shape, h, k, chi, True)
+        d = []  # one period of d_n in sum_n d_n e^(-n eps)
+        for r in range(1, period + 1):
+            sign, c = factor(r)
+            d.append(value(r, 1) * sign * c)
         per = tuple((eps, _limit1_offset_value(period, d, eps))
                     for eps in reg.offsets)
         extrap, resid = _richardson(reg.offsets, [v for _, v in per], reg.order)
         abel, summable = _abel_period_value(period, d)
         if not summable:
-            return YSumResult(extrap, per, resid, "limit1-richardson", True,
-                              extrap)
-        return YSumResult(abel, per, resid, "limit1-abel-period", False,
-                          extrap)
+            return YSumResult(extrap, per, resid, "limit1-richardson", True, extrap)
+        return YSumResult(abel, per, resid, "limit1-abel-period", False, extrap)
 
     if q.regime is not QRegime.REAL_UNIT:
         raise DomainError("oscillatory sums need rational 0 < q < 1 or q = 1")
-    per = []
-    bounds = []
-    for eps in reg.offsets:
-        val, bnd = _literal_offset_value(shape, h, k, q.value, chi, eps, tol,
-                                         m_max)
-        per.append((eps, val))
-        bounds.append(bnd)
-    extrap, resid = _richardson(reg.offsets, [v for _, v in per], reg.order)
-    resid = max(resid, max(bounds))
-    return YSumResult(extrap, tuple(per), resid, "abel-richardson",
+    vals = _literal_values(shape, h, k, q.value, chi, reg.offsets, tol)
+    per = tuple((eps, v) for eps, (v, _) in zip(reg.offsets, vals))
+    extrap, resid = _richardson(reg.offsets, [v for v, _ in vals], reg.order)
+    resid = max(resid, max(b for _, b in vals))
+    return YSumResult(extrap, per, resid, "abel-richardson",
                       resid > 1e3 * tol, extrap)
 
 
 def oscillatory_sum(variant, h: int, k: int, q: QParam,
                     chi: Optional[DirichletCharacter] = None,
                     reg: Optional[RegularizationSchedule] = None,
-                    m_max: int = 100_000, tol: float = 1e-8) -> YSumResult:
+                    tol: float = 1e-8) -> YSumResult:
     """Regularized oscillatory sum for a Hardy-Berndt variant (index 0..5 or
     name "S", "s1".."s5").
 
@@ -392,41 +406,38 @@ def oscillatory_sum(variant, h: int, k: int, q: QParam,
     evaluations swap).  For 0 < q < 1 the literal reading is evaluated per
     offset and extrapolated; a divergence flag is raised through ``diverged``
     when the offsets do not stabilize, which is the generic situation for
-    q < 1.  At q = 1 the corollary reading applies and the value is the
-    exact Abel limit of one period (route ``limit1-abel-period``), or the
-    extrapolated value when the period sum does not cancel.
+    q < 1.  A literal sum whose exact work, sized in floats from its term
+    count, passes a fixed cap raises ``ConvergenceError`` up front.  At
+    q = 1 the corollary reading applies and the value is the exact Abel limit
+    of one period (route ``limit1-abel-period``), or the extrapolated value
+    when the period sum does not cancel.
     """
     variant = _hardy_variant(variant)
-    _validate_pair(h, k)
-    chi = _normalize_chi(chi)
-    reg = reg or DEFAULT_SCHEDULE
-    _positive("tol", tol)
-    return _damped_sum(variant, h, k, q, chi, reg, m_max, tol)
+    chi, reg = _checked(h, k, chi, reg, tol)
+    return _damped_sum(variant, h, k, q, chi, reg, tol)
 
 
 def dedekind_oscillatory_sum(p: int, h: int, k: int, q: QParam,
                              chi: Optional[DirichletCharacter] = None,
                              reg: Optional[RegularizationSchedule] = None,
-                             m_max: int = 100_000, tol: float = 1e-8,
+                             tol: float = 1e-8,
                              order: str = "n-first") -> YSumResult:
     """Regularized oscillatory sum with weights m^(-p) and full angles
-    2 pi m h / k (the q-Dedekind generating sum); p odd >= 1.
+    2 pi m h / k (the q-Dedekind generating sum); p odd, 1 <= p <= 169 (p!
+    must fit a float).
 
     order="m-first" evaluates each offset by summing the closed inner
     geometric ratios over m residue classes (digamma / Hurwitz grouping) and
     extrapolating; available at q = 1 as the summation-order consistency
     route.
     """
-    if p < 1 or p % 2 == 0:
-        raise DomainError("p must be an odd integer >= 1")
-    _validate_pair(h, k)
-    chi = _normalize_chi(chi)
-    reg = reg or DEFAULT_SCHEDULE
-    _positive("tol", tol)
+    if not (1 <= p <= _P_MAX and p % 2 == 1):
+        raise DomainError(f"p must be an odd integer from 1 to {_P_MAX}")
+    chi, reg = _checked(h, k, chi, reg, tol)
     if order not in ("n-first", "m-first"):
         raise DomainError("order must be 'n-first' or 'm-first'")
     if order == "n-first":
-        return _damped_sum(p, h, k, q, chi, reg, m_max, tol)
+        return _damped_sum(p, h, k, q, chi, reg, tol)
     if q.regime is not QRegime.LIMIT1:
         raise DomainError("m-first route implemented at q = 1 only")
     if chi is not None:
@@ -462,8 +473,7 @@ def q_hardy_berndt_sum(variant: str, h: int, k: int, q: QParam,
                        chi: Optional[DirichletCharacter] = None,
                        reg: Optional[RegularizationSchedule] = None,
                        tol: float = 1e-8,
-                       enforce_parity: bool = True,
-                       m_max: int = 100_000) -> complex:
+                       enforce_parity: bool = True) -> complex:
     """Theorem-scaled oscillatory sum; at q = 1 this reproduces the exact
     finite Hardy-Berndt sums for admissible (h, k)."""
     variant = _hardy_args(variant, h, k)
@@ -472,32 +482,22 @@ def q_hardy_berndt_sum(variant: str, h: int, k: int, q: QParam,
         raise ParityError(
             f"variant {variant} needs {pc.description}; got (h, k) = "
             f"({h}, {k}).  Pass enforce_parity=False to proceed anyway.")
-    res = oscillatory_sum(variant, h, k, q, chi=chi, reg=reg, m_max=m_max,
-                          tol=tol)
+    res = oscillatory_sum(variant, h, k, q, chi=chi, reg=reg, tol=tol)
     return HB_SCALE[variant] * res.value
 
 
 def q_dedekind_sum(p: int, h: int, k: int, q: QParam,
                    reg: Optional[RegularizationSchedule] = None,
-                   tol: float = 1e-8, m_max: int = 100_000) -> complex:
-    """p!/(2 pi i)^p times the regularized m^(-p) oscillatory sum, p odd."""
-    res = dedekind_oscillatory_sum(p, h, k, q, reg=reg, m_max=m_max, tol=tol)
+                   tol: float = 1e-8) -> complex:
+    """p!/(2 pi i)^p times the regularized m^(-p) oscillatory sum, p odd,
+    1 <= p <= 169."""
+    res = dedekind_oscillatory_sum(p, h, k, q, reg=reg, tol=tol)
     return math.factorial(p) / (2j * math.pi) ** p * res.value
 
 
 # ----------------------------------------------------------------------
 # classical trigonometric series (digamma closed form)
 # ----------------------------------------------------------------------
-
-def _excluded_residue(variant: str, r: int, k: int) -> bool:
-    mode = _EXCLUDED[variant]
-    if mode is None:
-        return False
-    if mode == "odd":
-        return k % 2 == 1 and (2 * r - 1) % k == 0
-    d = k // 2 if k % 2 == 0 else k
-    return r % d == 0
-
 
 def classical_trig_series(variant: str, h: int, k: int,
                           tol: float = 1e-10) -> float:
@@ -516,9 +516,10 @@ def classical_trig_series(variant: str, h: int, k: int,
                           f"got (h, k) = ({h}, {k})")
     use_tan = _F_FAMILY[variant]
     odd = _ODD_WEIGHTS[variant]
+    e = _excluded_step(variant, k)
     vals = []
     for r in range(1, k + 1):
-        if _excluded_residue(variant, r, k):
+        if e is not None and (2 * r - 1 if odd else r) % e == 0:
             vals.append(0.0)
             continue
         arg = Fraction(h * (2 * r - 1), 2 * k) if odd else Fraction(h * r, k)
@@ -539,10 +540,7 @@ def classical_trig_series(variant: str, h: int, k: int,
     if abs(sum(vals)) > 1e-9 * scale * k:
         raise ConvergenceError("period sum failed to cancel; series diverges")
     psi_tol = tol / (4.0 * k * scale)
-    if odd:
-        total = -sum(v * digamma((2 * r - 1) / (2 * k), psi_tol)
-                     for r, v in zip(range(1, k + 1), vals)) / (2 * k)
-    else:
-        total = -sum(v * digamma(r / k, psi_tol)
-                     for r, v in zip(range(1, k + 1), vals)) / k
+    den = 2 * k if odd else k
+    total = -sum(v * digamma((2 * r - 1 if odd else r) / den, psi_tol)
+                 for r, v in zip(range(1, k + 1), vals)) / den
     return -HB_SCALE[variant].imag * total

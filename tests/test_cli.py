@@ -41,11 +41,10 @@ def test_domain_error_exit_2(capsys):
 
 
 def test_convergence_error_exit_2(capsys):
-    # a term cap the damped series cannot meet is an input error, not a
-    # failed check (exit code 1)
+    # a literal damped sum past the work cap is an input error, not a failed
+    # check (exit code 1)
     code, out, err = run(capsys, "qsum", "--kind", "gen", "--variant", "S",
-                         "--h", "1", "--k", "2", "--q", "1/2",
-                         "--terms-max", "5")
+                         "--h", "1", "--k", "2", "--q", "99999/100000")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "term cap" in err
 
@@ -57,16 +56,39 @@ def test_qsum_dedekind_nonpositive_tol_exit_2(capsys):
     assert err.startswith("error: ") and "tol must be positive" in err
 
 
-def test_qsum_terms_max_reaches_every_kind(capsys):
+def test_qsum_term_cap_reaches_every_kind(capsys):
     # the cap that stops --kind gen stops the scaled sums built on it too
     for kind in (("--kind", "gen", "--variant", "S", "--h", "1", "--k", "2"),
                  ("--kind", "hardy-berndt", "--variant", "S", "--h", "1",
                   "--k", "2"),
                  ("--kind", "dedekind", "--p", "1", "--h", "1", "--k", "3")):
-        code, out, err = run(capsys, "qsum", *kind, "--q", "2/5",
-                             "--terms-max", "5")
+        code, out, err = run(capsys, "qsum", *kind, "--q", "99999/100000")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "term cap" in err
+
+
+def test_qsum_schedule_and_order_checked_exit_2(capsys):
+    # once: an infinite offset gave value nan, "diverged": false and exit 0;
+    # a negative extrapolation order ran; tiny offsets (q^(-n)[n] past the
+    # float range, or e^(-eps) = 1 at q = 1) and p = 171 or 701 crashed with
+    # a traceback (exit 1), and p = 301 at q = 1/2 spun
+    base = ("qsum", "--kind", "gen", "--h", "1", "--k", "2", "--q", "1/2")
+    for extra, msg in ((("--eps", "inf,0.1"), "offsets must be finite"),
+                       (("--eps", "0.2,0.1", "--order", "-3"),
+                        "order must be >= 0"),
+                       (("--eps", "1e-300,5e-324", "--order", "1"),
+                        "q^(-n)[n] overflows the float range")):
+        code, out, err = run(capsys, *base, *extra)
+        assert code == 2 and out == "" and err == f"error: {msg}\n"
+    code, out, err = run(capsys, "qsum", "--kind", "gen", "--h", "1", "--k", "2",
+                         "--q", "1", "--eps", "0.1,1e-20")  # e^(-eps) rounds to 1
+    assert code == 2 and out == ""
+    assert err == "error: offset 1e-20 is too small for the q = 1 period of 4\n"
+    for p, q in (("171", "1"), ("301", "1/2"), ("701", "1/2")):
+        code, out, err = run(capsys, "qsum", "--kind", "dedekind", "--p", p,
+                             "--h", "1", "--k", "7", "--q", q)
+        assert code == 2 and out == ""
+        assert err == "error: p must be an odd integer from 1 to 169\n"
 
 
 def test_variant_index_out_of_range_exit_2(capsys):

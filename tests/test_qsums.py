@@ -1,14 +1,16 @@
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from hbq import (ConvergenceError, DomainError, ParityError, QParam, RegularizationSchedule,
-                 characters_mod, classical_trig_series,
+                 character_from_label, characters_mod, classical_trig_series,
                  dedekind_oscillatory_sum, dedekind_sum, eval_gen,
                  hardy_berndt_sum, oscillatory_sum, parity_condition,
                  q_dedekind_sum, q_hardy_berndt_sum)
+from hbq import qsums
 from hbq.qsums import HB_SCALE, _richardson
 from hbq.sums import HARDY_VARIANTS
 
@@ -203,6 +205,10 @@ def test_schedule_validation():
         RegularizationSchedule((0.1, -0.05), 2)
     with pytest.raises(DomainError):
         RegularizationSchedule((0.1,), 2)         # too short to extrapolate
+    with pytest.raises(DomainError, match="offsets must be finite"):
+        RegularizationSchedule((math.inf, 0.1), 2)
+    with pytest.raises(DomainError, match="order must be >= 0"):
+        RegularizationSchedule((0.2, 0.1), -3)
 
 
 def test_richardson_exact_on_polynomials():
@@ -256,10 +262,100 @@ def test_dedekind_tol_and_term_cap_checked():
             dedekind_oscillatory_sum(1, 1, 3, ONE, tol=0.0, order=order)
     with pytest.raises(DomainError):
         q_dedekind_sum(1, 1, 3, Q_HALF, tol=-1e-8)
-    with pytest.raises(ConvergenceError):
-        q_dedekind_sum(1, 1, 3, Q_HALF, m_max=5)
-    with pytest.raises(ConvergenceError):
-        q_hardy_berndt_sum("S", 1, 2, Q_HALF, m_max=5)
+    far = QParam.real(Fraction(99999, 100000))
+    with pytest.raises(ConvergenceError, match="term cap"):
+        q_dedekind_sum(1, 1, 3, far)
+    with pytest.raises(ConvergenceError, match="term cap"):
+        q_hardy_berndt_sum("S", 1, 2, far)
+
+
+def test_literal_work_cap_fails_fast():
+    # at q = 9999/10000 the literal sums need about 33,000 exact slices of up
+    # to 465,000 bits; they once ran for minutes, now the float sizing
+    # refuses them before any exact arithmetic
+    q = QParam.real(Fraction(9999, 10000))
+    for call in (lambda: oscillatory_sum("S", 1, 2, q),
+                 lambda: dedekind_oscillatory_sum(3, 1, 3, q)):
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="term cap"):
+            call()
+        assert time.perf_counter() - t0 < 1.0
+    # the exact slice of order p has p times the angle's bits
+    t0 = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="term cap"):
+        dedekind_oscillatory_sum(169, 1, 3, QParam.real(Fraction(99, 100)))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_literal_sums_below_the_cap_still_return():
+    # these took 18-21 s each while every offset rebuilt its exact Fractions;
+    # now well under a second, with the same bits
+    q = QParam.real(Fraction(999, 1000))
+    assert oscillatory_sum("S", 1, 2, q).value == -4.877103270389066j
+    assert dedekind_oscillatory_sum(1, 1, 3, q).value == 19.001991480626085j
+    # a 366-bit denominator with few terms stays under the cap
+    q = QParam.real(Fraction(99, 100) + Fraction(1, 10 ** 110))
+    assert oscillatory_sum("S", 1, 2, q).value == 8.532667521722695j
+
+
+def test_dedekind_order_range():
+    # p! must fit a float: 169 is the largest odd p for which it does
+    assert cmath.isfinite(q_dedekind_sum(169, 1, 7, ONE))
+    for p, q in ((171, ONE), (301, Q_HALF), (701, Q_HALF)):
+        with pytest.raises(DomainError, match="odd integer from 1 to 169"):
+            q_dedekind_sum(p, 1, 7, q)
+
+
+def test_dedekind_reads_bernoulli_once(monkeypatch):
+    # one table of B_0..B_p per call, not one per slice
+    from hbq import numbers
+    calls = []
+    table = numbers.number_table
+
+    def counting(kind, n_max):
+        calls.append(n_max)
+        return table(kind, n_max)
+
+    monkeypatch.setattr(numbers, "number_table", counting)
+    monkeypatch.setattr(qsums, "number_table", counting, raising=False)
+    q_dedekind_sum(5, 1, 7, ONE)
+    assert calls == [5]
+    calls.clear()
+    dedekind_oscillatory_sum(3, 2, 5, Q_HALF)
+    assert calls == [3]
+
+
+# values of the oscillatory sums as the Fraction-based slices gave them,
+# compared with ==: per_offset at the smallest offset, value and residual, at
+# 0 < q < 1 (literal route) and at q = 1 (period route), with and without a
+# character, p = 1 and 3
+_PINNED = (
+    (lambda: oscillatory_sum("s3", 2, 5, QParam.real(Fraction(2, 5)),
+                             chi=character_from_label("5:1")),
+     (0.025, (27.90482575060731 + 9.450427442303619j)),
+     (42.406764216429075 + 21.369379554169186j), 5.824226842470985),
+    (lambda: dedekind_oscillatory_sum(3, 1, 4, QParam.real(Fraction(2, 5))),
+     (0.025, 8.055878985583218j), 5.058131866592062j, 2.075754711664671),
+    (lambda: oscillatory_sum("s1", 2, 5, ONE,
+                             chi=character_from_label("5:2")),
+     (0.025, 0.628122244558435j), 0.6283185307179586j,
+     0.0003882908072121438),
+    (lambda: dedekind_oscillatory_sum(1, 1, 3, ONE),
+     (0.025, 0.3489931397078638j), 0.3490658503988659j,
+     0.00014465085928666577),
+    (lambda: dedekind_oscillatory_sum(3, 2, 7, ONE),
+     (0.025, 0.7230170528671745j), 0.7231784648466429j,
+     0.0003220050065089186),
+)
+
+
+@pytest.mark.parametrize("case", range(len(_PINNED)))
+def test_oscillatory_sums_keep_their_bits(case):
+    call, last_offset, value, residual = _PINNED[case]
+    res = call()
+    assert res.per_offset[-1] == last_offset
+    assert res.value == value
+    assert res.residual == residual
 
 
 def test_dedekind_higher_order_runs():
