@@ -34,12 +34,15 @@ CRVZ_MAX_TERMS = 390  # keeps n (3+sqrt 8)^n below the float range
 _LEAF = 1 << 15
 
 
-def crvz_terms(log_mass: float, tol: float) -> int:
-    """The number n of terms `crvz_sum` takes to bring 3 |mu| (3+sqrt 8)^(-n)
-    below tol, |mu| = exp(log_mass), with three terms to spare and at
-    least CRVZ_MIN_TERMS."""
+def crvz_terms(log_mass: float, tol: float, log_rho: float = 0.0) -> int:
+    """The number n of terms `crvz_sum` takes to bring
+    3 |mu| rho^n (3+sqrt 8)^(-n) below tol, |mu| = exp(log_mass), with three
+    terms to spare and at least CRVZ_MIN_TERMS.  rho = 1 for a measure on
+    [0, 1]; a measure off it, inside the Bernstein ellipse E_rho about the
+    image of [0, 1], slows the rate by log rho."""
     return max(CRVZ_MIN_TERMS,
-               int((log_mass + math.log(3.0) - math.log(tol)) / CRVZ_LOG_RATE) + 3)
+               int((log_mass + math.log(3.0) - math.log(tol))
+                   / (CRVZ_LOG_RATE - log_rho)) + 3)
 
 
 def crvz_sum(terms, n):
@@ -47,7 +50,10 @@ def crvz_sum(terms, n):
     Algorithm 1 of Cohen, Rodriguez Villegas and Zagier (Experiment. Math. 9
     (2000)).  When a_k is the k-th moment of a measure mu on [0, 1], the
     error is at most 2 |mu| (3+sqrt 8)^(-n), |mu| its total variation;
-    callers bound it by 3 |mu| (3+sqrt 8)^(-n)."""
+    callers bound it by 3 |mu| (3+sqrt 8)^(-n).  The error is the integral
+    of T_n(1-2t) / ((1+t) T_n(3)) against mu, so a complex measure on a
+    set with Re t >= 0 whose image 1 - 2t lies in the Bernstein ellipse
+    E_rho, where |T_n| <= rho^n, gains the factor rho^n."""
     d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0
     b = -1.0

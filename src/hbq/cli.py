@@ -215,10 +215,12 @@ def _parse_s(text: str) -> complex:
 
 
 def _schedule(args) -> Optional[RegularizationSchedule]:
-    if getattr(args, "eps", None):
-        offsets = tuple(float(e) for e in args.eps.split(","))
-        return RegularizationSchedule(offsets, getattr(args, "order", 2))
-    return None
+    if not args.eps:
+        if args.order is not None:
+            raise ValueError("--order needs --eps")
+        return None
+    offsets = tuple(float(e) for e in args.eps.split(","))
+    return RegularizationSchedule(offsets, 2 if args.order is None else args.order)
 
 
 # ----------------------------------------------------------------------
@@ -533,8 +535,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", default=None)
     p.add_argument("--eps", default=None,
                    help="comma list of damping offsets, decreasing")
-    p.add_argument("--order", type=int, default=2,
-                   help="extrapolation order for --eps")
+    p.add_argument("--order", type=int, default=None,
+                   help="extrapolation order for --eps (default 2)")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--no-parity-check", action="store_true")
     add_output(p)

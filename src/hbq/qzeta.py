@@ -8,14 +8,16 @@ The basic object is the series (Re s > 1 for 0 < q < 1)
 
 its Hurwitz shift (n from 0, base [n] + x q^n after the same rewriting), and
 the character twist.  One engine sums them all, for exact rational q and for
-complex |q| < 1.  At real s and rational q it splits the series into
-antiperiodic residue classes, each an alternating moment sequence, and sums
-them with the Cohen-Rodriguez Villegas-Zagier acceleration
-(`_kernels.crvz_sum`) when that needs fewer terms; otherwise it sums the
-terms directly, with tails controlled by a geometric majorant B decay^n;
-`_kernels.qzeta_partial_sum` forms them in bounded blocks with the bits of
-one array pass.  With q^n in place of q^(n(s-1)) it also sums `cck_zeta`,
-at any s, and the complex-q q-Genocchi numbers.
+complex |q| < 1.  At rational q it splits the series into antiperiodic
+residue classes, each an alternating moment sequence with nodes on a
+segment from 0 within a quarter turn of [0, 1], and sums them with the
+Cohen-Rodriguez Villegas-Zagier acceleration (`_kernels.crvz_sum`, its
+bound widened by a Bernstein ellipse factor off [0, 1]) when that needs
+fewer terms; otherwise it sums the terms directly, with tails controlled by
+a geometric majorant B decay^n; `_kernels.qzeta_partial_sum` forms them in
+bounded blocks with the bits of one array pass.  With q^n in place of
+q^(n(s-1)) it also sums `cck_zeta`, at any s, and the complex-q q-Genocchi
+numbers.
 """
 
 from __future__ import annotations
@@ -79,6 +81,17 @@ def _antiperiod(chi: tuple, alternating: bool):
     return None
 
 
+def _ellipse_log_rho(theta: float) -> float:
+    """log rho of the Bernstein ellipse E_rho (foci -1 and 1) through
+    w = 1 - 2 e^(i theta), the image under t -> 1 - 2t of the end of the
+    segment from 0 to e^(i theta); rho = |w + sqrt(w^2 - 1)| on the branch
+    outside the unit circle, 1 at theta = 0.  E_rho is convex and holds
+    [-1, 1], the image of 0, so it holds the image of the whole segment."""
+    w = 1.0 - 2.0 * cmath.exp(complex(0.0, theta))
+    root = cmath.sqrt(w * w - 1.0)
+    return math.log(max(abs(w + root), abs(w - root)))
+
+
 def _crvz(s: complex, x: float, chi: tuple, alternating: bool, alpha,
           logq: float, tol: float, n_direct: int):
     """The CRVZ route for rational q: (value, bound, terms) of
@@ -86,35 +99,46 @@ def _crvz(s: complex, x: float, chi: tuple, alternating: bool, alpha,
     it does not apply or needs n_direct terms or more.
 
     With an antiperiod P, class r = 1..P is c_r sum_m (-1)^m g(r + Pm).  For
-    real alpha > 0 and b = 1 - x(1-q) > 0, g(n) = (1-q)^s sum_k
+    Re alpha > 0 and b = 1 - x(1-q) > 0, g(n) = (1-q)^s sum_k
     C(s+k-1, k) b^k q^(n(alpha+k)), so each class is a moment sequence with
-    nodes q^(P(alpha+k)) in (0, 1) and total variation at most
-    (1-q)^(Re s - |s|) q^(r alpha) ([r] + x q^r)^(-|s|), which is g(r) at
-    real s.  N terms per class then bound the error by 3 M (3+sqrt 8)^(-N),
-    M the sum of |c_r| times these masses.  log q is the engine's, from
-    `core._logq`, so both routes sum the series at the same q."""
+    nodes q^(P(alpha+k)) on the segment from 0 to e^(i theta),
+    theta = P Im(alpha) log q, and total variation at most
+    (1-q)^(Re s - |s|) q^(r Re alpha) ([r] + x q^r)^(-|s|), which is g(r) at
+    real s.  The route takes |theta| <= pi/2, so Re t >= 0 and |1 + t| >= 1
+    on the segment, which lies in the Bernstein ellipse E_rho of
+    `_ellipse_log_rho` (rho = 1 at real alpha).  N terms per class then
+    bound the error by 3 M rho^N (3+sqrt 8)^(-N), M the sum of |c_r| times
+    these masses; rho <= 4.62 < 3+sqrt 8 at |theta| = pi/2, and the spare
+    factor 3/2 over CRVZ's 2 covers the rounding of rho.  log q is the
+    engine's, from `core._logq`, so both routes sum the series at the same
+    q."""
     omq = -math.expm1(logq)
     alpha = complex(alpha)
-    if alpha.imag != 0 or alpha.real <= 0 or x * omq >= 1.0:
+    if alpha.real <= 0 or x * omq >= 1.0:
         return None
     coef = _antiperiod(chi, alternating)
     if coef is None:
         return None
+    period = len(coef)
+    theta = period * alpha.imag * logq
+    if abs(theta) > math.pi / 2:
+        return None
     classes = [(r, c) for r, c in enumerate(coef, 1) if c != 0]
     if _kernels.CRVZ_MIN_TERMS * len(classes) >= n_direct:
         return None
-    alpha = alpha.real
-    period = len(coef)
+    log_rho = _ellipse_log_rho(theta)
     # log M, summed past the float range: the masses may underflow
     log_tv = (s.real - abs(s)) * math.log(omq)
-    logs = [math.log(abs(c)) + log_tv + r * alpha * logq
+    logs = [math.log(abs(c)) + log_tv + r * alpha.real * logq
             - abs(s) * math.log(-math.expm1(r * logq) / omq + x * math.exp(r * logq))
             for r, c in classes]
     top = max(logs)
     log_mass = top + math.log(sum(math.exp(v - top) for v in logs))
-    n = _kernels.crvz_terms(log_mass, tol)
+    n = _kernels.crvz_terms(log_mass, tol, log_rho)
     if n > _kernels.CRVZ_MAX_TERMS or n * len(classes) >= n_direct:
         return None
+    if alpha.imag == 0:
+        alpha = alpha.real
     exp, power = (math.exp, s.real) if s.imag == 0 else (cmath.exp, s)
     q_step = math.exp(period * logq)
     bracket_step = -math.expm1(period * logq) / omq  # [P]
@@ -129,7 +153,8 @@ def _crvz(s: complex, x: float, chi: tuple, alternating: bool, alpha,
             qk *= q_step
 
     value = sum(c * _kernels.crvz_sum(class_terms(r), n) for r, c in classes)
-    return value, 3.0 * math.exp(log_mass - n * _kernels.CRVZ_LOG_RATE), n * len(classes)
+    bound = 3.0 * math.exp(log_mass - n * (_kernels.CRVZ_LOG_RATE - log_rho))
+    return value, bound, n * len(classes)
 
 
 def _alt_series(s, q: QParam, x: Optional[float],
@@ -139,15 +164,17 @@ def _alt_series(s, q: QParam, x: Optional[float],
     n from 0 with a shift x, else from 1.  alpha defaults to s - 1, whose
     domain checks run here; a caller passing alpha checks its own.
 
-    Two routes, chosen by term count.  For rational q, real alpha > 0, a
-    shift with 1 - x(1-q) > 0 and coefficients with an antiperiod, the CRVZ
-    route (`_crvz`) sums each residue class with the one CRVZ loop; it runs
-    whenever it needs fewer terms than the direct route.  That covers the
-    real-s q-series and `cck_zeta` at any s, but not the complex-s q-series,
-    whose nodes q^(P(k+s-1)) leave [0, 1].  The direct route sums the terms
-    with `_kernels.qzeta_partial_sum`, in blocks of at most 32,768 terms with
-    the bits of one array pass.  The regime sets log q (`core._logq` for
-    rational q, on both routes) and B in |term_n| <=
+    Two routes, chosen by term count.  For rational q, Re alpha > 0, a
+    shift with 1 - x(1-q) > 0, coefficients with an antiperiod P and
+    P |Im(alpha) log q| <= pi/2, the CRVZ route (`_crvz`) sums each residue
+    class with the one CRVZ loop; it runs whenever it needs fewer terms than
+    the direct route.  That covers the real-s q-series and `cck_zeta` at any
+    s, whose nodes lie in [0, 1], and the complex-s q-series, whose nodes
+    q^(P(k+s-1)) lie on a segment from 0 within a quarter turn of [0, 1],
+    at a rate slowed by the Bernstein ellipse about it.  The direct route
+    sums the terms with `_kernels.qzeta_partial_sum`, in blocks of at most
+    32,768 terms with the bits of one array pass.  The regime sets log q
+    (`core._logq` for rational q, on both routes) and B in |term_n| <=
     B decay^n (B = 1 for rational q, as [n] + x q^n >= 1 and Re s > 0), and
     B decay^(n+1) / (1 - decay) <= tol the term count; at complex q = 0 the
     terms n >= 1 vanish if Re alpha > 0.  Phase rounding limits |Im s| to

@@ -71,11 +71,14 @@ def test_qsum_schedule_and_order_checked_exit_2(capsys):
     # once: an infinite offset gave value nan, "diverged": false and exit 0;
     # a negative extrapolation order ran; tiny offsets (q^(-n)[n] past the
     # float range, or e^(-eps) = 1 at q = 1) and p = 171 or 701 crashed with
-    # a traceback (exit 1), and p = 301 at q = 1/2 spun
+    # a traceback (exit 1), and p = 301 at q = 1/2 spun; --order without
+    # --eps was ignored, with exit 0
     base = ("qsum", "--kind", "gen", "--h", "1", "--k", "2", "--q", "1/2")
     for extra, msg in ((("--eps", "inf,0.1"), "offsets must be finite"),
                        (("--eps", "0.2,0.1", "--order", "-3"),
                         "order must be >= 0"),
+                       (("--order", "-3"), "--order needs --eps"),
+                       (("--order", "2"), "--order needs --eps"),
                        (("--eps", "1e-300,5e-324", "--order", "1"),
                         "q^(-n)[n] overflows the float range")):
         code, out, err = run(capsys, *base, *extra)

@@ -48,11 +48,13 @@ def test_exact_commands_load_neither_numpy_nor_scipy():
 
 def test_qzeta_imports_without_numpy():
     # the direct route's array kernel imports numpy on its first call, not
-    # when hbq.qzeta is imported; the CRVZ route (real s, rational q) never
-    # does
+    # when hbq.qzeta is imported; the CRVZ route (rational q, at real s and
+    # at complex s near q = 1) never does
     assert _heavy_modules_after("import hbq.qzeta") == []
     assert _heavy_modules_after(_cli("qzeta", "--fn", "im", "--s", "2",
                                      "--q", "1/2")) == []
+    assert _heavy_modules_after(_cli("qzeta", "--fn", "im", "--s", "1.5,7",
+                                     "--q", "99999/100000")) == []
     assert _heavy_modules_after(_cli("qzeta", "--fn", "cck", "--s", "2",
                                      "--q", "99999/100000")) == []
 

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -211,6 +212,78 @@ def test_crvz_near_one_against_mpmath():
         assert abs(sv.value - complex(ref)) <= sv.tail_bound + 1e-15
 
 
+def test_complex_s_crvz_against_direct_seeded(monkeypatch):
+    # complex s with 0.1 <= |Im s| <= 40, every character mod 1..12, shifts
+    # with 1 - x(1-q) > 0, the four q-series families; 1 - q log-uniform in
+    # [1e-3, 0.5]; the CRVZ route runs wherever |theta| <= pi/2 and it
+    # needs fewer terms
+    rng = random.Random("complex-crvz-vs-direct")
+    chis = [chi for f in range(1, 13) for chi in characters_mod(f)]
+    crvz_runs = 0
+    for i in range(120):
+        q = QParam.real(1 - Fraction(round(10 ** rng.uniform(0, 2.7)), 1000))
+        s = complex(rng.uniform(1.2, 4),
+                    rng.choice((-1, 1)) * 10 ** rng.uniform(-1, math.log10(40)))
+        chi = rng.choice(chis)
+        x = rng.uniform(0.05, 3) if rng.random() < 0.5 else None
+        call = (lambda: q_alt_zeta(s, q),
+                lambda: q_alt_zeta_hurwitz(s, x or 1.0, q),
+                lambda: q_alt_l(s, chi, q, x=x),
+                lambda: q_plain_zeta(s, q, chi=chi))[i % 4]
+        got = call()
+        ref = _direct(monkeypatch, call)
+        crvz_runs += got.terms_used != ref.terms_used
+        assert got.tail_bound <= 1e-12
+        err = abs(got.value - ref.value)
+        assert err <= got.tail_bound + ref.tail_bound + 1e-14 * (1 + abs(ref.value)), (i, s, str(q.value))
+    assert crvz_runs >= 60
+
+
+def test_complex_s_crvz_against_mpmath():
+    # 1 - q = 1e-5, where the direct sum needs 1.6 to 8.1 million terms;
+    # |Im s| = 40 at q = 99/100; two points at q = 1/2 near the edge
+    # |theta| = pi/2 of the route
+    qv = Q_NEAR_ONE.value
+    chi4 = characters_mod(4)[1]
+    cases = []
+    for s in (complex(1.5, 7), complex(2, -3), complex(3.5, 10)):
+        cases += [(q_alt_zeta(s, Q_NEAR_ONE), _mp_series(qv, s)),
+                  (q_alt_l(s, chi4, Q_NEAR_ONE), _mp_series(qv, s, odd_only=True))]
+    cases.append((q_alt_zeta_hurwitz(complex(1.5, 7), 0.5, Q_NEAR_ONE, variant="bracket"),
+                  _mp_series(qv, complex(1.5, 7), x=mpmath.mpf(0.5))))
+    for sv, ref in cases:
+        assert sv.terms_used < 100
+        assert abs(sv.value - complex(ref)) <= sv.tail_bound
+    q = QParam.real(Fraction(99, 100))
+    for s in (complex(2, 40), complex(1.5, -40)):
+        sv = q_alt_zeta(s, q)
+        assert sv.terms_used < 400  # the direct sum takes 3,279 and 6,693
+        assert abs(sv.value - complex(_mp_series(q.value, s))) <= sv.tail_bound
+    log_half = math.log(0.5)
+    for s in (complex(1.05, 2.2), complex(1.05, -2.25)):  # theta = -1.525, 1.560
+        assert 1.5 < abs(s.imag * log_half) < math.pi / 2
+        sv = q_alt_zeta(s, Q_HALF)
+        assert sv.terms_used < 200  # the direct sum takes 795
+        assert abs(sv.value - complex(_mp_series(Q_HALF.value, s))) <= sv.tail_bound
+
+
+def test_crvz_ellipse_factor():
+    # rho = 1 on [0, 1], so real alpha keeps the plain CRVZ rate; rho grows
+    # with |theta| up to 4.62 < 3 + sqrt 8 at pi/2, where the route stops
+    assert qzeta._ellipse_log_rho(0.0) == 0.0
+    thetas = [k * math.pi / 40 for k in range(1, 21)]
+    logs = [qzeta._ellipse_log_rho(th) for th in thetas]
+    assert all(0 < a < b for a, b in zip(logs, logs[1:]))
+    assert all(qzeta._ellipse_log_rho(-th) == pytest.approx(v, rel=1e-12)
+               for th, v in zip(thetas, logs))
+    assert math.exp(logs[-1]) == pytest.approx(4.6116, abs=1e-4)
+    log_half = math.log(0.5)
+    for theta, takes in ((math.pi / 2 - 1e-3, True), (math.pi / 2 + 1e-3, False)):
+        alpha = complex(0.5, theta / log_half)
+        got = qzeta._crvz(alpha + 1, 0.0, (1,), True, alpha, log_half, 1e-12, 10 ** 6)
+        assert (got is not None) == takes
+
+
 def test_bracket_shift_near_one_against_mpmath():
     # [x] formed as (1 - q^x)/(1 - q) in floats cancels as q nears 1, 9.2e-12
     # off mpmath here; from expm1 of log q it is 4.4e-16 off
@@ -222,11 +295,14 @@ def test_bracket_shift_near_one_against_mpmath():
 
 
 def test_direct_route_fallbacks(monkeypatch):
-    # the complex-s q-series (nodes off [0, 1]), the plain series and the
-    # principal character mod 4 (no antiperiod), and shifts with
-    # 1 - x(1-q) < 0 stay on the direct sum, with its term count
+    # the plain series and the principal character mod 4 (no antiperiod),
+    # at real and complex s, the complex-s q-series whose nodes leave the
+    # sector |theta| <= pi/2, and shifts with 1 - x(1-q) < 0 stay on the
+    # direct sum, with its term count
     q = QParam.real(Fraction(7, 10))
-    for call in (lambda: q_alt_zeta(complex(2, 1), q),
+    for call in (lambda: q_plain_zeta(complex(2, 1), q),
+                 lambda: q_alt_l(complex(2, 1), characters_mod(4)[0], q),
+                 lambda: q_alt_zeta(complex(2, 5), q),  # theta = -1.78
                  lambda: q_plain_zeta(2, q),
                  lambda: q_alt_l(2, characters_mod(4)[0], q),
                  lambda: q_alt_zeta_hurwitz(2, 3.5, q),
@@ -235,6 +311,11 @@ def test_direct_route_fallbacks(monkeypatch):
         ref = _direct(monkeypatch, call)
         assert got.terms_used == ref.terms_used > 40
         assert got.value == ref.value
+    # the complex-s q-series inside the sector now takes the CRVZ route
+    got = q_alt_zeta(complex(2, 1), q)
+    ref = _direct(monkeypatch, lambda: q_alt_zeta(complex(2, 1), q))
+    assert got.terms_used < ref.terms_used
+    assert abs(got.value - ref.value) <= got.tail_bound + ref.tail_bound
 
 
 def test_complex_disk_regime():
@@ -292,22 +373,25 @@ def test_imaginary_s_and_phase_limits():
 
 def test_term_count_is_checked_before_summing():
     # 1 - q = 1e-7 at Re s = 1.5 needs about 9e8 direct terms, three minutes
-    # at 0.2 s a million; at complex s the direct sum is the only route
+    # at 0.2 s a million; the plain series has no antiperiod, so the direct
+    # sum is its only route
     q = QParam.real(1 - Fraction(1, 10 ** 7))
     with pytest.raises(ConvergenceError, match="above the cap"):
-        q_alt_zeta(complex(1.5, 1), q)
-    # at real s the CRVZ route needs 19 terms
-    sv = q_alt_zeta(1.5, q)
-    assert sv.terms_used < 100
-    assert abs(sv.value - complex(_mp_series(q.value, 1.5))) <= sv.tail_bound
+        q_plain_zeta(complex(1.5, 1), q)
+    # the alternating series takes the CRVZ route, at real s (19 terms) and
+    # at complex s (22 terms)
+    for s in (1.5, complex(1.5, 1)):
+        sv = q_alt_zeta(s, q)
+        assert sv.terms_used < 100
+        assert abs(sv.value - complex(_mp_series(q.value, s))) <= sv.tail_bound
 
 
 def test_direct_sums_past_the_crvz_cap_stay_small():
     # at 1 - q = 1e-4 both take the direct sum, 764,517 and 382,258 terms;
     # one array of them traced 67 and 34 MB, blocks of 32K terms 2.1 MB
     q = QParam.real(1 - Fraction(1, 10 ** 4))
-    q_alt_zeta(complex(2, 1), Q_HALF)  # numpy imported outside the trace
-    for call, s, terms in ((q_alt_zeta, complex(1.5, 1), 764_517),
+    q_plain_zeta(complex(2, 1), Q_HALF)  # numpy imported outside the trace
+    for call, s, terms in ((q_plain_zeta, complex(1.5, 1), 764_517),
                            (cck_zeta, complex(2, 100), 382_258)):
         tracemalloc.start()
         try:
