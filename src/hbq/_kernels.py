@@ -3,7 +3,7 @@ one Cohen-Rodriguez Villegas-Zagier loop for alternating series, the damped
 double sums of the product-identity checks, generating-function evaluation
 inside quadrature and for ``eval_gen``).  The two array kernels import numpy
 when called, the only numpy imports in hbq; the direct q-series sum runs in
-blocks of at most 32,768 terms with the bits of one array pass.  ``chi`` is
+blocks of at most 32,768 terms, in buffers made once per call.  ``chi`` is
 always one period of character values.  Exact-rational code paths stay
 elsewhere.
 """
@@ -27,10 +27,7 @@ KERNEL_MODE = "numpy"  # the one implementation, named for run metadata
 CRVZ_LOG_RATE = math.log(3.0 + math.sqrt(8.0))
 CRVZ_MIN_TERMS = 12
 CRVZ_MAX_TERMS = 390  # keeps n (3+sqrt 8)^n below the float range
-# terms per block of the direct q-series sum; its halves hold at least
-# 16,384 complex terms (256 KiB), the size from which numpy multiplies
-# temporaries in place, as one array of the whole sum does (see
-# tests/test_kernels.py)
+# terms per block of the direct q-series sum: 512 KiB of complex terms
 _LEAF = 1 << 15
 
 
@@ -79,42 +76,59 @@ def _sign_chi_period(chi, alt):
 
 def qzeta_partial_sum(logq, s, x, chi, alt, n0, n1, alpha):
     """sum_{n=n0}^{n1-1} sign^n chi[n mod f] q^(n alpha) ([n] + x q^n)^(-s)
-    and |term n1|, the first omitted, with the bits of one array pass.  logq
-    is real for 0 < q < 1 and complex for |q| < 1, with principal powers
-    q^a = exp(a Log q) and base^(-s) = exp(-s Log base).  x = 0 gives the
+    and |term n1|, the first omitted.  logq is real for 0 < q < 1 and
+    complex for |q| < 1, with principal powers q^a = exp(a Log q) and
+    base^(-s) = exp(-s Log base); x is a real shift, and x = 0 gives the
     series over [n]^(-s).  Terms past the float range come back as inf or
     nan, without a warning.
 
-    The terms are formed in blocks of at most _LEAF, split as numpy's
-    pairwise summation splits one complex array, so the sum keeps its bits
-    while the arrays held at once stay O(_LEAF), not O(n1 - n0).
+    The terms are formed in blocks of at most _LEAF, in buffers made once
+    per call, and the block sums are added in order, so the arrays held at
+    once stay O(_LEAF), not O(n1 - n0).  Each buffer has the dtype that the
+    plain one-array expression gives its intermediate, each product keeps
+    that expression's operand order, and no binary ufunc that forms a term
+    writes over one of its operands (numpy may take another loop for an
+    in-place product, one that rounds differently).  So a term's bits do
+    not depend on its block or on the length of the sum, and a sum of one
+    block has the bits of the plain expression.
     """
     import numpy as np
 
     # 1 - q; numpy's real expm1 differs from math's in the last bit
     omq = -(math.expm1(logq) if isinstance(logq, float) else np.expm1(logq))
     period = _sign_chi_period(chi, alt)
-
-    def pairwise(lo, hi):
-        """(sum of terms lo..hi-1, term hi)"""
-        count = hi - lo
-        if count > _LEAF:  # numpy's split: the left part a multiple of 8 reals
-            mid = lo + (count - count % 8) // 2
-            left = pairwise(lo, mid)[0]
-            right, last = pairwise(mid, hi)
-            return left + right, last
-        n = np.arange(lo, hi + 1, dtype=np.float64)
-        nl = n * logq
-        coef = period[np.arange(lo, hi + 1) % len(period)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            base = np.expm1(nl) / -omq  # [n]
-            if x:
-                base = base + x * np.exp(nl)
-            terms = coef * np.exp(nl * alpha) * np.exp(-s * np.log(base))
-            return complex(np.add.reduce(terms[:-1])), complex(terms[-1])
-
-    body, first_omitted = pairwise(n0, n1)
-    return body, abs(first_omitted)
+    size = min(_LEAF, n1 + 1 - n0)
+    n = np.arange(n0, n0 + size, dtype=np.float64)
+    # nl, em, base, qpow, power, coef_q and terms below; [n] and the base
+    # share the dtype of n log q, as 1 - q is real iff log q is
+    t_nl = np.result_type(n, logq)
+    buffers = [np.empty(size, t) for t in (
+        t_nl, t_nl, t_nl, np.result_type(t_nl, alpha), np.result_type(-s, t_nl),
+        np.complex128, np.complex128)]
+    # the period repeated: the coefficients of the block from lo start at
+    # lo mod its length
+    coef = np.empty((size // len(period) + 2, len(period)), np.complex128)
+    coef[:] = period
+    coef = coef.reshape(-1)
+    body = complex(-0.0, -0.0)  # adds as 0 would, but keeps a part's -0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(n0, n1 + 1, size):
+            m = min(size, n1 + 1 - lo)  # the last block ends at term n1
+            nl, em, base, qpow, power, coef_q, terms = (
+                buffers if m == size else [b[:m] for b in buffers])
+            np.multiply(n[:m], logq, out=nl)
+            np.multiply(nl, alpha, out=qpow)
+            np.divide(np.expm1(nl, out=em), -omq, out=base)  # [n]
+            if x:  # base + x q^n; nl and em are no longer needed
+                np.multiply(x, np.exp(nl, out=em), out=nl)
+                base = np.add(base, nl, out=em)
+            np.multiply(-s, np.log(base, out=base), out=power)
+            phase = lo % len(period)
+            np.multiply(coef[phase:phase + m], np.exp(qpow, out=qpow), out=coef_q)
+            np.multiply(coef_q, np.exp(power, out=power), out=terms)
+            body += complex(np.add.reduce(terms[:min(m, n1 - lo)]))
+            np.add(n, size, out=n)
+    return body, abs(complex(terms[m - 1]))
 
 
 def damped_pair_sum(s, eps, logq, alt, chi, odd_weights, m_count, n_count):

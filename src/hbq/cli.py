@@ -315,6 +315,8 @@ def _cmd_zeta(args, argv):
                               {"s": s, "z": args.z, "b": args.b}, sv,
                               args.route or "direct")
     else:  # digamma; argparse restricts --fn to these choices
+        if s.imag:
+            raise ValueError("digamma takes a real --s")
         v = digamma(s.real, tol)
         entry = _value_entry("digamma", {"x": s.real}, complex(v),
                              "asymptotic-series", {"tail_bound": tol})

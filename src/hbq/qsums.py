@@ -517,30 +517,30 @@ def classical_trig_series(variant: str, h: int, k: int,
     use_tan = _F_FAMILY[variant]
     odd = _ODD_WEIGHTS[variant]
     e = _excluded_step(variant, k)
+    den = 2 * k if odd else k
     vals = []
     for r in range(1, k + 1):
         if e is not None and (2 * r - 1 if odd else r) % e == 0:
             vals.append(0.0)
             continue
-        arg = Fraction(h * (2 * r - 1), 2 * k) if odd else Fraction(h * r, k)
-        frac = arg % 1
+        # the angle pi {arg} as the residue num / den of arg = h (2r-1) / 2k
+        # or h r / k; int / int rounds once, as float(Fraction) does
+        num = h * (2 * r - 1 if odd else r) % den
         if use_tan:
-            if frac == Fraction(1, 2):
+            if 2 * num == den:
                 raise PoleError(f"tan pole at residue {r} of period {k}",
                                 residue=r)
-            vals.append(math.tan(math.pi * float(frac))
-                        if frac != 0 else 0.0)
+            vals.append(math.tan(math.pi * (num / den)) if num else 0.0)
         else:
-            if frac == 0:
+            if num == 0:
                 raise PoleError(f"cot pole at residue {r} of period {k}",
                                 residue=r)
-            vals.append(0.0 if frac == Fraction(1, 2)
-                        else 1.0 / math.tan(math.pi * float(frac)))
+            vals.append(0.0 if 2 * num == den
+                        else 1.0 / math.tan(math.pi * (num / den)))
     scale = max(1.0, max(abs(v) for v in vals))
     if abs(sum(vals)) > 1e-9 * scale * k:
         raise ConvergenceError("period sum failed to cancel; series diverges")
     psi_tol = tol / (4.0 * k * scale)
-    den = 2 * k if odd else k
     total = -sum(v * digamma((2 * r - 1 if odd else r) / den, psi_tol)
                  for r, v in zip(range(1, k + 1), vals)) / den
     return -HB_SCALE[variant].imag * total

@@ -15,7 +15,7 @@ Cohen-Rodriguez Villegas-Zagier acceleration (`_kernels.crvz_sum`, its
 bound widened by a Bernstein ellipse factor off [0, 1]) when that needs
 fewer terms; otherwise it sums the terms directly, with tails controlled by
 a geometric majorant B decay^n; `_kernels.qzeta_partial_sum` forms them in
-bounded blocks with the bits of one array pass.  With q^n in place of
+bounded blocks, in buffers made once per call.  With q^n in place of
 q^(n(s-1)) it also sums `cck_zeta`, at any s, and the complex-q q-Genocchi
 numbers.
 """
@@ -173,7 +173,7 @@ def _alt_series(s, q: QParam, x: Optional[float],
     q^(P(k+s-1)) lie on a segment from 0 within a quarter turn of [0, 1],
     at a rate slowed by the Bernstein ellipse about it.  The direct route
     sums the terms with `_kernels.qzeta_partial_sum`, in blocks of at most
-    32,768 terms with the bits of one array pass.  The regime sets log q
+    32,768 terms in buffers made once per call.  The regime sets log q
     (`core._logq` for rational q, on both routes) and B in |term_n| <=
     B decay^n (B = 1 for rational q, as [n] + x q^n >= 1 and Re s > 0), and
     B decay^(n+1) / (1 - decay) <= tol the term count; at complex q = 0 the

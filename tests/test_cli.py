@@ -40,6 +40,16 @@ def test_domain_error_exit_2(capsys):
     assert code == 2 and "out of range" in err
 
 
+def test_digamma_complex_s_exit_2(capsys):
+    # digamma is real only: an imaginary part is refused, not dropped
+    code, out, err = run(capsys, "zeta", "--fn", "digamma", "--s", "1,2")
+    assert code == 2 and out == ""
+    assert err == "error: digamma takes a real --s\n"
+    code, out, _ = run(capsys, "zeta", "--fn", "digamma", "--s", "1,0",
+                       "--format", "json")
+    assert code == 0 and '"params": {"x": 1}' in out
+
+
 def test_convergence_error_exit_2(capsys):
     # a literal damped sum past the work cap is an input error, not a failed
     # check (exit code 1)

@@ -1,10 +1,12 @@
 """The float kernels against small direct sums, on the branches the engine
 tests reach least: complex log q, complex s in the damped double sum, and a
-complex argument t of the generating series; the blocked q-series sum
-against one array, bit for bit; and the CRVZ loop against closed forms."""
+complex argument t of the generating series; the q-series sum of one block
+against one array and each term at any position, bit for bit; and the CRVZ
+loop against closed forms."""
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -33,43 +35,69 @@ def test_qzeta_partial_sum_complex_logq():
 
 
 def _one_array(logq, s, x, chi, alt, n0, n1, alpha):
-    # the kernel as one array pass: its expressions and one np.add.reduce
+    # the kernel's expression over one array; each intermediate is named, so
+    # numpy evaluates every operation as written, at any length
     omq = -(math.expm1(logq) if isinstance(logq, float) else np.expm1(logq))
     period = _kernels._sign_chi_period(chi, alt)
     n = np.arange(n0, n1 + 1, dtype=np.float64)
     nl = n * logq
     coef = period[np.arange(n0, n1 + 1) % len(period)]
-    base = np.expm1(nl) / -omq
+    em = np.expm1(nl)
+    base = em / -omq
     if x:
-        base = base + x * np.exp(nl)
-    terms = coef * np.exp(nl * alpha) * np.exp(-s * np.log(base))
+        qn = np.exp(nl)
+        xqn = x * qn
+        base = base + xqn
+    qpow = np.exp(nl * alpha)
+    log_base = np.log(base)
+    power = np.exp(-s * log_base)
+    coef_q = coef * qpow
+    terms = coef_q * power
     return complex(np.add.reduce(terms[:-1])), abs(complex(terms[-1]))
 
 
-# The blocked sum keeps the bits of one array for two reasons.  numpy sums a
-# complex array pairwise, splitting it so that the left part takes
-# (count - count % 8) // 2 terms, and the kernel splits its blocks the same
-# way.  And numpy evaluates `-s * np.log(base)` in place in the temporary, as
-# `np.log(base) * -s`, once that temporary holds 256 KiB (16,384 complex
-# terms); a complex product's last bit depends on the order of its operands,
-# so each block must hold 16,384 terms wherever the one array does.  Halves
-# of _LEAF = 1 << 15 hold at least that; 1 << 13, np.getbufsize(), moved the
-# last bit.  For the same reason no ufunc in the kernel writes with out=: an
-# explicit in-place product keeps the operand order and loses the match.
-@pytest.mark.parametrize("count", [1, _kernels._LEAF, _kernels._LEAF + 1,
-                                   2 * _kernels._LEAF + 1, 70_001, 200_003])
+CHI7 = next(c for c in characters_mod(7) if c.order == 6).table  # sixth roots
+
+
+# A sum of one block (up to _LEAF terms) has the bits of one array; the
+# character of order 6 makes the coefficient products round.
+@pytest.mark.parametrize("count", [1, 2, 9, 1000, 16_382, 16_383])
 def test_qzeta_partial_sum_keeps_the_bits_of_one_array(count):
     s = complex(1.5, 3.0)
     logq_real = math.log1p(-1e-5)
     logq_complex = cmath.log(cmath.rect(1 - 1e-5, 1e-4))
     for logq, x, chi, alt, alpha in ((logq_real, 0.0, (1,), True, s - 1),
-                                     (logq_real, 0.0, CHI5, False, 1.0),
-                                     (logq_complex, 1.7, (1,), True, s - 1),
+                                     (logq_real, 0.0, CHI7, False, 1.0),
+                                     (logq_real, 0.7, CHI7, True, s - 1),
+                                     (logq_complex, 1.7, CHI7, True, s - 1),
                                      (logq_complex, 0.0, CHI5, True, 1.0)):
         args = (logq, s, x, chi, alt, 1, 1 + count, alpha)
         body, first_omitted = _kernels.qzeta_partial_sum(*args)
         assert (body, first_omitted) == _one_array(*args)
         assert body != 0
+
+
+# A term rounds alike wherever it falls: as the first omitted term of a long
+# sum, past one or more blocks, and alone.  A long sum is the sum of its
+# blocks, added in order.
+@pytest.mark.parametrize("count", [16_383, 32_768, 32_769, 65_537, 70_001,
+                                   200_003])
+def test_a_term_keeps_its_bits_at_any_position(count):
+    logq = cmath.log(cmath.rect(1 - 1e-5, 1e-4))
+    leaf = _kernels._LEAF
+    rng = random.Random(count)
+    for i in range(40):
+        s = complex(rng.uniform(1.1, 4.0), rng.uniform(-10.0, 10.0))
+        args = (logq, s, 0.0, CHI7, True)
+        body, first_omitted = _kernels.qzeta_partial_sum(*args, 1, 1 + count,
+                                                         s - 1)
+        alone = _kernels.qzeta_partial_sum(*args, 1 + count, 2 + count, s - 1)
+        assert first_omitted == abs(alone[0])
+        if i < 4 and count >= leaf:
+            parts = [_kernels.qzeta_partial_sum(*args, lo, min(lo + leaf, 1 + count),
+                                                s - 1)[0]
+                     for lo in range(1, 1 + count, leaf)]
+            assert body == sum(parts[1:], parts[0])
 
 
 def test_damped_pair_sum_complex_s():

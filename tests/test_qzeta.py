@@ -388,7 +388,8 @@ def test_term_count_is_checked_before_summing():
 
 def test_direct_sums_past_the_crvz_cap_stay_small():
     # at 1 - q = 1e-4 both take the direct sum, 764,517 and 382,258 terms;
-    # one array of them traced 67 and 34 MB, blocks of 32K terms 2.1 MB
+    # one array of them traced 67 and 34 MB, blocks of 32K terms in buffers
+    # made once per call 3.8 MB
     q = QParam.real(1 - Fraction(1, 10 ** 4))
     q_plain_zeta(complex(2, 1), Q_HALF)  # numpy imported outside the trace
     for call, s, terms in ((q_plain_zeta, complex(1.5, 1), 764_517),
