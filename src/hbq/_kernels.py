@@ -1,16 +1,17 @@
 """Hot numeric kernels: the float-heavy inner loops (series partial sums, the
 one Cohen-Rodriguez Villegas-Zagier loop for alternating series, the damped
 double sums of the product-identity checks, generating-function evaluation
-inside quadrature and for ``eval_gen``).  The two array kernels import numpy
+inside quadrature and for ``eval_gen``).  The three array kernels
+(`qzeta_partial_sum`, `damped_pair_sum`, `gen_series_sum`) import numpy
 when called, the only numpy imports in hbq; the direct q-series sum runs in
-blocks of at most 32,768 terms, in buffers made once per call.  ``chi`` is
-always one period of character values.  Exact-rational code paths stay
-elsewhere.
+blocks of at most 32,768 terms, in buffers made once per call, and the
+generating series over many nodes in blocks of about 16,384 rows times
+nodes.  ``chi`` is always one period of character values.  Exact-rational
+code paths stay elsewhere.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 
@@ -29,6 +30,12 @@ CRVZ_MIN_TERMS = 12
 CRVZ_MAX_TERMS = 390  # keeps n (3+sqrt 8)^n below the float range
 # terms per block of the direct q-series sum: 512 KiB of complex terms
 _LEAF = 1 << 15
+# rows of n times nodes per block of the generating series, and the rows of
+# its first block
+_GEN_BLOCK = 1 << 14
+_GEN_ROWS = 32
+# log of the float range, less a margin for the rounding of q^(-n)[n]
+_LOG_FLOAT_MAX = 709.0
 
 
 def crvz_terms(log_mass: float, tol: float, log_rho: float = 0.0) -> int:
@@ -161,33 +168,63 @@ def damped_pair_sum(s, eps, logq, alt, chi, odd_weights, m_count, n_count):
     return complex(acc)
 
 
-def gen_series_sum(t, logq, alt, chi, nmax, tol):
-    """sum_{n>=1} sign^n chi(n) q^(-n) exp(-q^(-n)[n] t) with rigorous tail,
-    Re t > 0, ``chi`` one period of character values.
+def gen_series_sum(ts, logq, alt, chi, nmax, tol):
+    """sum_{n>=1} sign^n chi(n) q^(-n) exp(-q^(-n)[n] t) at each node t of
+    ``ts`` (real or complex, Re t > 0), with a rigorous tail; ``chi`` is one
+    period of character values.  Returns three lists: the values, the tail
+    bounds and the numbers of terms used.
 
-    Returns (value, tail_bound, terms_used); the tail bound is inf when nmax
-    terms do not reach tol.
+    A node stops at the first n whose next major
+    m_(n+1) = q^(-n-1) exp(-q^(-n-1)[n+1] Re t) is below tol/2 and below
+    m_n / 2.  The ratio m_(j+1) / m_j = q^(-1) exp(-q^(-j-1) Re t) falls
+    with j, so 2 m_(n+1) bounds the tail.  A node still running after nmax
+    terms, or at the last n with q^(-n)[n] inside the float range, has tail
+    bound inf.
+
+    The row q^(-n), q^(-n)[n] and the coefficients are formed once per block
+    of n and shared by every node still running.  A block spans at most
+    _GEN_BLOCK rows times nodes (one row when more nodes run), so the
+    temporaries stay bounded; its row count doubles from _GEN_ROWS while
+    nodes keep running, which lets one node that needs many terms take
+    whole blocks of _GEN_BLOCK rows.
     """
-    t = complex(t)
+    import numpy as np
+
+    t = np.asarray(ts, dtype=np.complex128)
+    tr, ti = t.real, t.imag
+    phased = bool(ti.any())
     omq = -math.expm1(logq)
-    acc = 0j
-    n = 0
-    qinv = math.exp(-logq)
-    a = (qinv - 1.0) / omq  # q^(-n)[n]
-    major = qinv * math.exp(-a * t.real)
-    while n < nmax:
-        n += 1
-        c = chi[n % len(chi)] * major
-        if t.imag != 0.0:
-            c *= cmath.exp(complex(0.0, -a * t.imag))
-        if alt and n % 2 == 1:
-            c = -c
-        acc += c
-        qinv = math.exp(-(n + 1) * logq)
-        a = (qinv - 1.0) / omq
-        nxt_major = qinv * math.exp(-a * t.real)
-        ratio = nxt_major / major if major > 0 else 0.0
-        if nxt_major < tol * 0.5 and ratio < 0.5:
-            return complex(acc), 2.0 * nxt_major, n
-        major = nxt_major
-    return complex(acc), math.inf, n
+    # q^(-cap-1)[cap+1] < q^(-cap-1) / (1 - q) <= e^709 stays finite
+    cap = min(nmax, int((_LOG_FLOAT_MAX + math.log(omq)) / -logq) - 1)
+    coef = _sign_chi_period(chi, alt)
+    if not (phased or coef.imag.any()):
+        coef = coef.real
+    values = np.zeros(t.size, np.complex128)
+    tails = np.full(t.size, math.inf)
+    counts = np.full(t.size, max(cap, 0))
+    live = np.arange(t.size)
+    lo, rows = 1, _GEN_ROWS
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size and lo <= cap:
+            hi = min(cap, lo - 1 + max(1, min(rows, _GEN_BLOCK // live.size)))
+            n = np.arange(lo, hi + 2, dtype=np.float64)
+            qinv = np.exp(n * -logq)
+            a = (qinv - 1.0) / omq
+            # majors of rows lo..hi+1 (exp(-inf) is 0 where a Re t overflows)
+            major = np.exp(np.multiply.outer(-a, tr[live]))
+            major *= qinv[:, None]
+            cur, nxt = major[:-1], major[1:]
+            stop = (nxt < 0.5 * tol) & ((nxt + nxt < cur) | (cur == 0.0))
+            terms = coef[np.arange(lo, hi + 1) % len(coef)][:, None] * cur
+            if phased:
+                terms *= np.exp(1j * np.multiply.outer(-a[:-1], ti[live]))
+            done = stop.any(axis=0)
+            last = np.where(done, stop.argmax(axis=0), hi - lo)
+            used = np.arange(hi + 1 - lo)[:, None] <= last
+            values[live] += np.where(used, terms, 0.0).sum(axis=0)
+            ended = live[done]
+            tails[ended] = 2.0 * nxt[last[done], done.nonzero()[0]]
+            counts[ended] = lo + last[done]
+            live = live[~done]
+            lo, rows = hi + 1, 2 * rows
+    return values.tolist(), tails.tolist(), counts.tolist()

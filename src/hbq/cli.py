@@ -48,32 +48,61 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _json_dict(obj: dict, out: List[str]) -> None:
+    sep = "{"
+    for k, v in sorted(obj.items(), key=lambda kv: str(kv[0])):
+        out.append(f'{sep}"{_escape(str(k))}": ')
+        _write_json(v, out)
+        sep = ", "
+    out.append("{}" if sep == "{" else "}")
+
+
+def _json_list(obj, out: List[str]) -> None:
+    sep = "["
+    for v in obj:
+        out.append(sep)
+        _write_json(v, out)
+        sep = ", "
+    out.append("[]" if sep == "[" else "]")
+
+
+_JSON_WRITERS = {
+    type(None): lambda obj, out: out.append("null"),
+    bool: lambda obj, out: out.append("true" if obj else "false"),
+    int: lambda obj, out: out.append(str(obj)),
+    float: lambda obj, out: out.append(_fmt_float(obj)),
+    complex: lambda obj, out: out.append('{"im": %s, "re": %s}' % (
+        _fmt_float(obj.imag), _fmt_float(obj.real))),
+    Fraction: lambda obj, out: out.append('"%s"' % obj),
+    str: lambda obj, out: out.append(f'"{_escape(obj)}"'),
+    dict: _json_dict,
+    list: _json_list,
+    tuple: _json_list,
+}
+# a subclass is written as the first of these it derives from
+_JSON_BASES = (int, float, complex, Fraction, str, dict, list, tuple)
+
+
+def _write_json(obj, out: List[str]) -> None:
+    write = _JSON_WRITERS.get(type(obj))
+    if write is None:
+        base = next((b for b in _JSON_BASES if isinstance(obj, b)), None)
+        if base is None:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+        write = _JSON_WRITERS[base]
+    write(obj, out)
+
+
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, 17-significant-digit floats."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, complex):
-        return '{"im": %s, "re": %s}' % (_fmt_float(obj.imag), _fmt_float(obj.real))
-    if isinstance(obj, Fraction):
-        return '"%s"' % obj
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return '"%s"' % out
-    if isinstance(obj, dict):
-        inner = ", ".join(f"{canonical_json(str(k))}: {canonical_json(v)}"
-                          for k, v in sorted(obj.items(), key=lambda kv: str(kv[0])))
-        return "{%s}" % inner
-    if isinstance(obj, (list, tuple)):
-        return "[%s]" % ", ".join(canonical_json(v) for v in obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """Deterministic JSON: sorted keys, 17-significant-digit floats; one
+    pass that appends every piece to one list."""
+    out: List[str] = []
+    _write_json(obj, out)
+    return "".join(out)
 
 
 def _outcome_entry(out: VerificationOutcome) -> Dict[str, Any]:

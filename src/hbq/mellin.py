@@ -5,7 +5,9 @@ The transform (1/Gamma(s)) int_0^inf t^(s-1) g(t) dt is computed by
 tanh-sinh quadrature (Takahasi-Mori, Publ. RIMS 9 (1974)): the (0, split]
 piece after the substitution t = e^(-v) (which turns the 1/t blow-up of g
 into a bounded log-periodic factor), the [split, T] piece directly, and a
-certified exponential bound for the (T, inf) tail.  The quadrature term of
+certified exponential bound for the (T, inf) tail.  The abscissae and
+weights of each level are tabled once, and the level's new nodes go to the
+generating-series kernel in one array call.  The quadrature term of
 the reported tail bound is an estimate, the level-doubling difference
 |I_h - I_2h|, not a bound; the truncation terms are rigorous.  Gamma comes
 from the standard-library log-Gamma in ``zeta``, with its relative rounding
@@ -23,7 +25,9 @@ as a ratio instead of hiding.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,6 +51,7 @@ __all__ = [
 
 _SPLIT = 1.0       # the (0, split] / [split, T] boundary of the quadrature
 _TS_LEVELS = 10    # last tanh-sinh level: step 2^-10
+_GEN_TERMS = 4000  # term cap of the generating series at a node
 # the product identities' damped double sum: m-terms before the analytic
 # m-tail, and the offsets and Richardson order; the integrand limits are
 # smooth in eps, so a deeper tableau than the oscillatory-sum default pays
@@ -73,30 +78,44 @@ def _tail_bound(a: float, t_big: float, beta: float, amp: float) -> float:
     return 2.0 * amp * t_big ** (a - 1.0) * math.exp(-beta * t_big) / beta
 
 
+@functools.lru_cache(maxsize=_TS_LEVELS + 1)
+def _ts_level(level: int):
+    """The tanh-sinh abscissae y = tanh((pi/2) sinh t) and weights
+    (pi/2) cosh t / cosh^2((pi/2) sinh t) on [-1, 1] at the nodes new at
+    ``level``: t = 0, +-1, +-2, +-3 at level 0, then t = +-kh for odd k,
+    kh <= 3.5, h = 2^-level."""
+    if level == 0:
+        ts = (0.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0)
+    else:
+        h = 0.5 ** level
+        ts = [x for k in range(1, int(3.5 / h) + 1, 2) for x in (k * h, -k * h)]
+    ys, ws = [], []
+    for t in ts:
+        u = 0.5 * math.pi * math.sinh(t)
+        ch = math.cosh(u)
+        ys.append(math.tanh(u))
+        ws.append(0.5 * math.pi * math.cosh(t) / (ch * ch))
+    return tuple(ys), tuple(ws)
+
+
 def _tanh_sinh(f, lo: float, hi: float, tol: float):
     """int_lo^hi f by tanh-sinh quadrature: x = m + c tanh((pi/2) sinh t) on
-    the nodes t = kh, |t| <= 3.5, with h halved from 1.  Returns the level-h
-    sum and |I_h - I_2h| once that difference is at most tol, from level 3 on.
+    the nodes t = kh, |t| <= 3.5, with h halved from 1.  f maps a list of
+    abscissae to the list of its values; each level's new nodes go to it in
+    one call.  Returns the level-h sum and |I_h - I_2h| once that
+    difference is at most tol, from level 3 on.
     """
     c = 0.5 * (hi - lo)
     m = 0.5 * (hi + lo)
-
-    def node(t: float) -> complex:
-        u = 0.5 * math.pi * math.sinh(t)
-        ch = math.cosh(u)
-        return f(m + c * math.tanh(u)) * (c * 0.5 * math.pi * math.cosh(t) / (ch * ch))
-
-    h = 1.0
-    acc = node(0.0) + sum(node(k) + node(-k) for k in (1.0, 2.0, 3.0))
-    prev = acc
-    for level in range(1, _TS_LEVELS + 1):
-        h *= 0.5
-        for k in range(1, int(3.5 / h) + 1, 2):
-            acc += node(k * h) + node(-k * h)
-        est = acc * h
-        diff = abs(est - prev)
-        if level >= 3 and diff <= tol:
-            return est, diff
+    acc = 0j
+    for level in range(_TS_LEVELS + 1):
+        ys, ws = _ts_level(level)
+        acc += sum(v * w for v, w in zip(f([m + c * y for y in ys]), ws))
+        est = acc * (c * 0.5 ** level)
+        if level >= 3:
+            diff = abs(est - prev)
+            if diff <= tol:
+                return est, diff
         prev = est
     raise ConvergenceError(f"tanh-sinh quadrature missed {tol:.3g} at step "
                            f"2^-{_TS_LEVELS}")
@@ -134,14 +153,16 @@ def mellin_transform(kind: str, s, q: QParam,
 
     inner_tol = cfg.tol * 1e-3
 
-    def g(t: float, inner: float = inner_tol) -> complex:
-        val, g_tail, _ = _kernels.gen_series_sum(t, logq, alt, chiv, 4000,
-                                                 inner)
-        if g_tail == math.inf:
-            raise ConvergenceError(
-                f"generating series at t = {t:.3g} hit its 4000-term cap; "
-                "q is too close to 1 for the quadrature route")
-        return (val + n0coef) * math.exp(-t * xv)
+    def g(ts: list, inner: float = inner_tol) -> list:
+        vals, g_tails, _ = _kernels.gen_series_sum(ts, logq, alt, chiv,
+                                                   _GEN_TERMS, inner)
+        for t, g_tail in zip(ts, g_tails):
+            if g_tail == math.inf:
+                raise ConvergenceError(
+                    f"generating series at t = {t:.3g} hit its "
+                    f"{_GEN_TERMS}-term cap; q is too close to 1 for the "
+                    "quadrature route")
+        return [(val + n0coef) * math.exp(-t * xv) for t, val in zip(ts, vals)]
 
     a = s.real
     qinv = math.exp(-logq)
@@ -161,17 +182,29 @@ def mellin_transform(kind: str, s, q: QParam,
     c1 = 1.0 / (-logq) + 2.0 + abs(n0coef)
     v_hi = (math.log(c1 / (cfg.tol * 0.25)) ) / (a - 1.0)
     v_hi = max(v_hi, v0 + 1.0)
+    # a node t stops no sooner than q^(-n-1)[n+1] t > log(2 / inner), so at
+    # the last node t = e^(-V) the series needs
+    # q^(-n-1) > (1 - q) log(2 / inner) e^V; refuse before summing when that
+    # lies past the term cap or the float range (V grows as Re s nears 1)
+    log_need = v_hi + math.log(-math.expm1(logq) * math.log(2.0 / inner_tol))
+    if log_need > min((_GEN_TERMS + 1) * -logq, math.log(sys.float_info.max)):
+        raise ConvergenceError(
+            f"generating series at t = e^-{v_hi:.4g} needs q^-n above "
+            f"e^{log_need:.4g}, past its {_GEN_TERMS}-term cap or the float "
+            "range; Re(s) or q is too close to 1 for the quadrature route")
 
-    def f_sub(v: float) -> complex:
-        return cmath.exp(-s * v) * g(math.exp(-v))
+    def f_sub(vs: list) -> list:
+        return [cmath.exp(-s * v) * gv
+                for v, gv in zip(vs, g([math.exp(-v) for v in vs]))]
 
     # g is truncated within `inner` at each node.  The substituted piece's
     # weight e^(-a v) integrates to under 1/a; the direct piece's t^(a-1)
     # to under T^a / a, so that piece asks for inner_tol a / T^a.
     dir_tol = inner_tol * a / t_big ** a
 
-    def f_dir(t: float) -> complex:
-        return cmath.exp((s - 1.0) * math.log(t)) * g(t, dir_tol)
+    def f_dir(ts: list) -> list:
+        return [cmath.exp((s - 1.0) * math.log(t)) * gv
+                for t, gv in zip(ts, g(ts, dir_tol))]
 
     err = tail + c1 * math.exp(-(a - 1.0) * v_hi) / (a - 1.0) \
         + inner_tol * (1.0 + 1.0 / a)

@@ -29,6 +29,7 @@ classical series (`classical_trig_series`) is a separate, independent route.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,6 +71,10 @@ _P_MAX = 169
 # denominator): n exact slices of at most n p b bits, each formed in at most
 # quadratic time in its bits; set so the slowest admitted call takes ~10 s
 _LITERAL_WORK_MAX = 15 * 10 ** 12
+
+# digamma's truncation tolerance for the psi rows: under half an ulp of
+# |psi(x)| >= 0.57 at 0 < x <= 1
+_PSI_TOL = 1e-18
 
 HB_SCALE = {v: c / (math.pi * 1j) for v, c in (
     ("S", 4.0), ("s1", -2.0), ("s2", -0.5), ("s3", 1.0), ("s4", 4.0), ("s5", 2.0))}
@@ -181,8 +186,8 @@ def eval_gen(kind: str, t, q: QParam, tol: float = 1e-12,
         raise DomainError("Re(t) > 0 required; the damped oscillatory path "
                           "handles the imaginary axis")
     _positive("tol", tol)
-    value, tail, n = _kernels.gen_series_sum(
-        t, _logq(q.value), kind.startswith("F"),
+    (value,), (tail,), (n,) = _kernels.gen_series_sum(
+        [t], _logq(q.value), kind.startswith("F"),
         chi_table(chi if needs_chi else None), 1_000_000, tol)
     if tail == math.inf:
         raise ConvergenceError("generating series did not reach tolerance")
@@ -499,15 +504,28 @@ def q_dedekind_sum(p: int, h: int, k: int, q: QParam,
 # classical trigonometric series (digamma closed form)
 # ----------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _psi_row(den: int, odd: bool) -> tuple:
+    """psi(j / den) for j = 1, 3, ..., den - 1 (odd) or j = 1, ..., den: the
+    row that `classical_trig_series` reads for every h over one denominator.
+    Each psi is truncated below its rounding, so a row depends on no
+    caller's tolerance and a value has the same bits whether its row was
+    cached or not; the cache is bounded, so sweeping k keeps O(k) floats."""
+    return tuple(digamma(j / den, _PSI_TOL)
+                 for j in range(1, den + 1, 2 if odd else 1))
+
+
 def classical_trig_series(variant: str, h: int, k: int,
                           tol: float = 1e-10) -> float:
     """Closed-form value of the classical conditionally convergent series
     (tan/cot over odd or full integers) for one Hardy-Berndt variant.
 
     The trig values are periodic over one period of k residues and cancel in
-    pairs, so the series reduces to -(1/(2k)) sum_r v_r psi(a_r) (odd
-    weights) or -(1/k) sum_r v_r psi(r/k); inputs whose period contains an
-    unexcluded pole are rejected with the offending residue.
+    pairs, so the series reduces to -(1/(2k)) sum_r v_r psi((2r-1)/2k) (odd
+    weights) or -(1/k) sum_r v_r psi(r/k), with psi read from one row per
+    denominator (`_psi_row`); inputs whose period contains an unexcluded
+    pole are rejected with the offending residue.  The row is at full
+    precision, so ``tol`` (checked to be positive) does not change the value.
     """
     variant = _hardy_args(variant, h, k)
     pc = parity_condition(variant, h, k)
@@ -540,7 +558,6 @@ def classical_trig_series(variant: str, h: int, k: int,
     scale = max(1.0, max(abs(v) for v in vals))
     if abs(sum(vals)) > 1e-9 * scale * k:
         raise ConvergenceError("period sum failed to cancel; series diverges")
-    psi_tol = tol / (4.0 * k * scale)
-    total = -sum(v * digamma((2 * r - 1 if odd else r) / den, psi_tol)
-                 for r, v in zip(range(1, k + 1), vals)) / den
+    _positive("tol", tol)
+    total = -sum(v * psi for v, psi in zip(vals, _psi_row(den, odd))) / den
     return -HB_SCALE[variant].imag * total

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -281,6 +282,30 @@ def test_verify_pass_and_fail_exit_codes(capsys):
     assert code == 1 and "FAIL" in out
 
 
+def test_thm4_report_does_not_depend_on_the_psi_cache(tmp_path):
+    # the psi rows are cached; a cold, a warm and a cleared cache give the
+    # same bytes
+    from hbq import qsums
+
+    reports = []
+    for clear in (True, False, True):
+        if clear:
+            qsums._psi_row.cache_clear()
+        p = tmp_path / f"thm4-{len(reports)}.json"
+        assert main(["verify", "thm4", "--k-max", "12", "--format", "json",
+                     "--out", str(p)]) == 0
+        reports.append(p.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_mellin_defs_near_re_s_1_exit_2(capsys):
+    # the generating series at the last quadrature node would need q^(-n)
+    # past the float range; this used to end in an OverflowError traceback
+    code, out, err = run(capsys, "verify", "mellin-defs", "--s", "1.01")
+    assert code == 2 and out == ""
+    assert err.startswith("error: generating series at t = e^-")
+
+
 def test_json_reports_are_byte_identical(tmp_path, capsys):
     args = ("verify", "mellin-defs", "--s", "2", "--q", "1/2",
             "--format", "json")
@@ -409,3 +434,24 @@ def test_canonical_json_floats():
     assert canonical_json(0.1) == "0.10000000000000001"
     assert canonical_json({"b": 1, "a": complex(1, -2)}) == \
         '{"a": {"im": -2, "re": 1}, "b": 1}'
+
+
+def test_canonical_json_every_type():
+    import enum
+    from fractions import Fraction
+
+    class Level(enum.IntEnum):
+        LOW = 3
+
+    class Ratio(float):
+        pass
+
+    obj = {2: [None, True, False, -7, Level.LOW, Ratio(0.5), float("nan"),
+               -math.inf, (), {}, (Fraction(-1, 3), 'a "q" \\ b')],
+           "1": {"z": [[]], "y": complex(0.0, -0.0)}}
+    assert canonical_json(obj) == (
+        '{"1": {"y": {"im": -0, "re": 0}, "z": [[]]}, '
+        '"2": [null, true, false, -7, 3, 0.5, "nan", "-inf", [], {}, '
+        '["-1/3", "a \\"q\\" \\\\ b"]]}')
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        canonical_json({"a": {1}})

@@ -44,6 +44,8 @@ def test_exact_commands_load_neither_numpy_nor_scipy():
     assert _heavy_modules_after(_cli("finite", "--variant", "S", "--h", "1",
                                      "--k", "2", "--format", "json")) == []
     assert _heavy_modules_after(_cli("verify", "thm4", "--k-max", "5")) == []
+    # its psi rows are pure Python at the benchmark's size too
+    assert _heavy_modules_after(_cli("verify", "thm4", "--k-max", "40")) == []
 
 
 def test_qzeta_imports_without_numpy():

@@ -122,10 +122,70 @@ def test_gen_series_sum_complex_t():
     for n in range(1, 40):
         a = (q ** -n - 1) / (1 - q)
         direct += (-1) ** n * CHI5[n % 5] * q ** -n * cmath.exp(-a * t)
-    value, tail, n_used = _kernels.gen_series_sum(t, logq, True, CHI5, 4000,
-                                                  1e-14)
+    (value,), (tail,), (n_used,) = _kernels.gen_series_sum(
+        [t], logq, True, CHI5, 4000, 1e-14)
     assert tail <= 1e-14 and n_used < 40
     assert abs(value - direct) < 1e-14
+
+
+def _gen_series_exact(t, q, alt, chi, n_used, mpmath):
+    """The generating series at t in 40 digits, its first n_used terms, the
+    sum of their sizes and the largest |q^(-n)[n] t| among them."""
+    q, t = mpmath.mpf(q), mpmath.mpc(t)
+    full = part = mpmath.mpc(0)
+    size = reach = 0
+    n = 0
+    while True:
+        n += 1
+        a = (q ** -n - 1) / (1 - q)
+        term = (-1 if alt and n % 2 else 1) * mpmath.mpc(chi[n % len(chi)]) \
+            * q ** -n * mpmath.exp(-a * t)
+        full += term
+        if n <= n_used:
+            part += term
+            size += abs(term)
+            reach = max(reach, abs(a * t))
+        elif abs(term) < mpmath.mpf(10) ** -45 * (1 + abs(full)):
+            return full, part, size, reach
+
+
+def test_gen_series_sum_within_its_tail_at_many_nodes():
+    # one call per series over nodes from 1e-12 to 50 and complex nodes: each
+    # node's tail bounds its truncation, and its value is off the exact
+    # partial sum by rounding only, eps (terms + 2 |q^(-n)[n] t|) sum |term|
+    mpmath = pytest.importorskip("mpmath")
+    ts = [10 ** (k / 2) for k in range(-24, 4)] + [
+        50.0, complex(0.7, 2.3), complex(2, -5), complex(0.05, 0.4),
+        complex(1e-3, -2e-3)]
+    for q in (0.3, 0.5, 0.8):
+        for alt, chi in ((True, (1,)), (False, (1,)), (True, CHI5), (False, CHI5)):
+            values, tails, counts = _kernels.gen_series_sum(
+                ts, math.log(q), alt, chi, 4000, 1e-12)
+            for t, value, tail, n in zip(ts, values, tails, counts):
+                with mpmath.workdps(40):
+                    full, part, size, reach = _gen_series_exact(t, q, alt, chi,
+                                                                n, mpmath)
+                assert tail <= 1e-12
+                assert abs(full - part) <= tail, (q, t)
+                assert abs(value - part) <= 2.0 ** -52 * size * (n + 2 * reach)
+
+
+def test_gen_series_sum_caps_and_underflow():
+    logq = math.log(0.5)
+    values, tails, counts = _kernels.gen_series_sum(
+        [1e-306, 800.0, 1e-6], logq, True, (1,), 5000, 1e-12)
+    # t = 1e-306 needs q^(-n) past the float range: capped there, no warning
+    assert tails[0] == math.inf and 1000 < counts[0] < 1024
+    # the terms at t = 800 underflow: one term, tail 0
+    assert (values[1], tails[1], counts[1]) == (0j, 0.0, 1)
+    assert tails[2] <= 1e-12
+    # at the term cap a node keeps the sum of its first nmax terms
+    (value,), (tail,), (n,) = _kernels.gen_series_sum([1e-6], logq, True, (1,),
+                                                      5, 1e-12)
+    assert (tail, n) == (math.inf, 5)
+    direct = sum((-1) ** m * 2.0 ** m * math.exp(-(2.0 ** m - 1) * 2e-6)
+                 for m in range(1, 6))
+    assert abs(value - direct) < 1e-13
 
 
 def test_crvz_sum_within_its_bound():

@@ -8,6 +8,7 @@ import pytest
 from hbq import (ConvergenceError, DomainError, QParam, QuadratureConfig,
                  branch_prefactor, characters_mod, mellin_transform, q_alt_zeta,
                  verify_mellin_roundtrip, verify_product_identity)
+from hbq import _kernels
 from hbq.zeta import _loggamma
 
 Q_HALF = QParam.real(Fraction(1, 2))
@@ -73,6 +74,19 @@ def test_capped_generating_series_is_not_certified():
     q = QParam.real(Fraction(999, 1000))
     with pytest.raises(ConvergenceError):
         mellin_transform("F", 2, q, cfg=QuadratureConfig(tol=1e-8))
+
+
+@pytest.mark.parametrize("qv", [Fraction(3, 10), Fraction(1, 2), Fraction(4, 5)])
+def test_re_s_near_1_is_refused_before_summing(qv, monkeypatch):
+    # at s = 1.02 the last node of the substituted piece is t = e^-1400 or
+    # so, where q^(-n) would pass the float range (an OverflowError before);
+    # the transform refuses before any generating series is summed
+    def unreachable(*args):
+        raise AssertionError("summed the generating series")
+
+    monkeypatch.setattr(_kernels, "gen_series_sum", unreachable)
+    with pytest.raises(ConvergenceError, match="too close to 1"):
+        mellin_transform("F", 1.02, QParam.real(qv))
 
 
 def test_bound_above_tol_is_not_certified():

@@ -87,6 +87,24 @@ def test_trig_series_anchors():
     assert abs(classical_trig_series("s4", 1, 3) - 2.0) < 1e-9
 
 
+def test_trig_series_against_the_exact_sums_up_to_k_60():
+    # psi comes from one full-precision row per denominator, so the value is
+    # the same at every tol, and within 1e-11 of the exact finite sum for
+    # every admissible (v, h, k) with h <= 2k, k <= 60
+    for k in range(1, 61):
+        for h in range(1, 2 * k + 1):
+            if math.gcd(h, k) != 1:
+                continue
+            for v in HARDY_VARIANTS:
+                if not parity_condition(v, h, k).holds:
+                    continue
+                value = classical_trig_series(v, h, k, tol=1e-6)
+                assert value == classical_trig_series(v, h, k, tol=1e-12)
+                assert abs(value - float(hardy_berndt_sum(v, h, k))) <= 1e-11, \
+                    (v, h, k)
+    assert qsums._psi_row.cache_info().maxsize <= 16
+
+
 def test_trig_series_parity_and_pole_rejection():
     with pytest.raises(ParityError):
         classical_trig_series("S", 1, 3)   # h + k even
