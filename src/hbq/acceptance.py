@@ -31,11 +31,6 @@ class CriterionResult:
     description: str
     passed: bool
     details: List[str] = field(default_factory=list)
-    elapsed: float = 0.0
-
-    def line(self) -> str:
-        tag = "PASS" if self.passed else "FAIL"
-        return f"[{tag}] criterion {self.number}: {self.description} ({self.elapsed:.2f}s)"
 
 
 def _admissible(pairs):
@@ -113,23 +108,35 @@ def product_check(tid: int, s=2, q: QParam = QParam.real(Fraction(1, 2)),
     return verify_product_identity(tid, s, q, chi=chi, tol=tol)
 
 
+def _outcomes_criterion(number: int, description: str,
+                        checks: Callable[[], List[VerificationOutcome]],
+                        head: str, label: Callable[[VerificationOutcome], str],
+                        limit: Optional[tuple] = None) -> CriterionResult:
+    """A criterion over the outcomes of ``checks``: the summary line
+    ``head`` (formatted with the count n and the worst diff), then
+    ``label`` of each failed outcome.  With ``limit`` = (seconds, what) it
+    also fails when the checks take longer than that."""
+    t0 = time.monotonic()
+    outs = checks()
+    details = [label(out) for out in outs if not out.passed]
+    elapsed = time.monotonic() - t0
+    if limit and elapsed > limit[0]:
+        details.append(f"{limit[1]} took {elapsed:.2f}s > {limit[0]:g}s")
+    return CriterionResult(number, description, not details,
+                           [head.format(n=len(outs), worst=_worst(outs))]
+                           + details)
+
+
 def criterion_1() -> CriterionResult:
     """Trigonometric-series suite: closed form vs exact finite sums for every
     coprime (h, k) with k <= 15 and admissible parity, |diff| <= 1e-9, full
     sweep under 5 s."""
-    t0 = time.monotonic()
-    outs = trig_series_checks()
-    details = [f"{out.params['variant']}({out.params['h']},{out.params['k']}) "
-               f"diff {out.abs_diff:.3e}" for out in outs if not out.passed]
-    ok = not details
-    elapsed = time.monotonic() - t0
-    if elapsed > 5.0:
-        ok = False
-        details.append(f"sweep took {elapsed:.2f}s > 5s")
-    details.insert(0, f"{len(outs)} cases, worst |series - exact| = "
-                      f"{_worst(outs):.3e}")
-    return CriterionResult(1, "trig series vs exact sums (k <= 15, 1e-9)",
-                           ok, details, elapsed)
+    return _outcomes_criterion(
+        1, "trig series vs exact sums (k <= 15, 1e-9)", trig_series_checks,
+        "{n} cases, worst |series - exact| = {worst:.3e}",
+        lambda out: f"{out.params['variant']}({out.params['h']},"
+                    f"{out.params['k']}) diff {out.abs_diff:.3e}",
+        (5.0, "sweep"))
 
 
 _RECOVERY_PAIRS = ((1, 2), (2, 3), (1, 3), (3, 4), (1, 5))
@@ -138,7 +145,6 @@ _RECOVERY_PAIRS = ((1, 2), (2, 3), (1, 3), (3, 4), (1, 5))
 def criterion_2() -> CriterionResult:
     """q = 1 recovery of the scaled oscillatory sums for five pairs, per
     admissible variant, within 1e-6."""
-    t0 = time.monotonic()
     one = QParam.one()
     ok = True
     details = []
@@ -153,41 +159,31 @@ def criterion_2() -> CriterionResult:
             details.append(f"{v}({h},{k}) diff {diff:.3e}")
     details.insert(0, f"worst |q=1 value - exact| = {worst:.3e}")
     return CriterionResult(2, "q = 1 oscillatory recovery (1e-6)", ok,
-                           details, time.monotonic() - t0)
+                           details)
 
 
 def criterion_3() -> CriterionResult:
     """Mellin definitional round-trips (quadrature vs series) for the plain,
     shifted (x = 1/2) and twisted (nonprincipal mod 4) series on the
     3 x 3 (s, q) grid: 27 checks <= 1e-8, under 10 s."""
-    t0 = time.monotonic()
-    outs = mellin_checks()
-    details = [f"{out.name[len('mellin-roundtrip-'):]} "
-               f"s={_maybe_int(out.params['s'])} q={out.params['q']}: "
-               f"{out.abs_diff:.3e}" for out in outs if not out.passed]
-    ok = not details
-    elapsed = time.monotonic() - t0
-    if elapsed > 10.0:
-        ok = False
-        details.append(f"round-trips took {elapsed:.2f}s > 10s")
-    details.insert(0, f"{len(outs)} checks, worst diff {_worst(outs):.3e}")
-    return CriterionResult(3, "Mellin round-trips (27 checks, 1e-8)", ok,
-                           details, elapsed)
+    return _outcomes_criterion(
+        3, "Mellin round-trips (27 checks, 1e-8)", mellin_checks,
+        "{n} checks, worst diff {worst:.3e}",
+        lambda out: f"{out.name[len('mellin-roundtrip-'):]} "
+                    f"s={_maybe_int(out.params['s'])} q={out.params['q']}: "
+                    f"{out.abs_diff:.3e}",
+        (10.0, "round-trips"))
 
 
 def _decomposition_criterion(number: int, two_var: bool) -> CriterionResult:
-    t0 = time.monotonic()
-    outs = decomposition_checks(two_var)
-    details = [f"chi={out.params['chi']} s={_maybe_int(out.params['s'])} "
-               f"q={out.params['q']}"
-               + (f" x={out.params['x']}" if two_var else "")
-               + f": {out.abs_diff:.3e}" for out in outs if not out.passed]
-    ok = not details
-    details.insert(0, f"worst diff {_worst(outs):.3e}")
     variables = "two variables" if two_var else "one variable"
-    return CriterionResult(number,
-                           f"conductor decomposition, {variables} (1e-10)",
-                           ok, details, time.monotonic() - t0)
+    return _outcomes_criterion(
+        number, f"conductor decomposition, {variables} (1e-10)",
+        lambda: decomposition_checks(two_var), "worst diff {worst:.3e}",
+        lambda out: f"chi={out.params['chi']} s={_maybe_int(out.params['s'])} "
+                    f"q={out.params['q']}"
+                    + (f" x={out.params['x']}" if two_var else "")
+                    + f": {out.abs_diff:.3e}")
 
 
 def criterion_4() -> CriterionResult:
@@ -206,7 +202,6 @@ def criterion_6() -> CriterionResult:
     """Product identities: 19, 21, 22 at s = 2, q = 1/2 (nonprincipal mod 4
     for 22) within 1e-4 after damping and extrapolation; 20 and 23 reported
     under the documented plain-series normalization at the same tolerance."""
-    t0 = time.monotonic()
     ok = True
     details = []
     for tid in (19, 20, 21, 22, 23):
@@ -216,7 +211,7 @@ def criterion_6() -> CriterionResult:
             ok = False
             details[-1] += "  FAIL"
     return CriterionResult(6, "product identities at s = 2 (1e-4)", ok,
-                           details, time.monotonic() - t0)
+                           details)
 
 
 def _egf_product_check(entries, rhs_coeffs) -> bool:
@@ -237,7 +232,6 @@ def criterion_7() -> CriterionResult:
     Bernoulli bridge G_n = 2(1 - 2^n) B_n exactly, and the continuation
     values |zeta_G(1-n)| = |G_n/n| for n in {2,4,6,8} with the observed
     sign recorded."""
-    t0 = time.monotonic()
     ok = True
     details = []
     n_max = 30
@@ -282,7 +276,7 @@ def criterion_7() -> CriterionResult:
     details.insert(0, "observed zeta_G(1-n) = (sign) G_n/n with signs "
                       f"{signs} relative to +G_n/n")
     return CriterionResult(7, "number tables, bridge, continuation values",
-                           ok, details, time.monotonic() - t0)
+                           ok, details)
 
 
 def criterion_8() -> CriterionResult:
@@ -292,7 +286,6 @@ def criterion_8() -> CriterionResult:
     limit is 2 sum (-1)^n chi4(n) n^(-2) = -2G, G Catalan's constant."""
     from .qzeta import q_alt_l, q_alt_zeta
 
-    t0 = time.monotonic()
     ok = True
     details = []
     target_plain = genocchi_zeta(2, 1e-13).value
@@ -313,15 +306,13 @@ def criterion_8() -> CriterionResult:
             ok = False
         details.append(f"{name}: distances {['%.2e' % d for d in dists]} "
                        f"monotone={mono} final<=1e-3={small}")
-    return CriterionResult(8, "q -> 1 continuity at s = 2", ok, details,
-                           time.monotonic() - t0)
+    return CriterionResult(8, "q -> 1 continuity at s = 2", ok, details)
 
 
 def criterion_9() -> CriterionResult:
     """Character algebra for all moduli f <= 24: multiplicativity on every
     residue pair (m, n) mod f, which decides it for all m, n, and
     orthogonality, exact for order <= 2 and within 1e-12 otherwise."""
-    t0 = time.monotonic()
     ok = True
     details = []
     worst_mult = 0.0
@@ -354,8 +345,7 @@ def criterion_9() -> CriterionResult:
                     details.append(f"orthogonality fails: chi {chi.label}")
     details.insert(0, f"worst multiplicativity {worst_mult:.2e}, "
                       f"worst orthogonality {worst_orth:.2e}")
-    return CriterionResult(9, "character algebra, f <= 24", ok, details,
-                           time.monotonic() - t0)
+    return CriterionResult(9, "character algebra, f <= 24", ok, details)
 
 
 def criterion_10() -> CriterionResult:
@@ -363,7 +353,6 @@ def criterion_10() -> CriterionResult:
     schedule by half the final offset moves the Richardson-extrapolated value
     by less than the reported residual estimate.  (The q = 1 value itself is
     the exact Abel limit, which no schedule moves.)"""
-    t0 = time.monotonic()
     one = QParam.one()
     ok = True
     details = []
@@ -380,7 +369,7 @@ def criterion_10() -> CriterionResult:
                            f"residual {base.residual:.2e}")
     details.insert(0, f"worst move/residual ratio {worst_ratio:.3e}")
     return CriterionResult(10, "regularization schedule stability", ok,
-                           details, time.monotonic() - t0)
+                           details)
 
 
 def _euler_phi(f: int) -> int:

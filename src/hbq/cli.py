@@ -16,12 +16,12 @@ import argparse
 import math
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__
 from .characters import character_from_label, characters_mod, chi_eval
-from .core import (ConvergenceError, DomainError, QParam, SeriesValue,
-                   VerificationOutcome, _finite, _maybe_int)
+from .core import (ConvergenceError, DomainError, ParityError, QParam,
+                   SeriesValue, VerificationOutcome, _finite, _maybe_int)
 from .numbers import q_euler_number, q_genocchi_number, number_table
 from .qsums import (RegularizationSchedule, oscillatory_sum, q_dedekind_sum,
                     q_hardy_berndt_sum)
@@ -160,11 +160,18 @@ def _flat(value) -> str:
     return str(value)
 
 
+def _pairs(row) -> Tuple[List[str], List[str]]:
+    """"k=v" for a row's sorted params, then for its certificate keys."""
+    return ([f"{k}={_flat(v)}" for k, v in sorted(row.get("params", {}).items())],
+            [f"{k}={_flat(row[k])}" for k in ("tail_bound", "residual", "terms_used")
+             if k in row])
+
+
 def _to_csv(report) -> str:
     lines = ["kind,name,params,value,certificate,pass"]
     for row in report["results"]:
         name = row["name"]
-        params = ";".join(f"{k}={_flat(v)}" for k, v in sorted(row.get("params", {}).items()))
+        params, cert = map(";".join, _pairs(row))
         if row["kind"] == "criterion":
             # criterion descriptions hold commas, so the name is quoted too
             name = f'"{name}"'
@@ -178,8 +185,6 @@ def _to_csv(report) -> str:
             ok = str(row["pass"])
         else:
             val = _flat(row["value"])
-            cert = ";".join(f"{k}={_flat(row[k])}" for k in ("tail_bound", "residual", "terms_used")
-                            if k in row)
             ok = ""
         lines.append(f"{row['kind']},{name},\"{params}\",\"{val}\",\"{cert}\",{ok}")
     lines.append(f"overall,,,,,{report['pass']}")
@@ -189,7 +194,7 @@ def _to_csv(report) -> str:
 def _to_text(report) -> str:
     lines = []
     for row in report["results"]:
-        params = " ".join(f"{k}={_flat(v)}" for k, v in sorted(row.get("params", {}).items()))
+        params, cert = map(" ".join, _pairs(row))
         if row["kind"] == "check":
             tag = "PASS" if row["pass"] else "FAIL"
             lines.append(f"[{tag}] {row['name']} {params}: |lhs-rhs| = "
@@ -200,18 +205,15 @@ def _to_text(report) -> str:
             for d in row.get("details", []):
                 lines.append(f"    {d}")
         else:
-            cert = " ".join(f"{k}={_flat(row[k])}"
-                            for k in ("tail_bound", "residual", "terms_used")
-                            if k in row)
             lines.append(f"{row['name']} {params} = {_flat(row['value'])}"
                          + (f"  [{row['route']}; {cert}]" if cert or row.get("route") else ""))
-    if "pass" in report:
-        lines.append("overall: " + ("PASS" if report["pass"] else "FAIL"))
+    lines.append("overall: " + ("PASS" if report["pass"] else "FAIL"))
     return "\n".join(lines) + "\n"
 
 
-def _report(argv: List[str], results: List[Dict[str, Any]],
-            overall: bool) -> Dict[str, Any]:
+def _report(argv: List[str], results: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The report of one command: its echoed argv, its rows, and whether
+    every row that carries a pass flag passed."""
     # the output path is not part of the computation, so it is dropped from
     # the echo to keep reports byte-identical wherever they are written
     echo = []
@@ -227,7 +229,8 @@ def _report(argv: List[str], results: List[Dict[str, Any]],
             continue
         echo.append(arg)
     return {"tool": "hbq", "version": __version__, "command": echo,
-            "results": results, "pass": overall}
+            "results": results,
+            "pass": all(r.get("pass", True) for r in results)}
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +259,7 @@ def _schedule(args) -> Optional[RegularizationSchedule]:
 # subcommands
 # ----------------------------------------------------------------------
 
-def _cmd_finite(args, argv):
+def _cmd_finite(args):
     if args.variant == "dedekind":
         value = dedekind_sum(args.h, args.k)
         name = "dedekind-sum"
@@ -266,12 +269,11 @@ def _cmd_finite(args, argv):
     entry = _value_entry(name, {"h": args.h, "k": args.k}, value, "exact")
     if args.format == "text" and not args.out:
         sys.stdout.write(f"{value}\n")
-        return 0
-    _emit(_report(argv, [entry], True), args.format, args.out)
-    return 0
+        return None  # the bare value, without a report
+    return [entry]
 
 
-def _cmd_numbers(args, argv):
+def _cmd_numbers(args):
     results = []
     if args.kind in ("bernoulli", "euler", "genocchi"):
         table = number_table(args.kind, args.n_max)
@@ -288,11 +290,10 @@ def _cmd_numbers(args, argv):
         results.append(_value_entry(f"{args.kind}-number",
                                     {"m": args.m, "q": str(q)}, v,
                                     "exact-closed-form"))
-    _emit(_report(argv, results, True), args.format, args.out)
-    return 0
+    return results
 
 
-def _cmd_characters(args, argv):
+def _cmd_characters(args):
     results = []
     if args.n is not None:
         if args.index is None:
@@ -311,11 +312,10 @@ def _cmd_characters(args, argv):
                               "principal": chi.is_principal},
                 complex(1.0) if chi.is_principal else chi_eval(chi, 2),
                 "enumeration"))
-    _emit(_report(argv, results, True), args.format, args.out)
-    return 0
+    return results
 
 
-def _cmd_zeta(args, argv):
+def _cmd_zeta(args):
     s = _parse_s(args.s)
     si = _maybe_int(s)
     tol = args.tol
@@ -349,11 +349,10 @@ def _cmd_zeta(args, argv):
         v = digamma(s.real, tol)
         entry = _value_entry("digamma", {"x": s.real}, complex(v),
                              "asymptotic-series", {"tail_bound": tol})
-    _emit(_report(argv, [entry], True), args.format, args.out)
-    return 0
+    return [entry]
 
 
-def _cmd_qzeta(args, argv):
+def _cmd_qzeta(args):
     from .qzeta import (cck_zeta, q_alt_l, q_alt_zeta, q_alt_zeta_hurwitz,
                         q_plain_zeta)
 
@@ -393,11 +392,10 @@ def _cmd_qzeta(args, argv):
         sv = cck_zeta(s, q, tol)
         entry = _series_entry("cck-zeta", {"s": s, "q": str(q)}, sv,
                               "alternating-series")
-    _emit(_report(argv, [entry], True), args.format, args.out)
-    return 0
+    return [entry]
 
 
-def _cmd_qsum(args, argv):
+def _cmd_qsum(args):
     q = QParam.parse(args.q)
     chi = character_from_label(args.chi) if args.chi else None
     reg = _schedule(args)
@@ -413,9 +411,13 @@ def _cmd_qsum(args, argv):
                                      "chi": chi.label if chi else None},
                                     res.value, res.route, cert))
     elif args.kind == "hardy-berndt":
-        v = q_hardy_berndt_sum(args.variant, args.h, args.k, q, chi=chi,
-                               reg=reg, tol=args.tol,
-                               enforce_parity=not args.no_parity_check)
+        try:
+            v = q_hardy_berndt_sum(args.variant, args.h, args.k, q, chi=chi,
+                                   reg=reg, tol=args.tol,
+                                   enforce_parity=not args.no_parity_check)
+        except ParityError as exc:  # name the CLI's switch, not the keyword
+            raise ParityError(str(exc).replace("enforce_parity=False",
+                                               "--no-parity-check")) from None
         results.append(_value_entry("q-hardy-berndt",
                                     {"variant": args.variant, "h": args.h,
                                      "k": args.k, "q": str(q)},
@@ -438,8 +440,7 @@ def _cmd_qsum(args, argv):
             results.append(_value_entry("classical-dedekind-sum",
                                         {"h": args.h, "k": args.k},
                                         dedekind_sum(args.h, args.k), "exact"))
-    _emit(_report(argv, results, True), args.format, args.out)
-    return 0
+    return results
 
 
 def _checks(acceptance, args) -> List[VerificationOutcome]:
@@ -472,19 +473,15 @@ def _checks(acceptance, args) -> List[VerificationOutcome]:
     return sorted(outs, key=lambda o: sorted(str(v) for v in o.params.values()))
 
 
-def _cmd_verify(args, argv):
+def _cmd_verify(args):
     from . import acceptance
 
     if args.what == "all":
-        results = [{"kind": "criterion", "number": res.number,
-                    "name": res.description, "pass": res.passed,
-                    "details": list(res.details)}
-                   for res in acceptance.run_all()]
-    else:
-        results = [_outcome_entry(o) for o in _checks(acceptance, args)]
-    overall = all(r.get("pass", True) for r in results)
-    _emit(_report(argv, results, overall), args.format, args.out)
-    return 0 if overall else 1
+        return [{"kind": "criterion", "number": res.number,
+                 "name": res.description, "pass": res.passed,
+                 "details": list(res.details)}
+                for res in acceptance.run_all()]
+    return [_outcome_entry(o) for o in _checks(acceptance, args)]
 
 
 # ----------------------------------------------------------------------
@@ -607,7 +604,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         variant = getattr(args, "variant", None)
         if variant is not None and variant.isdigit():
             args.variant = _hardy_variant(int(variant))
-        return _HANDLERS[args.cmd](args, argv)
+        results = _HANDLERS[args.cmd](args)
+        if results is None:
+            return 0
+        report = _report(argv, results)
+        _emit(report, args.format, args.out)
+        return 0 if report["pass"] else 1
     except (ValueError, ConvergenceError) as exc:
         # DomainError is a ValueError
         sys.stderr.write(f"error: {exc}\n")

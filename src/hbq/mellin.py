@@ -1,17 +1,16 @@
 """Numerical Mellin transforms of the generating functions and the verifiers
 for the definitional round-trips and the five product identities.
 
-The transform (1/Gamma(s)) int_0^inf t^(s-1) g(t) dt is computed by
-tanh-sinh quadrature (Takahasi-Mori, Publ. RIMS 9 (1974)): the (0, split]
-piece after the substitution t = e^(-v) (which turns the 1/t blow-up of g
-into a bounded log-periodic factor), the [split, T] piece directly, and a
-certified exponential bound for the (T, inf) tail.  The abscissae and
-weights of each level are tabled once, and the level's new nodes go to the
-generating-series kernel in one array call.  The quadrature term of
-the reported tail bound is an estimate, the level-doubling difference
-|I_h - I_2h|, not a bound; the truncation terms are rigorous.  Gamma comes
-from the standard-library log-Gamma in ``zeta``, with its relative rounding
-folded into the tail bound.
+The transform (1/Gamma(s)) int_0^inf t^(s-1) g(t) dt is one tanh-sinh
+integral (Takahasi-Mori, Publ. RIMS 9 (1974)) of exp(-s v - log Gamma(s))
+g(e^(-v)) over v in [-log T, V]: t = e^(-v) turns the 1/t blow-up of g
+into a bounded log-periodic factor, and the integrand is in the units of
+the value.  Its error budget is formed in those units and in logs: the
+(T, inf) tail, the (0, e^(-V)) head and the truncation of g at the nodes
+are rigorous; the quadrature term |I_h - I_2h| and the rounding (ulps of
+the integrand's mass, which 1/|Gamma(s)| swells as |Im s| grows) are
+estimates.  Each level's new nodes go to the generating-series kernel in
+one array call, with the level's abscissae and weights tabled once.
 
 The product-identity integrands inherit the imaginary-axis divergence of the
 oscillatory sums, so their left sides are evaluated termwise under an
@@ -33,8 +32,8 @@ from typing import Optional
 
 from . import _kernels
 from .characters import DirichletCharacter, chi_table
-from .core import (ConvergenceError, DomainError, QParam, QRegime,
-                   SeriesValue, VerificationOutcome, _finite, _logq,
+from .core import (_LOG_FLOAT_MAX, ConvergenceError, DomainError, QParam,
+                   QRegime, SeriesValue, VerificationOutcome, _finite, _logq,
                    _positive, _shift)
 from .qsums import RegularizationSchedule, _richardson
 from .qzeta import q_alt_l, q_alt_zeta, q_alt_zeta_hurwitz, q_plain_zeta
@@ -49,9 +48,16 @@ __all__ = [
 ]
 
 
-_SPLIT = 1.0       # the (0, split] / [split, T] boundary of the quadrature
 _TS_LEVELS = 10    # last tanh-sinh level: step 2^-10
 _GEN_TERMS = 4000  # term cap of the generating series at a node
+# the shares of tol given to each of the tail, the head and the node
+# truncation, to the quadrature estimate, and to the rounding of the mass
+_SHARE = 1.0 / 64.0
+_QUAD_SHARE = 0.25
+_ROUND_SHARE = 0.5
+_EPS = sys.float_info.epsilon
+_MASS_ULPS = 4  # rounding of the integrand, in ulps of its mass
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
 # the product identities' damped double sum: m-terms before the analytic
 # m-tail, and the offsets and Richardson order; the integrand limits are
 # smooth in eps, so a deeper tableau than the oscillatory-sum default pays
@@ -66,16 +72,8 @@ class QuadratureConfig:
 
     def __post_init__(self):
         _positive("tol", self.tol)
-        if self.big_t is not None and self.big_t <= _SPLIT:
-            raise DomainError("T must exceed the split point")
-
-
-def _tail_bound(a: float, t_big: float, beta: float, amp: float) -> float:
-    """Bound for amp * int_T^inf t^(a-1) e^(-beta t) dt, valid once
-    beta*T >= 2(a-1); integration by parts gives the factor 2."""
-    if beta * t_big < max(2.0 * (a - 1.0), 1.0):
-        return math.inf
-    return 2.0 * amp * t_big ** (a - 1.0) * math.exp(-beta * t_big) / beta
+        if self.big_t is not None and not self.big_t >= 1.0:
+            raise DomainError("T must be at least 1")
 
 
 @functools.lru_cache(maxsize=_TS_LEVELS + 1)
@@ -105,8 +103,7 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float):
     one call.  Returns the level-h sum and |I_h - I_2h| once that
     difference is at most tol, from level 3 on.
     """
-    c = 0.5 * (hi - lo)
-    m = 0.5 * (hi + lo)
+    c, m = 0.5 * (hi - lo), 0.5 * (hi + lo)
     acc = 0j
     for level in range(_TS_LEVELS + 1):
         ys, ws = _ts_level(level)
@@ -121,6 +118,17 @@ def _tanh_sinh(f, lo: float, hi: float, tol: float):
                            f"2^-{_TS_LEVELS}")
 
 
+def _real_q_s(s, q: QParam, route: str) -> complex:
+    """The domain of both routes here: rational 0 < q < 1, Re s > 1."""
+    if q.regime is not QRegime.REAL_UNIT:
+        raise DomainError(f"{route} rational 0 < q < 1")
+    s = complex(s)
+    _finite("s", s)
+    if s.real <= 1:
+        raise DomainError("Re(s) > 1 required")
+    return s
+
+
 def mellin_transform(kind: str, s, q: QParam,
                      x: Optional[float] = None,
                      chi: Optional[DirichletCharacter] = None,
@@ -128,95 +136,99 @@ def mellin_transform(kind: str, s, q: QParam,
     """(1/Gamma(s)) int_0^inf t^(s-1) g(t) dt for g one of the generating
     functions "f", "F", "f_chi", "F_chi", optionally damped by exp(-t x)
     with the n = 0 term restored (the Hurwitz-shift integrand sums from
-    n = 0, so it equals (chi(0) + g(t)) e^(-tx))."""
+    n = 0, so it equals (chi(0) + g(t)) e^(-tx)).  T, V and the node
+    tolerance are sized from the error budget before anything is summed."""
     if kind not in ("f", "F", "f_chi", "F_chi"):
         raise DomainError(f"unknown generating kind {kind!r}")
-    if q.regime is not QRegime.REAL_UNIT:
-        raise DomainError("quadrature route needs rational 0 < q < 1")
-    s = complex(s)
-    _finite("s", s)
-    if s.real <= 1:
-        raise DomainError("Re(s) > 1 required")
+    s = _real_q_s(s, q, "quadrature route needs")
     cfg = cfg or QuadratureConfig()
     needs_chi = kind.endswith("_chi")
     if needs_chi and chi is None:
         raise DomainError(f"kind {kind!r} needs a character")
     chiv = chi_table(chi if needs_chi else None)
     alt = kind.startswith("F")
-    qfrac = q.value
-    logq = _logq(qfrac)
-    xv = 0.0
-    n0coef = 0.0
+    logq = _logq(q.value)
+    xv = n0coef = 0.0
     if x is not None:
         xv = _shift("x", x)
         n0coef = complex(chiv[0]).real
 
-    inner_tol = cfg.tol * 1e-3
-
-    def g(ts: list, inner: float = inner_tol) -> list:
-        vals, g_tails, _ = _kernels.gen_series_sum(ts, logq, alt, chiv,
-                                                   _GEN_TERMS, inner)
-        for t, g_tail in zip(ts, g_tails):
-            if g_tail == math.inf:
-                raise ConvergenceError(
-                    f"generating series at t = {t:.3g} hit its "
-                    f"{_GEN_TERMS}-term cap; q is too close to 1 for the "
-                    "quadrature route")
-        return [(val + n0coef) * math.exp(-t * xv) for t, val in zip(ts, vals)]
-
     a = s.real
+    lgam = _loggamma(s)
+    log_share = math.log(cfg.tol * _SHARE)
+    # the terms of g transform to at most q^(n(a-1)), summing to
+    # 1/(e^y - 1), and the n = 0 term to |chi(0)| x^(-a), |chi(0)| = 1;
+    # times Gamma(a) / |Gamma(s)| that bounds the integrand's mass
+    y = (a - 1.0) * -logq
+    log_mass = -y - math.log(-math.expm1(-y)) + _loggamma(a).real - lgam.real
+    if n0coef:
+        d = -a * math.log(xv) + _loggamma(a).real - lgam.real - log_mass
+        log_mass += max(d, 0.0) + math.log1p(math.exp(-abs(d)))
+    if not log_mass + math.log(_MASS_ULPS * _EPS / _ROUND_SHARE) \
+            <= math.log(cfg.tol):
+        raise ConvergenceError(
+            f"rounding of the integrand's mass e^{log_mass:.4g} above tol; "
+            "|Im s| is too large, or x too small, for the quadrature route")
+
+    # (T, inf) tail: |g(t)| <= amp e^(-beta t) for t >= 1, and
+    # int_T^inf t^(a-1) e^(-beta t) dt <= 2 T^(a-1) e^(-beta T) / beta once
+    # beta T >= 2(a - 1).  log_tail is concave and falls past t_min, so
+    # Newton's steps toward log_tail = -1 overshoot once, then fall back.
     qinv = math.exp(-logq)
-
-    # truncation point: slowest decay rate of |g|
     beta = xv + (qinv if n0coef == 0.0 else 0.0)
-    t_big = cfg.big_t
-    if t_big is None:
-        t_big = max(_SPLIT * 2.0, (46.0 + 3.0 * a * math.log1p(a)) / beta)
     amp = 2.0 * qinv + abs(n0coef)
-    tail = _tail_bound(a, t_big, beta, amp)
-    if not tail < cfg.tol:
-        raise ConvergenceError("tail bound above tolerance; raise T")
+    t_min = t_big = max(2.0 * (a - 1.0) / beta, 1.0)
 
-    # (0, split] piece, substituted: int e^(-s v) g(e^(-v)) dv over [v0, V]
-    v0 = -math.log(_SPLIT)
+    def log_tail(t):
+        return (math.log(2.0 * amp / beta) + (a - 1.0) * math.log(t)
+                - beta * t - lgam.real - log_share)
+
+    for _ in range(4 if cfg.big_t is None else 0):
+        t_big = max(t_min, t_big - (log_tail(t_big) + 1.0)
+                    / ((a - 1.0) / t_big - beta))
+    t_big = cfg.big_t or t_big
+    if not (t_big >= t_min and log_tail(t_big) <= 0.0):
+        raise ConvergenceError("tail bound above tolerance; raise T")
+    # (0, e^-V) head: |t g(t)| <= c1 for t <= 1
     c1 = 1.0 / (-logq) + 2.0 + abs(n0coef)
-    v_hi = (math.log(c1 / (cfg.tol * 0.25)) ) / (a - 1.0)
-    v_hi = max(v_hi, v0 + 1.0)
-    # a node t stops no sooner than q^(-n-1)[n+1] t > log(2 / inner), so at
-    # the last node t = e^(-V) the series needs
-    # q^(-n-1) > (1 - q) log(2 / inner) e^V; refuse before summing when that
-    # lies past the term cap or the float range (V grows as Re s nears 1)
-    log_need = v_hi + math.log(-math.expm1(logq) * math.log(2.0 / inner_tol))
-    if log_need > min((_GEN_TERMS + 1) * -logq, math.log(sys.float_info.max)):
+    v_hi = max(1.0, (math.log(c1 / (a - 1.0)) - lgam.real - log_share)
+               / (a - 1.0))
+    # g is summed within `inner` at each node, and |exp(-s v - log Gamma)|
+    # integrates over [-log T, V] to under T^a / (a |Gamma(s)|).  A node t
+    # stops no sooner than q^(-n-1)[n+1] t > log(2 / inner), so the last
+    # node t = e^(-V) needs q^(-n-1) > (1 - q) log(2 / inner) e^V: refuse
+    # before summing when that passes the term cap or the float range.
+    log_inner = min(0.0, log_share + math.log(a) - a * math.log(t_big)
+                    + lgam.real)
+    log_need = v_hi + math.log(-math.expm1(logq) * (math.log(2.0) - log_inner))
+    if log_need > min((_GEN_TERMS + 1) * -logq, _LOG_FLOAT_MAX):
         raise ConvergenceError(
             f"generating series at t = e^-{v_hi:.4g} needs q^-n above "
             f"e^{log_need:.4g}, past its {_GEN_TERMS}-term cap or the float "
             "range; Re(s) or q is too close to 1 for the quadrature route")
+    if log_inner < _LOG_FLOAT_MIN:
+        raise ConvergenceError(f"node tolerance e^{log_inner:.4g} below the "
+                               "float range; Re(s) is too large")
+    inner = math.exp(log_inner)
 
-    def f_sub(vs: list) -> list:
-        return [cmath.exp(-s * v) * gv
-                for v, gv in zip(vs, g([math.exp(-v) for v in vs]))]
+    def f(vs: list) -> list:
+        ts = [math.exp(-v) for v in vs]
+        vals, g_tails, _ = _kernels.gen_series_sum(ts, logq, alt, chiv,
+                                                   _GEN_TERMS, inner)
+        if math.inf in g_tails:
+            raise ConvergenceError(
+                f"generating series at t = {ts[g_tails.index(math.inf)]:.3g} "
+                f"hit its {_GEN_TERMS}-term cap; q is too close to 1 for the "
+                "quadrature route")
+        return [cmath.exp(-s * v - lgam) * (gv + n0coef) * math.exp(-t * xv)
+                for v, t, gv in zip(vs, ts, vals)]
 
-    # g is truncated within `inner` at each node.  The substituted piece's
-    # weight e^(-a v) integrates to under 1/a; the direct piece's t^(a-1)
-    # to under T^a / a, so that piece asks for inner_tol a / T^a.
-    dir_tol = inner_tol * a / t_big ** a
-
-    def f_dir(ts: list) -> list:
-        return [cmath.exp((s - 1.0) * math.log(t)) * gv
-                for t, gv in zip(ts, g(ts, dir_tol))]
-
-    err = tail + c1 * math.exp(-(a - 1.0) * v_hi) / (a - 1.0) \
-        + inner_tol * (1.0 + 1.0 / a)
-    pieces = 0j
-    for fn, lo, hi in ((f_sub, v0, v_hi), (f_dir, _SPLIT, t_big)):
-        piece, piece_err = _tanh_sinh(fn, lo, hi, cfg.tol * 0.2)
-        pieces += piece
-        err += piece_err
-
-    rgamma = cmath.exp(-_loggamma(s))
-    value = pieces * rgamma
-    err = err * abs(rgamma) + 8e-15 * abs(value)
+    value, quad = _tanh_sinh(f, -math.log(t_big), v_hi, cfg.tol * _QUAD_SHARE)
+    # exp(-s v - log Gamma(s)) rounds relative to the value, by about an ulp
+    # of |log Gamma(s)| + |s v| on the nodes that carry it
+    err = quad + 3.0 * cfg.tol * _SHARE + _EPS * (
+        _MASS_ULPS * math.exp(log_mass)
+        + (abs(lgam) + abs(s) * math.log(t_big)) * abs(value))
     if err > cfg.tol:
         raise ConvergenceError(f"quadrature bound {err:.3g} above tol")
     return SeriesValue(value, err, 0)
@@ -230,22 +242,24 @@ def verify_mellin_roundtrip(target: str, s, q: QParam,
     transforms: target "zeta" (plain alternating series), "hurwitz"
     (additive shift x), "l" (character twist)."""
     s = complex(s)
-    cfg = QuadratureConfig(tol=min(1e-11, tol * 1e-2))
     if target == "zeta":
-        lhs = mellin_transform("F", s, q, cfg=cfg).value
+        kind, kw = "F", {}
         rhs = q_alt_zeta(s, q, tol * 1e-2).value
     elif target == "hurwitz":
         if x is None:
             raise DomainError("hurwitz round-trip needs x")
-        lhs = mellin_transform("F", s, q, x=x, cfg=cfg).value
+        kind, kw = "F", {"x": x}
         rhs = q_alt_zeta_hurwitz(s, x, q, tol * 1e-2).value
     elif target == "l":
         if chi is None:
             raise DomainError("l round-trip needs a character")
-        lhs = mellin_transform("F_chi", s, q, chi=chi, cfg=cfg).value
+        kind, kw = "F_chi", {"chi": chi}
         rhs = q_alt_l(s, chi, q, tol * 1e-2).value
     else:
         raise DomainError(f"unknown round-trip target {target!r}")
+    # the quadrature rounds relative to a large value, such as x^(-s)
+    cfg = QuadratureConfig(tol=min(tol * 1e-2, max(1e-11, 1e-13 * abs(rhs))))
+    lhs = mellin_transform(kind, s, q, cfg=cfg, **kw).value
     return VerificationOutcome.compare(
         f"mellin-roundtrip-{target}",
         {"s": s, "q": str(q), "x": x, "chi": chi.label if chi else None},
@@ -291,12 +305,7 @@ def verify_product_identity(tid: int, s, q: QParam,
         raise DomainError(f"identity {tid} needs a character")
     if not twisted:
         chi = None
-    if q.regime is not QRegime.REAL_UNIT:
-        raise DomainError("product identities need rational 0 < q < 1")
-    s = complex(s)
-    _finite("s", s)
-    if s.real <= 1:
-        raise DomainError("Re(s) > 1 required")
+    s = _real_q_s(s, q, "product identities need")
     qfrac = q.value
     logq = _logq(qfrac)
     chiv = chi_table(chi)
@@ -307,35 +316,25 @@ def verify_product_identity(tid: int, s, q: QParam,
                                     / (logq * (s.real - 1.0)))) + 4)
 
     # analytic completion of the m-tail: for m > M the damped bracket is
-    # 2i sin(pi s/2) w^(-s) to O(eps/w), and the m-sum collapses to a
-    # Hurwitz zeta of s+1
+    # 2i sin(pi s/2) w^(-s) to O(eps/w); the m-sum is a Hurwitz zeta(s+1)
     if alt:
         x_series = q_alt_zeta(s, q, inner_tol).value if chi is None \
             else q_alt_l(s, chi, q, inner_tol).value
     else:
         x_series = q_plain_zeta(s, q, inner_tol, chi=chi).value
+    m_tail_zeta = hurwitz_zeta(s + 1.0, _PRODUCT_M_TERMS + (0.5 if odd_w else 1.0),
+                               1e-14).value
     if odd_w:
-        m_tail_zeta = cmath.exp(-(s + 1.0) * math.log(2.0)) \
-            * hurwitz_zeta(s + 1.0, _PRODUCT_M_TERMS + 0.5, 1e-14).value
-    else:
-        m_tail_zeta = hurwitz_zeta(s + 1.0, _PRODUCT_M_TERMS + 1.0, 1e-14).value
+        m_tail_zeta *= cmath.exp(-(s + 1.0) * math.log(2.0))
     m_tail = 2j * cmath.sin(math.pi * s / 2.0) * x_series * m_tail_zeta
 
-    per = []
-    for eps in _PRODUCT_REG.offsets:
-        core = _kernels.damped_pair_sum(s, eps, logq, alt, chiv, odd_w,
-                                        _PRODUCT_M_TERMS, n_terms)
-        per.append(core + m_tail)
+    per = [_kernels.damped_pair_sum(s, eps, logq, alt, chiv, odd_w,
+                                    _PRODUCT_M_TERMS, n_terms) + m_tail
+           for eps in _PRODUCT_REG.offsets]
     lhs, resid = _richardson(_PRODUCT_REG.offsets, per, _PRODUCT_REG.order)
 
-    if tid == 21:
-        second = riemann_zeta(s + 1.0, inner_tol).value
-    else:
-        second = zeta_star(s + 1.0, inner_tol).value
-    if tid in (19, 21, 22):
-        first = (1.0 + float(qfrac)) * x_series
-    else:
-        first = x_series
+    second = (riemann_zeta if tid == 21 else zeta_star)(s + 1.0, inner_tol).value
+    first = (1.0 + float(qfrac)) * x_series if tid in (19, 21, 22) else x_series
     rhs = branch_prefactor(s) * first * second
 
     params = {"id": tid, "s": s, "q": str(qfrac),

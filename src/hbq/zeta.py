@@ -278,7 +278,9 @@ def odd_power_sum(z, s, b: int = 1, tol: float = 1e-12,
 
 def digamma(x: float, tol: float = 1e-12) -> float:
     """psi(x) for x > 0: recurrence shift to x >= 12, then the Bernoulli
-    asymptotic series, truncation error below the first omitted term."""
+    asymptotic series, truncation error below the first omitted term.  Nine
+    terms stop at the omitted B_20 term, about 6.9e-21 at x = 12, so a tol
+    that term does not reach is a `DomainError`."""
     _finite("x", x)
     if x <= 0:
         raise DomainError("digamma implemented for x > 0")
@@ -298,6 +300,9 @@ def digamma(x: float, tol: float = 1e-12) -> float:
         nxt = abs(_BERN_FLOAT[2 * j + 2]) / (2 * j + 2) / yp
         if nxt < tol:
             break
+    else:
+        raise DomainError(f"digamma's asymptotic series stops at {nxt:.2g} "
+                          f"at x = {x:.6g}, above tol {tol:.3g}")
     return acc + shift
 
 

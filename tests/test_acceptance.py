@@ -2,6 +2,7 @@
 tolerance, one printed pass/fail line each.  Run with -s (or -v) to see the
 lines; the suite fails if any criterion fails."""
 
+import time
 import tracemalloc
 
 import pytest
@@ -11,9 +12,12 @@ from hbq import acceptance
 
 @pytest.mark.parametrize("number", range(1, 11))
 def test_criterion(number):
+    t0 = time.monotonic()
     result = acceptance.run_criterion(number)
+    tag = "PASS" if result.passed else "FAIL"
     print()
-    print(result.line())
+    print(f"[{tag}] criterion {number}: {result.description} "
+          f"({time.monotonic() - t0:.2f}s)")
     for detail in result.details[:8]:
         print(f"    {detail}")
     assert result.passed, f"criterion {number} failed: {result.details}"

@@ -455,3 +455,69 @@ def test_canonical_json_every_type():
         '["-1/3", "a \\"q\\" \\\\ b"]]}')
     with pytest.raises(TypeError, match="cannot serialize set"):
         canonical_json({"a": {1}})
+
+
+def test_mellin_defs_large_s(capsys):
+    # at Re s = 120 the shifted transform's x^(-s) = 2^120 puts tol below
+    # its rounding: a refusal, where T^(Re s) used to overflow in a traceback
+    code, out, err = run(capsys, "verify", "mellin-defs", "--s", "120",
+                         "--q", "1/2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: rounding of the integrand's mass")
+    code, out, _ = run(capsys, "verify", "mellin-defs", "--s", "10")
+    assert code == 0 and out.count("[PASS]") == 9
+
+
+def test_digamma_unreachable_tol_exit_2(capsys):
+    # nine asymptotic terms stop at the omitted B_20 term, 3.1e-21 at
+    # x = 0.5 + 12; 1e-30 used to be reported as the tail bound
+    code, out, err = run(capsys, "zeta", "--fn", "digamma", "--s", "0.5",
+                         "--tol", "1e-30")
+    assert code == 2 and out == ""
+    assert err.startswith("error: digamma's asymptotic series stops at")
+    code, out, _ = run(capsys, "zeta", "--fn", "digamma", "--s", "0.5",
+                       "--tol", "1e-18")
+    assert code == 0 and "tail_bound=1.0000000000000001e-18" in out
+
+
+def test_parity_error_names_the_cli_switch(capsys):
+    argv = ("qsum", "--kind", "hardy-berndt", "--variant", "s1", "--h", "1",
+            "--k", "2", "--q", "1")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "Pass --no-parity-check to proceed anyway." in err
+    assert "enforce_parity" not in err
+    code, _, _ = run(capsys, *argv, "--no-parity-check")
+    assert code == 0
+
+
+def test_verify_all_text(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    heads = [line for line in lines if line.startswith("[")]
+    assert [h.split(":")[0] for h in heads] == \
+        [f"[PASS] criterion {n}" for n in range(1, 11)]
+    assert heads[2] == "[PASS] criterion 3: Mellin round-trips (27 checks, 1e-8)"
+    # each criterion's detail lines follow it, indented by four spaces
+    details = lines[lines.index(heads[2]) + 1]
+    assert details.startswith("    27 checks, worst diff ")
+    assert all(line.startswith(("[PASS] ", "    ")) for line in lines[:-1])
+    assert lines[-1] == "overall: PASS"
+
+
+def test_value_rows_in_text_and_csv(capsys):
+    argv = ("zeta", "--fn", "hurwitz", "--s", "2", "--a", "1.5")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "hurwitz-zeta a=1.5 s=2+0j = 0.93480220054467922+0j  [euler-maclaurin;"
+        " tail_bound=6.2666637337522848e-26 terms_used=25]",
+        "overall: PASS"]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["kind", "name", "params", "value", "certificate", "pass"],
+        ["value", "hurwitz-zeta", "a=1.5;s=2+0j", "0.93480220054467922+0j",
+         "tail_bound=6.2666637337522848e-26;terms_used=25", ""],
+        ["overall", "", "", "", "", "True"]]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +10,7 @@ from hbq import (ConvergenceError, DomainError, QParam, QuadratureConfig,
                  branch_prefactor, characters_mod, mellin_transform, q_alt_zeta,
                  verify_mellin_roundtrip, verify_product_identity)
 from hbq import _kernels
+from hbq.qzeta import _alt_series
 from hbq.zeta import _loggamma
 
 Q_HALF = QParam.real(Fraction(1, 2))
@@ -121,3 +123,53 @@ def test_product_identity_domain():
         verify_product_identity(18, 2, Q_HALF)
     with pytest.raises(DomainError):
         verify_product_identity(22, 2, Q_HALF)  # missing character
+
+
+@pytest.mark.parametrize("s", [120, 200, 1e4, 2 + 1000j, 3 + 60j])
+def test_large_s_returns_or_refuses_with_its_cause(s):
+    # the budget is formed in logs: Re s = 120 at q = 1/2 overflowed
+    # T^(Re s) before, and 1/Gamma(s) at large |Im s| overflows a float
+    chi4 = characters_mod(4)[1]
+    for kind, kwargs in (("F", {}), ("f", {"x": 0.5}), ("F_chi", {"chi": chi4}),
+                         ("f_chi", {"chi": chi4, "x": 2.0})):
+        try:
+            sv = mellin_transform(kind, s, Q_HALF, **kwargs)
+        except ConvergenceError as exc:
+            assert any(cause in str(exc) for cause in (
+                "|Im s| is too large, or x too small", "Re(s) is too large")), exc
+        else:
+            assert sv.tail_bound <= QuadratureConfig().tol
+            assert abs(sv.value) <= 1e-30  # q^(Re s) and x^(-Re s), x = 2
+    if s == 120:
+        assert abs(mellin_transform("F", s, Q_HALF).value) < 1e-30
+
+
+def test_domain_sweep_answers_within_its_bound():
+    # Re s in [1.5, 60], |Im s| <= 8 on 40% of points, q = p/r in [0.1, 0.9]
+    # with r <= 40, shifts x in [1, 2] on 30%, characters mod 3, 4 and 5;
+    # at the parent 1/Gamma(s) swelled each piece's tolerance and many of
+    # these points raised.  The one refusal left is the rounding of the
+    # integrand's mass, Gamma(Re s) / |Gamma(s)| times up to 1/(1 - q^(a-1)),
+    # near |Im s| = 8 and Re s = 1.5.
+    rng = random.Random("mellin-domain")
+    chis = [chi for m in (3, 4, 5) for chi in characters_mod(m)]
+    answered = 0
+    for _ in range(400):
+        kind = rng.choice(("f", "F", "f_chi", "F_chi"))
+        r = rng.randint(2, 40)
+        q = QParam.real(Fraction(rng.randint(-(-r // 10), 9 * r // 10), r))
+        s = complex(rng.uniform(1.5, 60),
+                    rng.uniform(-8, 8) if rng.random() < 0.4 else 0.0)
+        x = rng.uniform(1, 2) if rng.random() < 0.3 else None
+        chi = rng.choice(chis) if kind.endswith("_chi") else None
+        try:
+            sv = mellin_transform(kind, s, q, x=x, chi=chi)
+        except ConvergenceError as exc:
+            assert "rounding of the integrand's mass" in str(exc)
+            assert abs(s.imag) > 4 and s.real < 3, (kind, s, q)
+            continue
+        answered += 1
+        ref = _alt_series(s, q, x, chi, 1e-15, alternating=kind.startswith("F"))
+        assert abs(sv.value - ref.value) <= sv.tail_bound + ref.tail_bound \
+            + 1e-14 * (1 + abs(sv.value)), (kind, s, q, x)
+    assert answered >= 396

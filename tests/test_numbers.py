@@ -5,7 +5,7 @@ import pytest
 
 from hbq import (DomainError, QParam, SeriesValue, number_table,
                  q_euler_number, q_genocchi_number)
-from hbq.numbers import NumberKind
+from hbq.numbers import NumberKind, bernoulli_polynomial
 
 
 def test_table_anchors():
@@ -128,3 +128,16 @@ def test_q_genocchi_complex_disk_series():
     assert abs(sv.value - brute) < 1e-10 + sv.tail_bound
     # q = 0 has no log q for the engine; every term of the series is 0
     assert q_genocchi_number(3, QParam.complex_disk(0)).value == 0
+
+
+def test_bernoulli_polynomial_identities():
+    # B_p(x + 1) - B_p(x) = p x^(p-1), B_p(1 - x) = (-1)^p B_p(x) and
+    # B_p(0) = B_p, exactly, for p <= 20
+    bern = number_table("bernoulli", 20)
+    for p in range(21):
+        assert bernoulli_polynomial(p, Fraction(0)) == bern[p]
+        for x in (Fraction(0), Fraction(1, 3), Fraction(-5, 7), Fraction(9, 4)):
+            assert bernoulli_polynomial(p, x + 1) - bernoulli_polynomial(p, x) \
+                == (p * x ** (p - 1) if p else 0)
+            assert bernoulli_polynomial(p, 1 - x) \
+                == (-1) ** p * bernoulli_polynomial(p, x)

@@ -393,3 +393,15 @@ def test_damped_stability_at_limit1():
         base = oscillatory_sum(v, h, k, ONE)
         fine = oscillatory_sum(v, h, k, ONE, reg=DEFAULT_SCHEDULE.refined())
         assert abs(fine.extrapolated - base.extrapolated) < base.residual
+
+
+def test_dedekind_m_first_hurwitz_branch_matches_n_first():
+    # for odd p >= 3 the m-first route groups each offset's m-sum into
+    # Hurwitz zetas over the residue classes mod k
+    for p in (3, 5):
+        for h, k in ((1, 3), (2, 5), (3, 7), (1, 4)):
+            a = dedekind_oscillatory_sum(p, h, k, ONE)
+            b = dedekind_oscillatory_sum(p, h, k, ONE, order="m-first")
+            assert b.route == "limit1-m-first-richardson"
+            assert abs(a.extrapolated - b.extrapolated) < 1e-12, (p, h, k)
+            assert abs(a.residual - b.residual) < 1e-12, (p, h, k)

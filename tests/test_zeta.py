@@ -217,3 +217,16 @@ def test_digamma():
         assert abs(digamma(x) - float(mpmath.digamma(x))) < 1e-12
     with pytest.raises(DomainError):
         digamma(0.0)
+
+
+def test_digamma_refuses_a_tol_its_series_cannot_reach():
+    # nine asymptotic terms at y >= 12 stop at the omitted B_20 term, about
+    # 6.9e-21 at y = 12; tol 1e-30 used to come back as if reached
+    for x in (0.5, 1.0, 11.9):
+        with pytest.raises(DomainError, match="asymptotic series stops"):
+            digamma(x, 1e-30)
+    # the psi rows' 1e-18 and the tols the benchmark uses stay reachable
+    for tol in (1e-18, 1e-12, 1e-10):
+        assert abs(digamma(0.5, tol) - float(mpmath.digamma(0.5))) <= tol + 1e-15
+    # at large x the omitted term is far below any tol
+    assert abs(digamma(1e6, 1e-30) - float(mpmath.digamma(1e6))) < 1e-14
