@@ -16,8 +16,9 @@ from .characters import DirichletCharacter, characters_mod
 from .core import DomainError, QParam, VerificationOutcome, _maybe_int
 from .numbers import NumberKind, number_table
 from .qsums import (DEFAULT_SCHEDULE, classical_trig_series,
-                    oscillatory_sum, q_hardy_berndt_sum)
-from .sums import HARDY_VARIANTS, hardy_berndt_sum, parity_condition
+                    oscillatory_sum, q_dedekind_sum, q_hardy_berndt_sum)
+from .sums import (HARDY_VARIANTS, dedekind_sum, hardy_berndt_sum,
+                   parity_condition)
 from .zeta import genocchi_zeta, genocchi_zeta_exact
 
 __all__ = ["CRITERIA", "CriterionResult", "run_all", "run_criterion"]
@@ -142,24 +143,28 @@ def criterion_1() -> CriterionResult:
 _RECOVERY_PAIRS = ((1, 2), (2, 3), (1, 3), (3, 4), (1, 5))
 
 
-def criterion_2() -> CriterionResult:
-    """q = 1 recovery of the scaled oscillatory sums for five pairs, per
-    admissible variant, within 1e-6."""
+def recovery_checks() -> List[VerificationOutcome]:
+    """q = 1 values of the scaled oscillatory sums on the recovery pairs
+    against the exact sums: each admissible Hardy-Berndt variant, and the
+    q-Dedekind sums of orders 1, 3 and 5 against Apostol's s_p."""
     one = QParam.one()
-    ok = True
-    details = []
-    worst = 0.0
-    for v, h, k in _admissible(_RECOVERY_PAIRS):
-        exact = float(hardy_berndt_sum(v, h, k))
-        got = q_hardy_berndt_sum(v, h, k, one)
-        diff = abs(got - exact)
-        worst = max(worst, diff)
-        if diff > 1e-6:
-            ok = False
-            details.append(f"{v}({h},{k}) diff {diff:.3e}")
-    details.insert(0, f"worst |q=1 value - exact| = {worst:.3e}")
-    return CriterionResult(2, "q = 1 oscillatory recovery (1e-6)", ok,
-                           details)
+    cases = [(v, h, k, q_hardy_berndt_sum(v, h, k, one), hardy_berndt_sum(v, h, k))
+             for v, h, k in _admissible(_RECOVERY_PAIRS)]
+    cases += [(f"dedekind-p{p}", h, k, q_dedekind_sum(p, h, k, one), dedekind_sum(h, k, p))
+              for p in (1, 3, 5) for h, k in _RECOVERY_PAIRS]
+    return [VerificationOutcome.compare("q1-recovery", {"variant": v, "h": h, "k": k},
+                                        got, float(exact), 1e-6)
+            for v, h, k, got, exact in cases]
+
+
+def criterion_2() -> CriterionResult:
+    """q = 1 recovery of the scaled oscillatory sums (`recovery_checks`)
+    within 1e-6."""
+    return _outcomes_criterion(
+        2, "q = 1 oscillatory recovery (1e-6)", recovery_checks,
+        "worst |q=1 value - exact| = {worst:.3e}",
+        lambda out: f"{out.params['variant']}({out.params['h']},"
+                    f"{out.params['k']}) diff {out.abs_diff:.3e}")
 
 
 def criterion_3() -> CriterionResult:
@@ -349,10 +354,10 @@ def criterion_9() -> CriterionResult:
 
 
 def criterion_10() -> CriterionResult:
-    """Schedule stability: for every q-sum of criterion 2, refining the
-    schedule by half the final offset moves the Richardson-extrapolated value
-    by less than the reported residual estimate.  (The q = 1 value itself is
-    the exact Abel limit, which no schedule moves.)"""
+    """Schedule stability: for every Hardy-Berndt q-sum of criterion 2,
+    refining the schedule by half the final offset moves the Richardson-
+    extrapolated value by less than the reported residual estimate.  (The
+    q = 1 value itself is the exact Abel limit, which no schedule moves.)"""
     one = QParam.one()
     ok = True
     details = []

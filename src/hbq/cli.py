@@ -436,10 +436,13 @@ def _cmd_qsum(args):
                                     {"p": args.p, "h": args.h, "k": args.k,
                                      "q": str(q)},
                                     v, "scaled-oscillatory-sum"))
-        if q.is_one and args.p == 1:
-            results.append(_value_entry("classical-dedekind-sum",
-                                        {"h": args.h, "k": args.k},
-                                        dedekind_sum(args.h, args.k), "exact"))
+        if q.is_one:
+            params = {"h": args.h, "k": args.k}
+            if args.p != 1:  # the p = 1 row keeps its classical params
+                params["p"] = args.p
+            results.append(_value_entry("classical-dedekind-sum", params,
+                                        dedekind_sum(args.h, args.k, args.p),
+                                        "exact"))
     return results
 
 

@@ -257,13 +257,15 @@ def verify_mellin_roundtrip(target: str, s, q: QParam,
         rhs = q_alt_l(s, chi, q, tol * 1e-2).value
     else:
         raise DomainError(f"unknown round-trip target {target!r}")
-    # the quadrature rounds relative to a large value, such as x^(-s)
-    cfg = QuadratureConfig(tol=min(tol * 1e-2, max(1e-11, 1e-13 * abs(rhs))))
+    # both routes round relative to a large value, such as x^(-s): compare
+    # relative to max(1, |rhs|) and size the quadrature tol alike
+    scale = max(1.0, abs(rhs))
+    cfg = QuadratureConfig(tol=min(tol * 1e-2 * scale, max(1e-11, 1e-13 * abs(rhs))))
     lhs = mellin_transform(kind, s, q, cfg=cfg, **kw).value
     return VerificationOutcome.compare(
         f"mellin-roundtrip-{target}",
         {"s": s, "q": str(q), "x": x, "chi": chi.label if chi else None},
-        lhs, rhs, tol)
+        lhs, rhs, tol * scale)
 
 
 def branch_prefactor(s) -> complex:

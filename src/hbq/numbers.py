@@ -12,6 +12,7 @@ the support machinery for zeta values at nonpositive integers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -86,14 +87,31 @@ def number_table(kind: Union[NumberKind, str], n_max: int) -> NumberTable:
     return NumberTable(kind, tuple(_GENERATORS[kind](n_max)))
 
 
+@functools.lru_cache(maxsize=256)
+def _bernoulli_row(p: int) -> tuple:
+    """(ints, lcd) with C(p,i) B_i = ints[i] / lcd for i = 0..p, lcd the
+    least common denominator: the integer row of B_p(x), built once per p."""
+    b = number_table(NumberKind.BERNOULLI, p)
+    coefs = [math.comb(p, i) * b[i] for i in range(p + 1)]
+    lcd = math.lcm(*(c.denominator for c in coefs))
+    return tuple(c.numerator * (lcd // c.denominator) for c in coefs), lcd
+
+
+def _bernoulli_at(p: int, v: int, d: int) -> tuple:
+    """(num, den) with B_p(v/d) = num/den, d > 0, by integer Horner on the
+    row: sum_i ints[i] v^(p-i) d^i over lcd d^p."""
+    ints, lcd = _bernoulli_row(p)
+    acc, dpow = ints[0], 1
+    for c in ints[1:]:
+        dpow *= d
+        acc = acc * v + c * dpow
+    return acc, lcd * dpow
+
+
 def bernoulli_polynomial(p: int, x: Fraction) -> Fraction:
     """B_p(x) = sum_i C(p,i) B_i x^(p-i), exact."""
-    b = number_table(NumberKind.BERNOULLI, p)
     xf = as_fraction(x)
-    acc = Fraction(0)
-    for i in range(p + 1):
-        acc += math.comb(p, i) * b[i] * xf ** (p - i)
-    return acc
+    return Fraction(*_bernoulli_at(p, xf.numerator, xf.denominator))
 
 
 def q_euler_number(m: int, q: QParam):

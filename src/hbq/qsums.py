@@ -28,7 +28,6 @@ classical series (`classical_trig_series`) is a separate, independent route.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -40,9 +39,9 @@ from .characters import DirichletCharacter, chi_table
 from .core import (ConvergenceError, DomainError, ParityError, PoleError,
                    QParam, QRegime, SeriesValue, _fits, _logq, _positive,
                    _shift)
-from .numbers import NumberKind, number_table
+from .numbers import _bernoulli_at
 from .sums import _TERMS, _hardy_args, _hardy_variant, parity_condition
-from .zeta import digamma, hurwitz_zeta
+from .zeta import digamma
 
 __all__ = [
     "DEFAULT_SCHEDULE",
@@ -113,23 +112,17 @@ def _hb_shape(variant: str, n: int, d: int, k: int) -> float:
 
 def _clausen_coef(p: int):
     """(n, d) -> sum_m sin(2 pi m u)/m^p for odd p as the coefficient of pi^p,
-    (-1)^((p+1)/2) 2^p B_p({u}) / (2 p!), 0 on the lattice; B_0..B_p, read
-    once into c_i / L, give sum_i c_i v^(p-i) d^i / (L d^p) at {u} = v/d."""
-    b = number_table(NumberKind.BERNOULLI, p)
-    scale = (-1 if ((p + 1) // 2) % 2 else 1) * Fraction(2 ** p, 2 * math.factorial(p))
-    coefs = [scale * math.comb(p, i) * b[i] for i in range(p + 1)]
-    lcd = math.lcm(*(c.denominator for c in coefs))
-    ints = [c.numerator * (lcd // c.denominator) for c in coefs]
+    (-1)^((p+1)/2) 2^p B_p({u}) / (2 p!), 0 on the lattice; B_p({u}) at
+    {u} = v/d is one exact integer ratio from the shared Bernoulli row."""
+    sign = -1 if ((p + 1) // 2) % 2 else 1
+    scale_num, scale_den = sign * 2 ** (p - 1), math.factorial(p)
 
     def coef(n: int, d: int) -> float:
         v = n % d
         if v == 0:
             return 0.0
-        acc, dpow = ints[0], 1
-        for c in ints[1:]:
-            dpow *= d
-            acc = acc * v + c * dpow
-        return acc / (lcd * dpow)
+        num, den = _bernoulli_at(p, v, d)
+        return scale_num * num / (scale_den * den)
     return coef
 
 
@@ -425,53 +418,14 @@ def oscillatory_sum(variant, h: int, k: int, q: QParam,
 def dedekind_oscillatory_sum(p: int, h: int, k: int, q: QParam,
                              chi: Optional[DirichletCharacter] = None,
                              reg: Optional[RegularizationSchedule] = None,
-                             tol: float = 1e-8,
-                             order: str = "n-first") -> YSumResult:
+                             tol: float = 1e-8) -> YSumResult:
     """Regularized oscillatory sum with weights m^(-p) and full angles
     2 pi m h / k (the q-Dedekind generating sum); p odd, 1 <= p <= 169 (p!
-    must fit a float).
-
-    order="m-first" evaluates each offset by summing the closed inner
-    geometric ratios over m residue classes (digamma / Hurwitz grouping) and
-    extrapolating; available at q = 1 as the summation-order consistency
-    route.
-    """
+    must fit a float)."""
     if not (1 <= p <= _P_MAX and p % 2 == 1):
         raise DomainError(f"p must be an odd integer from 1 to {_P_MAX}")
     chi, reg = _checked(h, k, chi, reg, tol)
-    if order not in ("n-first", "m-first"):
-        raise DomainError("order must be 'n-first' or 'm-first'")
-    if order == "n-first":
-        return _damped_sum(p, h, k, q, chi, reg, tol)
-    if q.regime is not QRegime.LIMIT1:
-        raise DomainError("m-first route implemented at q = 1 only")
-    if chi is not None:
-        raise DomainError("m-first route implemented character-free")
-    per = tuple((eps, _dedekind_m_first_offset(p, h, k, eps))
-                for eps in reg.offsets)
-    extrap, resid = _richardson(reg.offsets, [v for _, v in per], reg.order)
-    return YSumResult(extrap, per, resid, "limit1-m-first-richardson",
-                      False, extrap)
-
-
-def _dedekind_m_first_offset(p: int, h: int, k: int, eps: float) -> complex:
-    """m-first value of one offset at q = 1: the inner geometric ratios
-    depend only on m mod k, so the m-sum collapses to digamma (p = 1) or
-    Hurwitz zeta (odd p >= 3) over residue classes."""
-    dvals = []
-    for r in range(1, k + 1):
-        phi = 2.0 * math.pi * ((r * h) % k) / k
-        u = cmath.exp(-eps + 1j * phi)
-        v = cmath.exp(-eps - 1j * phi)
-        dvals.append(u / (1.0 - u) - v / (1.0 - v))
-    if p == 1:
-        total = sum(dvals)
-        if abs(total) > 1e-9 * max(1.0, max(abs(z) for z in dvals)) * k:
-            raise ConvergenceError("m-first residue sum failed to cancel")
-        return -sum(dv * digamma(r / k) for r, dv in zip(range(1, k + 1),
-                                                         dvals)) / k
-    return sum(dv * hurwitz_zeta(p, Fraction(r, k)).value
-               for r, dv in zip(range(1, k + 1), dvals)) / k ** p
+    return _damped_sum(p, h, k, q, chi, reg, tol)
 
 
 def q_hardy_berndt_sum(variant: str, h: int, k: int, q: QParam,

@@ -1,10 +1,11 @@
-"""Exact evaluation of the classical Dedekind sum and the six finite
-Hardy-Berndt sums S, s1..s5.
+"""Exact evaluation of the six finite Hardy-Berndt sums S, s1..s5 and of
+Apostol's Dedekind sums s_p of odd order p.
 
-All seven are one sum over j = 1..k-1 of a sign times the sawtooth factors
-((j/k)) = (2j - k)/(2k) and ((hj/k)) = (2(hj mod k) - k)/(2k), added as
-integers and divided once: S and s4 are integers, the one-sawtooth variants
-have denominators dividing 2k, the two-sawtooth products (s2, Dedekind) 4k^2.
+Each is one sum over j = 1..k-1 added as integers and divided once.  The
+Hardy-Berndt terms are a sign times the sawtooth factors ((j/k)) = (2j - k)/(2k)
+and ((hj/k)) = (2(hj mod k) - k)/(2k): S and s4 are integers, the one-sawtooth
+variants have denominators dividing 2k, s2 4k^2.  The Dedekind terms read
+the integer row of B_p that `numbers` keeps.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DomainError
+from .numbers import _bernoulli_row
 
 __all__ = [
     "HARDY_VARIANTS",
@@ -78,8 +80,7 @@ def parity_condition(variant: str, h: int, k: int) -> ParityCondition:
 # ((j/k))^x ((hj/k))^y.  The j = k terms vanish (the sawtooth is 0 at
 # integers; S and s4 stop at k - 1 by definition).
 _TERMS = {"S": (1, 1, 1, 0, 0), "s1": (0, 0, 1, 1, 0), "s2": (0, 1, 0, 1, 1),
-          "s3": (0, 1, 0, 0, 1), "s4": (0, 0, 1, 0, 0), "s5": (0, 1, 1, 1, 0),
-          "dedekind": (0, 0, 0, 1, 1)}
+          "s3": (0, 1, 0, 0, 1), "s4": (0, 0, 1, 0, 0), "s5": (0, 1, 1, 1, 0)}
 
 
 def _finite_sum(name: str, h: int, k: int) -> Fraction:
@@ -99,10 +100,23 @@ def hardy_berndt_sum(variant: str, h: int, k: int) -> Fraction:
     return _finite_sum(_hardy_args(variant, h, k), h, k)
 
 
-def dedekind_sum(h: int, k: int) -> Fraction:
-    """Classical Dedekind sum s(h,k) = sum_{j=1}^{k-1} ((j/k))((hj/k))."""
+def dedekind_sum(h: int, k: int, p: int = 1) -> Fraction:
+    """Apostol's Dedekind sum s_p(h,k) = sum_{j=1}^{k-1} (j/k) Bbar_p(hj/k)
+    of odd order p; p = 1 is the classical s(h,k) = sum ((j/k))((hj/k)),
+    since the Bbar_p(hj/k) sum to 0.  Each Bbar_p(r/k) = B_p(r/k), r = hj
+    mod k in 1..k-1, is an integer over lcd k^p from the row of B_p."""
     if k < 1:
         raise DomainError("k must be >= 1")
+    if p < 1 or p % 2 == 0:
+        raise DomainError(f"p must be an odd positive integer, got {p}")
     if math.gcd(h, k) != 1:
         raise DomainError("h and k must be coprime")
-    return _finite_sum("dedekind", h, k)
+    ints, lcd = _bernoulli_row(p)
+    coefs = [c * k ** i for i, c in enumerate(ints)]  # Horner in r at d = k
+    total = 0
+    for j in range(1, k):
+        r, acc = h * j % k, 0
+        for c in coefs:
+            acc = acc * r + c
+        total += j * acc
+    return Fraction(total, lcd * k ** (p + 1))

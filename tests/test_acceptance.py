@@ -39,3 +39,19 @@ def test_criterion_8_memory():
     finally:
         tracemalloc.stop()
     assert peak < 5e6, peak
+
+
+def test_criterion_2_fails_on_a_moved_dedekind_sum(monkeypatch):
+    # criterion 2 checks the q-Dedekind sums against Apostol's exact s_p:
+    # moving the order-3 sum at q = 1 by 2e-6, twice its 1e-6, fails it
+    real = acceptance.q_dedekind_sum
+
+    def moved(p, h, k, q, **kwargs):
+        return real(p, h, k, q, **kwargs) + (2e-6 if p == 3 else 0.0)
+
+    monkeypatch.setattr(acceptance, "q_dedekind_sum", moved)
+    result = acceptance.criterion_2()
+    assert not result.passed
+    assert result.details[0] == "worst |q=1 value - exact| = 2.000e-06"
+    assert result.details[1:] == [f"dedekind-p3({h},{k}) diff 2.000e-06"
+                                  for h, k in acceptance._RECOVERY_PAIRS]

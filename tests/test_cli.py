@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -367,6 +368,20 @@ def test_qsum_dedekind_reports_classical_alongside(capsys):
     assert names == ["q-dedekind", "classical-dedekind-sum"]
 
 
+def test_qsum_dedekind_reports_exact_order_p_alongside(capsys):
+    # at q = 1 every odd order gets its exact s_p; p = 1 keeps params h, k
+    for p, exact in (("1", "1/14"), ("3", "-6/343"), ("5", "1130/117649")):
+        code, out, _ = run(capsys, "qsum", "--kind", "dedekind", "--p", p,
+                           "--h", "2", "--k", "7", "--q", "1", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["results"]
+        assert [r["name"] for r in rows] == ["q-dedekind", "classical-dedekind-sum"]
+        assert rows[1]["value"] == exact and rows[1]["exact"]
+        assert rows[1]["params"] == ({"h": 2, "k": 7} if p == "1"
+                                     else {"h": 2, "k": 7, "p": int(p)})
+        assert abs(rows[0]["value"]["re"] - float(Fraction(exact))) < 1e-15
+
+
 def test_numbers_and_characters_listing(capsys):
     code, out, _ = run(capsys, "numbers", "--kind", "genocchi", "--n-max", "6",
                        "--format", "json")
@@ -458,14 +473,18 @@ def test_canonical_json_every_type():
 
 
 def test_mellin_defs_large_s(capsys):
-    # at Re s = 120 the shifted transform's x^(-s) = 2^120 puts tol below
-    # its rounding: a refusal, where T^(Re s) used to overflow in a traceback
+    # at Re s = 120 the shifted transform's x^(-s) = 2^120 puts the
+    # quadrature's rounding of exp(-s v) above the tol sized to the value: a
+    # refusal, where T^(Re s) used to overflow in a traceback
     code, out, err = run(capsys, "verify", "mellin-defs", "--s", "120",
                          "--q", "1/2")
     assert code == 2 and out == ""
-    assert err.startswith("error: rounding of the integrand's mass")
-    code, out, _ = run(capsys, "verify", "mellin-defs", "--s", "10")
-    assert code == 0 and out.count("[PASS]") == 9
+    assert err.startswith("error: quadrature bound")
+    # at Re s = 20 (x^(-s) = 2^20) the compare relative to max(1, |rhs|)
+    # answers; an absolute 1e-8 refused it for rounding of the mass
+    for s in ("10", "20"):
+        code, out, _ = run(capsys, "verify", "mellin-defs", "--s", s)
+        assert code == 0 and out.count("[PASS]") == 9
 
 
 def test_digamma_unreachable_tol_exit_2(capsys):

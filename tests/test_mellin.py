@@ -7,9 +7,9 @@ import mpmath
 import pytest
 
 from hbq import (ConvergenceError, DomainError, QParam, QuadratureConfig,
-                 branch_prefactor, characters_mod, mellin_transform, q_alt_zeta,
+                 SeriesValue, branch_prefactor, characters_mod, mellin_transform, q_alt_zeta,
                  verify_mellin_roundtrip, verify_product_identity)
-from hbq import _kernels
+from hbq import _kernels, mellin
 from hbq.qzeta import _alt_series
 from hbq.zeta import _loggamma
 
@@ -36,6 +36,29 @@ def test_roundtrip_off_grid():
     out = verify_mellin_roundtrip("zeta", 2.5, QParam.real(Fraction(4, 5)),
                                   tol=1e-8)
     assert out.passed
+
+
+@pytest.mark.parametrize("target, s, kwargs", [("zeta", 2, {}),
+                                              ("hurwitz", 20, {"x": 0.5})])
+def test_roundtrip_compares_relative_and_can_fail(target, s, kwargs,
+                                                  monkeypatch):
+    # the round trip compares relative to max(1, |rhs|): at s = 20 the
+    # shifted rhs is about 2^20 and passes, where an absolute 1e-8 sat
+    # below the quadrature's rounding; an error of ten scaled tols fails
+    tol = 1e-8
+    out = verify_mellin_roundtrip(target, s, Q_HALF, tol=tol, **kwargs)
+    scale = max(1.0, abs(out.rhs))
+    assert out.passed and out.tolerance == tol * scale
+    assert (scale > 1e6) == (target == "hurwitz")
+    real = mellin.mellin_transform
+
+    def moved(*args, **kw):
+        v = real(*args, **kw)
+        return SeriesValue(v.value + 10 * tol * scale, v.tail_bound, v.terms_used)
+
+    monkeypatch.setattr(mellin, "mellin_transform", moved)
+    out = verify_mellin_roundtrip(target, s, Q_HALF, tol=tol, **kwargs)
+    assert not out.passed and out.abs_diff > 9 * tol * scale
 
 
 def test_gamma_recurrence():

@@ -260,11 +260,35 @@ def test_dedekind_limit1_matches_classical():
         assert abs(got - float(dedekind_sum(h, k))) < 1e-12
 
 
-def test_dedekind_order_swap_consistency():
-    fine = RegularizationSchedule((0.1, 0.05, 0.025, 0.0125, 0.00625), 4)
-    a = dedekind_oscillatory_sum(1, 1, 3, ONE, reg=fine)
-    b = dedekind_oscillatory_sum(1, 1, 3, ONE, reg=fine, order="m-first")
-    assert abs(a.value - b.value) < 1e-6
+def test_dedekind_limit1_matches_apostol():
+    # at q = 1 the order-p sum lands on Apostol's exact s_p(h, k): 456
+    # coprime pairs over p = 1, 3, 5, 7, worst relative error 2.7e-14, and
+    # under 1e-16 where s_p = 0
+    cases = 0
+    for p in (1, 3, 5, 7):
+        for k in range(2, 14):
+            for h in range(1, 2 * k):
+                if math.gcd(h, k) != 1:
+                    continue
+                exact = float(dedekind_sum(h, k, p))
+                got = q_dedekind_sum(p, h, k, ONE)
+                assert abs(got - exact) <= (1e-13 * abs(exact) if exact else 1e-16), \
+                    (p, h, k)
+                cases += 1
+    assert cases == 456
+
+
+def test_dedekind_extrapolated_within_residual_of_apostol():
+    # the damped offsets' Richardson value, scaled as q_dedekind_sum scales
+    # it, lies within its residual of the exact s_p
+    for p in (1, 3, 5):
+        scale = math.factorial(p) / (2j * math.pi) ** p
+        for h, k in ((1, 2), (1, 3), (2, 5), (3, 7), (1, 4), (5, 12), (4, 9),
+                     (7, 10)):
+            res = dedekind_oscillatory_sum(p, h, k, ONE)
+            exact = float(dedekind_sum(h, k, p))
+            assert abs(scale * res.extrapolated - exact) \
+                < abs(scale) * res.residual, (p, h, k)
 
 
 def test_dedekind_rejects_even_order():
@@ -275,9 +299,8 @@ def test_dedekind_rejects_even_order():
 
 
 def test_dedekind_tol_and_term_cap_checked():
-    for order in ("n-first", "m-first"):
-        with pytest.raises(DomainError):
-            dedekind_oscillatory_sum(1, 1, 3, ONE, tol=0.0, order=order)
+    with pytest.raises(DomainError):
+        dedekind_oscillatory_sum(1, 1, 3, ONE, tol=0.0)
     with pytest.raises(DomainError):
         q_dedekind_sum(1, 1, 3, Q_HALF, tol=-1e-8)
     far = QParam.real(Fraction(99999, 100000))
@@ -325,7 +348,8 @@ def test_dedekind_order_range():
 
 
 def test_dedekind_reads_bernoulli_once(monkeypatch):
-    # one table of B_0..B_p per call, not one per slice
+    # one table of B_0..B_p per order p, not one per slice or per call: the
+    # integer row is cached in `numbers`, emptied here to count its reads
     from hbq import numbers
     calls = []
     table = numbers.number_table
@@ -336,11 +360,17 @@ def test_dedekind_reads_bernoulli_once(monkeypatch):
 
     monkeypatch.setattr(numbers, "number_table", counting)
     monkeypatch.setattr(qsums, "number_table", counting, raising=False)
+    numbers._bernoulli_row.cache_clear()
     q_dedekind_sum(5, 1, 7, ONE)
     assert calls == [5]
     calls.clear()
     dedekind_oscillatory_sum(3, 2, 5, Q_HALF)
     assert calls == [3]
+    calls.clear()
+    q_dedekind_sum(5, 2, 9, ONE)
+    dedekind_oscillatory_sum(3, 1, 4, Q_HALF)
+    dedekind_sum(2, 9, 5)
+    assert calls == []
 
 
 # values of the oscillatory sums as the Fraction-based slices gave them,
@@ -393,15 +423,3 @@ def test_damped_stability_at_limit1():
         base = oscillatory_sum(v, h, k, ONE)
         fine = oscillatory_sum(v, h, k, ONE, reg=DEFAULT_SCHEDULE.refined())
         assert abs(fine.extrapolated - base.extrapolated) < base.residual
-
-
-def test_dedekind_m_first_hurwitz_branch_matches_n_first():
-    # for odd p >= 3 the m-first route groups each offset's m-sum into
-    # Hurwitz zetas over the residue classes mod k
-    for p in (3, 5):
-        for h, k in ((1, 3), (2, 5), (3, 7), (1, 4)):
-            a = dedekind_oscillatory_sum(p, h, k, ONE)
-            b = dedekind_oscillatory_sum(p, h, k, ONE, order="m-first")
-            assert b.route == "limit1-m-first-richardson"
-            assert abs(a.extrapolated - b.extrapolated) < 1e-12, (p, h, k)
-            assert abs(a.residual - b.residual) < 1e-12, (p, h, k)

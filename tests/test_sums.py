@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hbq import (DomainError, dedekind_sum, hardy_berndt_sum,
+from hbq import (DomainError, dedekind_sum, hardy_berndt_sum, number_table,
                  parity_condition, sawtooth)
 from hbq.sums import HARDY_VARIANTS
 
@@ -66,6 +66,50 @@ def test_property_against_brute_force_and_reciprocity():
             # Dedekind reciprocity for coprime h, k >= 1
             assert 12 * h * k * (dedekind_sum(h, k) + dedekind_sum(k, h)) \
                 == h * h + k * k + 1 - 3 * h * k
+
+    check()
+
+
+def _brute_order_p(h, k, p):
+    # Apostol's s_p straight from its definition, B_p({x}) from the table
+    b = number_table("bernoulli", p)
+    total = Fraction(0)
+    for j in range(1, k):
+        x = Fraction(h * j % k, k)
+        total += Fraction(j, k) * sum(math.comb(p, i) * b[i] * x ** (p - i)
+                                      for i in range(p + 1))
+    return total
+
+
+def test_order_p_against_definition():
+    for p in (1, 3, 5, 7, 9):
+        for k in range(1, 12):
+            for h in range(-k, 2 * k + 1):
+                if math.gcd(h, k) == 1:
+                    assert dedekind_sum(h, k, p) == _brute_order_p(h, k, p)
+    assert dedekind_sum(2, 7, 3) == Fraction(-6, 343)
+    for p in (0, 2, -1):
+        with pytest.raises(DomainError, match="odd positive"):
+            dedekind_sum(1, 3, p)
+
+
+def test_property_apostol_reciprocity():
+    # (p+1)(h k^p s_p(h,k) + k h^p s_p(k,h)) = sum_j C(p+1,j) (-1)^j
+    # B_j B_(p+1-j) h^j k^(p+1-j) + p B_(p+1) for coprime h, k >= 1
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    b = number_table("bernoulli", 16)
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(st.integers(1, 60), st.integers(1, 60),
+                      st.sampled_from((1, 3, 5, 7, 9, 11, 13, 15)))
+    def check(h, k, p):
+        hypothesis.assume(math.gcd(h, k) == 1)
+        lhs = (p + 1) * (h * k ** p * dedekind_sum(h, k, p)
+                         + k * h ** p * dedekind_sum(k, h, p))
+        rhs = sum(math.comb(p + 1, j) * (-1) ** j * b[j] * b[p + 1 - j]
+                  * h ** j * k ** (p + 1 - j) for j in range(p + 2)) + p * b[p + 1]
+        assert lhs == rhs
 
     check()
 
