@@ -109,6 +109,14 @@ def product_check(tid: int, s=2, q: QParam = QParam.real(Fraction(1, 2)),
     return verify_product_identity(tid, s, q, chi=chi, tol=tol)
 
 
+def _criterion(number: int, description: str, head: str,
+               failures: List[str]) -> CriterionResult:
+    """A criterion passes iff it has no failure line: its details are the
+    summary line ``head``, then ``failures``."""
+    return CriterionResult(number, description, not failures,
+                           [head] + failures)
+
+
 def _outcomes_criterion(number: int, description: str,
                         checks: Callable[[], List[VerificationOutcome]],
                         head: str, label: Callable[[VerificationOutcome], str],
@@ -119,13 +127,12 @@ def _outcomes_criterion(number: int, description: str,
     also fails when the checks take longer than that."""
     t0 = time.monotonic()
     outs = checks()
-    details = [label(out) for out in outs if not out.passed]
+    failures = [label(out) for out in outs if not out.passed]
     elapsed = time.monotonic() - t0
     if limit and elapsed > limit[0]:
-        details.append(f"{limit[1]} took {elapsed:.2f}s > {limit[0]:g}s")
-    return CriterionResult(number, description, not details,
-                           [head.format(n=len(outs), worst=_worst(outs))]
-                           + details)
+        failures.append(f"{limit[1]} took {elapsed:.2f}s > {limit[0]:g}s")
+    return _criterion(number, description,
+                      head.format(n=len(outs), worst=_worst(outs)), failures)
 
 
 def criterion_1() -> CriterionResult:
@@ -237,8 +244,7 @@ def criterion_7() -> CriterionResult:
     Bernoulli bridge G_n = 2(1 - 2^n) B_n exactly, and the continuation
     values |zeta_G(1-n)| = |G_n/n| for n in {2,4,6,8} with the observed
     sign recorded."""
-    ok = True
-    details = []
+    failures = []
     n_max = 30
     bern = number_table(NumberKind.BERNOULLI, n_max + 1)
     euler = number_table(NumberKind.EULER, n_max)
@@ -247,41 +253,33 @@ def criterion_7() -> CriterionResult:
     # (e^t + 1) sum E = 2 ; (e^t + 1) sum G = 2t
     if not _egf_product_check(euler.entries,
                               lambda n: Fraction(2) if n == 0 else Fraction(0)):
-        ok = False
-        details.append("Euler table fails its defining product")
+        failures.append("Euler table fails its defining product")
     if not _egf_product_check(gen.entries,
                               lambda n: Fraction(2) if n == 1 else Fraction(0)):
-        ok = False
-        details.append("Genocchi table fails its defining product")
+        failures.append("Genocchi table fails its defining product")
     # (e^t - 1) sum B t^n/n! = t  (coefficient n: sum_{k<n} C(n,k) B_k = [n=1])
     for n in range(n_max + 1):
         acc = sum(math.comb(n, k) * bern[k] for k in range(n))
         if acc != (Fraction(1) if n == 1 else Fraction(0)):
-            ok = False
-            details.append(f"Bernoulli defining product fails at n = {n}")
+            failures.append(f"Bernoulli defining product fails at n = {n}")
             break
     for n in range(n_max + 1):
         if gen[n] != 2 * (1 - Fraction(2) ** n) * bern[n]:
-            ok = False
-            details.append(f"bridge G_n = 2(1-2^n)B_n fails at n = {n}")
+            failures.append(f"bridge G_n = 2(1-2^n)B_n fails at n = {n}")
         if gen[n].denominator != 1:
-            ok = False
-            details.append(f"G_{n} is not an integer")
+            failures.append(f"G_{n} is not an integer")
         if n >= 3 and n % 2 == 1 and gen[n] != 0:
-            ok = False
-            details.append(f"odd G_{n} does not vanish")
+            failures.append(f"odd G_{n} does not vanish")
     signs = []
     for n in (2, 4, 6, 8):
         zg = genocchi_zeta_exact(1 - n)
         target = gen[n] / n
         if abs(zg) != abs(target):
-            ok = False
-            details.append(f"|zeta_G(1-{n})| != |G_{n}/{n}|")
+            failures.append(f"|zeta_G(1-{n})| != |G_{n}/{n}|")
         signs.append("+" if zg == target else "-")
-    details.insert(0, "observed zeta_G(1-n) = (sign) G_n/n with signs "
-                      f"{signs} relative to +G_n/n")
-    return CriterionResult(7, "number tables, bridge, continuation values",
-                           ok, details)
+    return _criterion(7, "number tables, bridge, continuation values",
+                      "observed zeta_G(1-n) = (sign) G_n/n with signs "
+                      f"{signs} relative to +G_n/n", failures)
 
 
 def criterion_8() -> CriterionResult:
@@ -318,39 +316,33 @@ def criterion_9() -> CriterionResult:
     """Character algebra for all moduli f <= 24: multiplicativity on every
     residue pair (m, n) mod f, which decides it for all m, n, and
     orthogonality, exact for order <= 2 and within 1e-12 otherwise."""
-    ok = True
-    details = []
+    failures = []
     worst_mult = 0.0
     worst_orth = 0.0
     for f in range(1, 25):
         chars = characters_mod(f)
         if len(chars) != _euler_phi(f):
-            ok = False
-            details.append(f"modulus {f}: wrong character count")
+            failures.append(f"modulus {f}: wrong character count")
         for chi in chars:
             vals = chi.table
             err = max(abs(vals[m * n % f] - vals[m] * vals[n])
                       for m in range(f) for n in range(f))
             worst_mult = max(worst_mult, err)
             if chi.order <= 2 and err != 0.0:
-                ok = False
-                details.append(f"real chi mod {f} not exactly multiplicative")
+                failures.append(f"real chi mod {f} not exactly multiplicative")
             elif err > 1e-12:
-                ok = False
-                details.append(f"chi mod {f} multiplicativity err {err:.2e}")
+                failures.append(f"chi mod {f} multiplicativity err {err:.2e}")
             total = sum(vals)
             if chi.is_principal:
                 if abs(total - _euler_phi(f)) > 1e-12:
-                    ok = False
-                    details.append(f"principal orthogonality fails mod {f}")
+                    failures.append(f"principal orthogonality fails mod {f}")
             else:
                 worst_orth = max(worst_orth, abs(total))
                 if abs(total) > 1e-12:
-                    ok = False
-                    details.append(f"orthogonality fails: chi {chi.label}")
-    details.insert(0, f"worst multiplicativity {worst_mult:.2e}, "
-                      f"worst orthogonality {worst_orth:.2e}")
-    return CriterionResult(9, "character algebra, f <= 24", ok, details)
+                    failures.append(f"orthogonality fails: chi {chi.label}")
+    return _criterion(9, "character algebra, f <= 24",
+                      f"worst multiplicativity {worst_mult:.2e}, "
+                      f"worst orthogonality {worst_orth:.2e}", failures)
 
 
 def criterion_10() -> CriterionResult:
@@ -359,8 +351,7 @@ def criterion_10() -> CriterionResult:
     extrapolated value by less than the reported residual estimate.  (The
     q = 1 value itself is the exact Abel limit, which no schedule moves.)"""
     one = QParam.one()
-    ok = True
-    details = []
+    failures = []
     worst_ratio = 0.0
     for v, h, k in _admissible(_RECOVERY_PAIRS):
         base = oscillatory_sum(v, h, k, one, reg=DEFAULT_SCHEDULE)
@@ -369,12 +360,10 @@ def criterion_10() -> CriterionResult:
         if base.residual > 0:
             worst_ratio = max(worst_ratio, move / base.residual)
         if move >= base.residual:
-            ok = False
-            details.append(f"{v}({h},{k}): moved {move:.2e} >= "
-                           f"residual {base.residual:.2e}")
-    details.insert(0, f"worst move/residual ratio {worst_ratio:.3e}")
-    return CriterionResult(10, "regularization schedule stability", ok,
-                           details)
+            failures.append(f"{v}({h},{k}): moved {move:.2e} >= "
+                            f"residual {base.residual:.2e}")
+    return _criterion(10, "regularization schedule stability",
+                      f"worst move/residual ratio {worst_ratio:.3e}", failures)
 
 
 def _euler_phi(f: int) -> int:

@@ -35,8 +35,8 @@ from .characters import DirichletCharacter, chi_table
 from .core import (_LOG_FLOAT_MAX, ConvergenceError, DomainError, QParam,
                    QRegime, SeriesValue, VerificationOutcome, _finite, _logq,
                    _positive, _shift)
-from .qsums import RegularizationSchedule, _richardson
-from .qzeta import q_alt_l, q_alt_zeta, q_alt_zeta_hurwitz, q_plain_zeta
+from .qsums import RegularizationSchedule, _gen_kind, _richardson
+from .qzeta import _alt_series
 from .zeta import _loggamma, hurwitz_zeta, riemann_zeta, zeta_star
 
 __all__ = [
@@ -68,12 +68,9 @@ _PRODUCT_REG = RegularizationSchedule((0.2, 0.1, 0.05, 0.025, 0.0125), 4)
 @dataclass(frozen=True)
 class QuadratureConfig:
     tol: float = 1e-11
-    big_t: Optional[float] = None  # (T, inf) truncation point; None = auto
 
     def __post_init__(self):
         _positive("tol", self.tol)
-        if self.big_t is not None and not self.big_t >= 1.0:
-            raise DomainError("T must be at least 1")
 
 
 @functools.lru_cache(maxsize=_TS_LEVELS + 1)
@@ -129,24 +126,43 @@ def _real_q_s(s, q: QParam, route: str) -> complex:
     return s
 
 
+def _tail_cut(a: float, lgam_re: float, logq: float, xv: float,
+              n0coef: float, log_share: float) -> float:
+    """T for a (T, inf) tail of at most e^log_share in the value's units:
+    |g(t)| <= amp e^(-beta t) for t >= 1, and int_T^inf t^(a-1)
+    e^(-beta t) dt <= 2 T^(a-1) e^(-beta T) / beta once beta T >= 2(a - 1).
+    log_tail is concave and falls past t_min, so Newton's steps toward
+    log_tail = -1 overshoot once, then fall back: each lands where a
+    tangent, which lies above log_tail, meets -1, so log_tail(T) <= -1."""
+    qinv = math.exp(-logq)
+    beta = xv + (qinv if n0coef == 0.0 else 0.0)
+    amp = 2.0 * qinv + abs(n0coef)
+    t_min = t_big = max(2.0 * (a - 1.0) / beta, 1.0)
+
+    def log_tail(t):
+        return (math.log(2.0 * amp / beta) + (a - 1.0) * math.log(t)
+                - beta * t - lgam_re - log_share)
+
+    for _ in range(4):
+        t_big = max(t_min, t_big - (log_tail(t_big) + 1.0)
+                    / ((a - 1.0) / t_big - beta))
+    return t_big
+
+
 def mellin_transform(kind: str, s, q: QParam,
                      x: Optional[float] = None,
                      chi: Optional[DirichletCharacter] = None,
                      cfg: Optional[QuadratureConfig] = None) -> SeriesValue:
     """(1/Gamma(s)) int_0^inf t^(s-1) g(t) dt for g one of the generating
-    functions "f", "F", "f_chi", "F_chi", optionally damped by exp(-t x)
-    with the n = 0 term restored (the Hurwitz-shift integrand sums from
-    n = 0, so it equals (chi(0) + g(t)) e^(-tx)).  T, V and the node
-    tolerance are sized from the error budget before anything is summed."""
-    if kind not in ("f", "F", "f_chi", "F_chi"):
-        raise DomainError(f"unknown generating kind {kind!r}")
+    functions "f", "F", "f_chi", "F_chi" (read by `_gen_kind`), optionally
+    damped by exp(-t x) with the n = 0 term restored (the Hurwitz-shift
+    integrand sums from n = 0, so it equals (chi(0) + g(t)) e^(-tx)).  T, V
+    and the node tolerance are sized from the error budget before anything
+    is summed."""
+    alt, chi = _gen_kind(kind, chi)
     s = _real_q_s(s, q, "quadrature route needs")
     cfg = cfg or QuadratureConfig()
-    needs_chi = kind.endswith("_chi")
-    if needs_chi and chi is None:
-        raise DomainError(f"kind {kind!r} needs a character")
-    chiv = chi_table(chi if needs_chi else None)
-    alt = kind.startswith("F")
+    chiv = chi_table(chi)
     logq = _logq(q.value)
     xv = n0coef = 0.0
     if x is not None:
@@ -170,25 +186,7 @@ def mellin_transform(kind: str, s, q: QParam,
             f"rounding of the integrand's mass e^{log_mass:.4g} above tol; "
             "|Im s| is too large, or x too small, for the quadrature route")
 
-    # (T, inf) tail: |g(t)| <= amp e^(-beta t) for t >= 1, and
-    # int_T^inf t^(a-1) e^(-beta t) dt <= 2 T^(a-1) e^(-beta T) / beta once
-    # beta T >= 2(a - 1).  log_tail is concave and falls past t_min, so
-    # Newton's steps toward log_tail = -1 overshoot once, then fall back.
-    qinv = math.exp(-logq)
-    beta = xv + (qinv if n0coef == 0.0 else 0.0)
-    amp = 2.0 * qinv + abs(n0coef)
-    t_min = t_big = max(2.0 * (a - 1.0) / beta, 1.0)
-
-    def log_tail(t):
-        return (math.log(2.0 * amp / beta) + (a - 1.0) * math.log(t)
-                - beta * t - lgam.real - log_share)
-
-    for _ in range(4 if cfg.big_t is None else 0):
-        t_big = max(t_min, t_big - (log_tail(t_big) + 1.0)
-                    / ((a - 1.0) / t_big - beta))
-    t_big = cfg.big_t or t_big
-    if not (t_big >= t_min and log_tail(t_big) <= 0.0):
-        raise ConvergenceError("tail bound above tolerance; raise T")
+    t_big = _tail_cut(a, lgam.real, logq, xv, n0coef, log_share)
     # (0, e^-V) head: |t g(t)| <= c1 for t <= 1
     c1 = 1.0 / (-logq) + 2.0 + abs(n0coef)
     v_hi = max(1.0, (math.log(c1 / (a - 1.0)) - lgam.real - log_share)
@@ -234,34 +232,42 @@ def mellin_transform(kind: str, s, q: QParam,
     return SeriesValue(value, err, 0)
 
 
+# round-trip target: (generating kind, shifted by x)
+_ROUNDTRIPS = {"zeta": ("F", False), "hurwitz": ("F", True), "l": ("F_chi", False)}
+
+
 def verify_mellin_roundtrip(target: str, s, q: QParam,
                             x: Optional[float] = None,
                             chi: Optional[DirichletCharacter] = None,
                             tol: float = 1e-8) -> VerificationOutcome:
-    """Quadrature route against series route for the three definitional
+    """Quadrature route against series route for the definitional
     transforms: target "zeta" (plain alternating series), "hurwitz"
-    (additive shift x), "l" (character twist)."""
-    s = complex(s)
-    if target == "zeta":
-        kind, kw = "F", {}
-        rhs = q_alt_zeta(s, q, tol * 1e-2).value
-    elif target == "hurwitz":
-        if x is None:
-            raise DomainError("hurwitz round-trip needs x")
-        kind, kw = "F", {"x": x}
-        rhs = q_alt_zeta_hurwitz(s, x, q, tol * 1e-2).value
-    elif target == "l":
-        if chi is None:
-            raise DomainError("l round-trip needs a character")
-        kind, kw = "F_chi", {"chi": chi}
-        rhs = q_alt_l(s, chi, q, tol * 1e-2).value
-    else:
+    (additive shift x), "l" (character twist).  The series side is the
+    engine `_alt_series` at the reading of the target's generating kind."""
+    if target not in _ROUNDTRIPS:
         raise DomainError(f"unknown round-trip target {target!r}")
+    kind, shifted = _ROUNDTRIPS[target]
+    if shifted and x is None:
+        raise DomainError(f"{target} round-trip needs x")
+    alternating, chi = _gen_kind(kind, chi)
+    x = x if shifted else None
+    s = _real_q_s(s, q, "quadrature route needs")
+    rhs = _alt_series(s, q, x, chi, tol * 1e-2, alternating=alternating).value
     # both routes round relative to a large value, such as x^(-s): compare
-    # relative to max(1, |rhs|) and size the quadrature tol alike
+    # relative to max(1, |rhs|) and size the quadrature tol alike, but not
+    # below the transform's rounding of its value, an ulp of |log Gamma(s)|
+    # + |s| log T, over the share of tol its budget leaves free (T sized at
+    # 1e-11, the least tol at which this floor comes into play)
+    lgam = _loggamma(s)
+    xv, n0coef = (_shift("x", x), complex(chi_table(chi)[0]).real) if shifted \
+        else (0.0, 0.0)
+    t_big = _tail_cut(s.real, lgam.real, _logq(q.value), xv, n0coef,
+                      math.log(1e-11 * _SHARE))
+    rounding = _EPS * (abs(lgam) + abs(s) * math.log(t_big)) * abs(rhs) \
+        / (1.0 - _QUAD_SHARE - 3.0 * _SHARE - _ROUND_SHARE)
     scale = max(1.0, abs(rhs))
-    cfg = QuadratureConfig(tol=min(tol * 1e-2 * scale, max(1e-11, 1e-13 * abs(rhs))))
-    lhs = mellin_transform(kind, s, q, cfg=cfg, **kw).value
+    cfg = QuadratureConfig(tol=min(tol * 1e-2 * scale, max(1e-11, rounding)))
+    lhs = mellin_transform(kind, s, q, x=x, chi=chi, cfg=cfg).value
     return VerificationOutcome.compare(
         f"mellin-roundtrip-{target}",
         {"s": s, "q": str(q), "x": x, "chi": chi.label if chi else None},
@@ -281,12 +287,12 @@ def branch_prefactor(s) -> complex:
 
 
 _PRODUCT_WIRING = {
-    # tid: (alternating inner series, odd (2m-1) weights, twisted)
-    19: (True, True, False),
-    20: (False, True, False),
-    21: (True, False, False),
-    22: (True, True, True),
-    23: (False, True, True),
+    # tid: (generating kind of the inner series, odd (2m-1) weights)
+    19: ("F", True),
+    20: ("f", True),
+    21: ("F", False),
+    22: ("F_chi", True),
+    23: ("f_chi", True),
 }
 
 
@@ -298,15 +304,14 @@ def verify_product_identity(tid: int, s, q: QParam,
 
     Right sides: 19/21 use [2] * (alternating q-zeta), 20 the plain q-zeta,
     22 the scaled twisted series, 23 the plain twisted series; the second
-    factor is zeta*(s+1) except for 21 which takes the full zeta(s+1).
+    factor is zeta*(s+1) except for 21 which takes the full zeta(s+1).  The
+    q-series is `_alt_series` at the reading of the identity's generating
+    kind.
     """
     if tid not in _PRODUCT_WIRING:
         raise DomainError("identity id must be one of 19..23")
-    alt, odd_w, twisted = _PRODUCT_WIRING[tid]
-    if twisted and chi is None:
-        raise DomainError(f"identity {tid} needs a character")
-    if not twisted:
-        chi = None
+    kind, odd_w = _PRODUCT_WIRING[tid]
+    alt, chi = _gen_kind(kind, chi)
     s = _real_q_s(s, q, "product identities need")
     qfrac = q.value
     logq = _logq(qfrac)
@@ -319,11 +324,7 @@ def verify_product_identity(tid: int, s, q: QParam,
 
     # analytic completion of the m-tail: for m > M the damped bracket is
     # 2i sin(pi s/2) w^(-s) to O(eps/w); the m-sum is a Hurwitz zeta(s+1)
-    if alt:
-        x_series = q_alt_zeta(s, q, inner_tol).value if chi is None \
-            else q_alt_l(s, chi, q, inner_tol).value
-    else:
-        x_series = q_plain_zeta(s, q, inner_tol, chi=chi).value
+    x_series = _alt_series(s, q, None, chi, inner_tol, alternating=alt).value
     m_tail_zeta = hurwitz_zeta(s + 1.0, _PRODUCT_M_TERMS + (0.5 if odd_w else 1.0),
                                1e-14).value
     if odd_w:

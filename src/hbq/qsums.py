@@ -160,6 +160,19 @@ def _slices(shape, h: int, k: int, chi: Optional[DirichletCharacter],
 # generating functions
 # ----------------------------------------------------------------------
 
+def _gen_kind(kind: str, chi: Optional[DirichletCharacter]):
+    """The one rule for the generating kinds "f", "F", "f_chi", "F_chi":
+    (alternating, chi or None), the arguments of `qzeta._alt_series` on the
+    other side of the Mellin transform.  A twisted kind needs a character;
+    the others drop it."""
+    if kind not in ("f", "F", "f_chi", "F_chi"):
+        raise DomainError(f"unknown generating kind {kind!r}")
+    twisted = kind.endswith("_chi")
+    if twisted and chi is None:
+        raise DomainError(f"kind {kind!r} needs a Dirichlet character")
+    return kind.startswith("F"), chi if twisted else None
+
+
 def eval_gen(kind: str, t, q: QParam, tol: float = 1e-12,
              chi: Optional[DirichletCharacter] = None) -> SeriesValue:
     """Truncated generating-function value at Re(t) > 0, regime 0 < q < 1:
@@ -168,11 +181,7 @@ def eval_gen(kind: str, t, q: QParam, tol: float = 1e-12,
     kind: "f" (plain), "F" (alternating), "f_chi", "F_chi" (twisted); the
     twisted kinds use the same q^(-n)[n] exponent as their siblings.
     """
-    if kind not in ("f", "F", "f_chi", "F_chi"):
-        raise DomainError(f"unknown generating kind {kind!r}")
-    needs_chi = kind.endswith("_chi")
-    if needs_chi and chi is None:
-        raise DomainError(f"kind {kind!r} needs a Dirichlet character")
+    alternating, chi = _gen_kind(kind, chi)
     if q.regime is not QRegime.REAL_UNIT:
         raise DomainError("eval_gen needs the exact rational regime 0 < q < 1")
     if complex(t).real <= 0:
@@ -180,8 +189,7 @@ def eval_gen(kind: str, t, q: QParam, tol: float = 1e-12,
                           "handles the imaginary axis")
     _positive("tol", tol)
     (value,), (tail,), (n,) = _kernels.gen_series_sum(
-        [t], _logq(q.value), kind.startswith("F"),
-        chi_table(chi if needs_chi else None), 1_000_000, tol)
+        [t], _logq(q.value), alternating, chi_table(chi), 1_000_000, tol)
     if tail == math.inf:
         raise ConvergenceError("generating series did not reach tolerance")
     return SeriesValue(value, tail, n)

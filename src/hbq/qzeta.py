@@ -333,7 +333,7 @@ def verify_conductor_decomposition(s, chi: DirichletCharacter, q: QParam,
     scale = 1.0 + float(qfrac)
     inner_tol = tol / (40.0 * f)
 
-    lhs = scale * q_alt_l(s, chi, q, inner_tol, x=xv).value
+    lhs = scale * _alt_series(s, q, xv, chi, inner_tol).value
 
     q_to_f = QParam.real(qfrac ** f)
     bf = qbracket(f, qfrac)

@@ -2,12 +2,13 @@
 tolerance, one printed pass/fail line each.  Run with -s (or -v) to see the
 lines; the suite fails if any criterion fails."""
 
+import dataclasses
 import time
 import tracemalloc
 
 import pytest
 
-from hbq import acceptance
+from hbq import DirichletCharacter, acceptance
 
 
 @pytest.mark.parametrize("number", range(1, 11))
@@ -55,3 +56,70 @@ def test_criterion_2_fails_on_a_moved_dedekind_sum(monkeypatch):
     assert result.details[0] == "worst |q=1 value - exact| = 2.000e-06"
     assert result.details[1:] == [f"dedekind-p3({h},{k}) diff 2.000e-06"
                                   for h, k in acceptance._RECOVERY_PAIRS]
+
+
+def test_criterion_7_fails_on_a_wrong_euler_entry(monkeypatch):
+    # E_4 = 5 moved to 6: the Euler table misses its defining product
+    # (e^t + 1) sum E_n t^n/n! = 2, and nothing else of criterion 7 reads it
+    real = acceptance.number_table
+
+    def wrong(kind, n_max):
+        table = real(kind, n_max)
+        if kind is not acceptance.NumberKind.EULER:
+            return table
+        entries = list(table.entries)
+        entries[4] += 1
+        return dataclasses.replace(table, entries=tuple(entries))
+
+    monkeypatch.setattr(acceptance, "number_table", wrong)
+    result = acceptance.criterion_7()
+    assert not result.passed
+    assert result.details[1:] == ["Euler table fails its defining product"]
+
+
+def test_criterion_9_fails_on_a_character_value_off_by_1e_9(monkeypatch):
+    # chi(2) of the quartic character mod 5 moved from i to i + 1e-9: both
+    # the multiplicativity (chi(4) = chi(2)^2 is off by 2e-9) and the
+    # orthogonality of that character miss their 1e-12
+    real = acceptance.characters_mod
+
+    def off(f):
+        chars = real(f)
+        if f != 5:
+            return chars
+        chi = DirichletCharacter(f, chars[1].exponents)  # a fresh table
+        vals = list(chi.table)
+        vals[2] += 1e-9
+        chi.__dict__["table"] = tuple(vals)
+        return (chars[0], chi) + chars[2:]
+
+    monkeypatch.setattr(acceptance, "characters_mod", off)
+    result = acceptance.criterion_9()
+    assert not result.passed
+    assert result.details[1:] == ["chi mod 5 multiplicativity err 2.00e-09",
+                                  "orthogonality fails: chi 5:1"]
+    assert real(5)[1].table[2] == 1j  # the cached character is untouched
+
+
+def test_criterion_10_fails_when_the_refined_value_moves_by_the_residual(
+        monkeypatch):
+    # the refined schedule's extrapolated value moved by the base schedule's
+    # residual estimate: the move is not below the residual, so every
+    # recovery sum fails
+    real = acceptance.oscillatory_sum
+
+    def moved(v, h, k, q, reg):
+        out = real(v, h, k, q, reg=reg)
+        if reg == acceptance.DEFAULT_SCHEDULE:
+            return out
+        base = real(v, h, k, q, reg=acceptance.DEFAULT_SCHEDULE)
+        return dataclasses.replace(
+            out, extrapolated=base.extrapolated + base.residual)
+
+    monkeypatch.setattr(acceptance, "oscillatory_sum", moved)
+    result = acceptance.criterion_10()
+    cases = acceptance._admissible(acceptance._RECOVERY_PAIRS)
+    assert not result.passed and len(result.details) == 1 + len(cases)
+    for line, (v, h, k) in zip(result.details[1:], cases):
+        moved_by, residual = line.split(": moved ")[1].split(" >= residual ")
+        assert line.startswith(f"{v}({h},{k}): ") and moved_by == residual

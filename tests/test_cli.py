@@ -473,13 +473,14 @@ def test_canonical_json_every_type():
 
 
 def test_mellin_defs_large_s(capsys):
-    # at Re s = 120 the shifted transform's x^(-s) = 2^120 puts the
-    # quadrature's rounding of exp(-s v) above the tol sized to the value: a
-    # refusal, where T^(Re s) used to overflow in a traceback
-    code, out, err = run(capsys, "verify", "mellin-defs", "--s", "120",
-                         "--q", "1/2")
-    assert code == 2 and out == ""
-    assert err.startswith("error: quadrature bound")
+    # at Re s = 60 and 120 the shifted transform's x^(-s) = 2^(Re s) puts
+    # its rounding of exp(-s v), an ulp of |log Gamma(s)| + |s| log T of the
+    # value (2.7e-13 at s = 120), above a quadrature tol of 1e-13 |rhs|;
+    # the round trip floors that tol at the rounding term, and answers
+    for argv, rows in ((("--s", "60"), 9), (("--s", "120", "--q", "1/2"), 3)):
+        code, out, err = run(capsys, "verify", "mellin-defs", *argv)
+        assert code in (0, 1) and err == ""
+        assert out.count("[PASS]") + out.count("[FAIL]") == rows
     # at Re s = 20 (x^(-s) = 2^20) the compare relative to max(1, |rhs|)
     # answers; an absolute 1e-8 refused it for rounding of the mass
     for s in ("10", "20"):

@@ -7,8 +7,9 @@ import mpmath
 import pytest
 
 from hbq import (ConvergenceError, DomainError, QParam, QuadratureConfig,
-                 SeriesValue, branch_prefactor, characters_mod, mellin_transform, q_alt_zeta,
-                 verify_mellin_roundtrip, verify_product_identity)
+                 SeriesValue, branch_prefactor, characters_mod, eval_gen,
+                 mellin_transform, q_alt_zeta, verify_mellin_roundtrip,
+                 verify_product_identity)
 from hbq import _kernels, mellin
 from hbq.qzeta import _alt_series
 from hbq.zeta import _loggamma
@@ -39,12 +40,15 @@ def test_roundtrip_off_grid():
 
 
 @pytest.mark.parametrize("target, s, kwargs", [("zeta", 2, {}),
-                                              ("hurwitz", 20, {"x": 0.5})])
+                                              ("hurwitz", 20, {"x": 0.5}),
+                                              ("hurwitz", 120, {"x": 0.5})])
 def test_roundtrip_compares_relative_and_can_fail(target, s, kwargs,
                                                   monkeypatch):
     # the round trip compares relative to max(1, |rhs|): at s = 20 the
     # shifted rhs is about 2^20 and passes, where an absolute 1e-8 sat
-    # below the quadrature's rounding; an error of ten scaled tols fails
+    # below the quadrature's rounding; at s = 120 it passes once the
+    # quadrature tol is floored at the transform's rounding of its value;
+    # an error of ten scaled tols fails
     tol = 1e-8
     out = verify_mellin_roundtrip(target, s, Q_HALF, tol=tol, **kwargs)
     scale = max(1.0, abs(out.rhs))
@@ -77,13 +81,6 @@ def test_prefactor_zero_structure():
     z = branch_prefactor(2.5)
     expected = cmath.exp(-2.5 * 0.5j * math.pi) * (cmath.exp(-2.5j * math.pi) - 1)
     assert abs(z - expected) < 1e-14
-
-
-def test_quadrature_tail_certificate():
-    base = mellin_transform("F", 2, Q_HALF)
-    cfg = QuadratureConfig(big_t=1.5 * 40.0)
-    moved = mellin_transform("F", 2, Q_HALF, cfg=cfg)
-    assert abs(base.value - moved.value) <= base.tail_bound + moved.tail_bound
 
 
 def test_mellin_transform_matches_series_directly():
@@ -119,6 +116,35 @@ def test_bound_above_tol_is_not_certified():
     # transform used to succeed with tail_bound 3.6e-15
     with pytest.raises(ConvergenceError, match="above tol"):
         mellin_transform("F", 2, Q_HALF, cfg=QuadratureConfig(tol=1e-15))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: eval_gen("G", 1.0, Q_HALF), "unknown generating kind 'G'"),
+    (lambda: eval_gen("F_chi", 1.0, Q_HALF),
+     "kind 'F_chi' needs a Dirichlet character"),
+    (lambda: mellin_transform("G", 2, Q_HALF), "unknown generating kind 'G'"),
+    (lambda: mellin_transform("f_chi", 2, Q_HALF),
+     "kind 'f_chi' needs a Dirichlet character"),
+    (lambda: verify_mellin_roundtrip("gamma", 2, Q_HALF),
+     "unknown round-trip target 'gamma'"),
+    (lambda: verify_mellin_roundtrip("hurwitz", 2, Q_HALF),
+     "hurwitz round-trip needs x"),
+    (lambda: verify_mellin_roundtrip("l", 2, Q_HALF),
+     "kind 'F_chi' needs a Dirichlet character"),
+    (lambda: verify_product_identity(22, 2, Q_HALF, chi=None),
+     "kind 'F_chi' needs a Dirichlet character"),
+])
+def test_generating_kind_refusals(call, message, monkeypatch):
+    # one rule reads the generating kinds for the series, the transform, the
+    # round trip and the product identities: each refuses before summing
+    def unreachable(*args, **kwargs):
+        raise AssertionError("summed a series")
+
+    monkeypatch.setattr(_kernels, "gen_series_sum", unreachable)
+    monkeypatch.setattr(mellin, "_alt_series", unreachable)
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_product_identities_at_even_s():
