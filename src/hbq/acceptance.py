@@ -24,6 +24,7 @@ from .zeta import genocchi_zeta, genocchi_zeta_exact
 __all__ = ["CRITERIA", "CriterionResult", "run_all", "run_criterion"]
 
 _CATALAN = 0.91596559417721902  # G = sum_{n>=0} (-1)^n (2n+1)^(-2)
+_Q_HALF = QParam.real(Fraction(1, 2))
 
 
 @dataclass
@@ -45,14 +46,23 @@ def _worst(outs: Sequence[VerificationOutcome]) -> float:
     return max([0.0] + [out.abs_diff for out in outs])
 
 
-# The identity checks behind ``hbq verify``; their defaults are the grids of
-# criteria 1 and 3-6.
+# The identity checks behind ``hbq verify``, each returning its outcomes in
+# report order; their defaults are the grids of criteria 1 and 3-6, and a
+# given value of an axis (s, q, chi or x) replaces that axis.
+
+def _axis(value, default: tuple) -> tuple:
+    return default if value is None else (value,)
+
+
+def _report_order(outs) -> List[VerificationOutcome]:
+    return sorted(outs, key=lambda o: sorted(str(v) for v in o.params.values()))
+
 
 def trig_series_checks(k_max: int = 15,
                        tol: float = 1e-9) -> List[VerificationOutcome]:
     """thm4: the digamma closed form of each trigonometric series against
     the exact finite sum, for every coprime (h, k), k <= k_max, h <= 2k, and
-    every variant whose parity condition holds."""
+    every variant whose parity condition holds, ordered by variant, k, h."""
     if k_max < 1:
         raise DomainError("k_max must be >= 1: an empty sweep checks nothing")
     pairs = [(h, k) for k in range(1, k_max + 1) for h in range(1, 2 * k + 1)
@@ -61,60 +71,63 @@ def trig_series_checks(k_max: int = 15,
                 "trig-series-vs-exact", {"variant": v, "h": h, "k": k},
                 classical_trig_series(v, h, k, tol=tol * 1e-2),
                 float(hardy_berndt_sum(v, h, k)), tol)
-            for v, h, k in _admissible(pairs)]
+            for v, h, k in sorted(_admissible(pairs), key=lambda c: c[0])]
 
 
-def decomposition_checks(two_var: bool,
-                         chars: Sequence[DirichletCharacter] = (
-                             characters_mod(3) + characters_mod(5)),
-                         s_grid: Sequence = (2, 3),
-                         q_grid: Sequence[QParam] = (
-                             QParam.real(Fraction(1, 2)),
-                             QParam.real(Fraction(1, 3))),
-                         x_grid: Sequence[float] = (0.25, 0.5),
+def decomposition_checks(two_var: bool, s=None, q: Optional[QParam] = None,
+                         chi: Optional[DirichletCharacter] = None,
+                         x: Optional[float] = None,
                          tol: float = 1e-10) -> List[VerificationOutcome]:
-    """thm5, or thm6 over ``x_grid`` with ``two_var``: the conductor
-    decomposition for each character at each grid point."""
+    """thm5, or thm6 with ``two_var``: the conductor decomposition for each
+    character mod 3 and 5 at s in {2, 3}, q in {1/2, 1/3} and, for thm6,
+    x in {1/4, 1/2}."""
     from .qzeta import verify_conductor_decomposition
 
-    return [verify_conductor_decomposition(s, chi, q, tol, x=x)
-            for chi in chars for s in s_grid for q in q_grid
-            for x in (x_grid if two_var else (None,))]
+    if x is not None and not two_var:
+        raise DomainError("the one-variable decomposition takes no x")
+    return _report_order(
+        verify_conductor_decomposition(si, c, qi, tol, x=xi)
+        for c in _axis(chi, characters_mod(3) + characters_mod(5))
+        for si in _axis(s, (2, 3))
+        for qi in _axis(q, (_Q_HALF, QParam.real(Fraction(1, 3))))
+        for xi in (_axis(x, (0.25, 0.5)) if two_var else (None,)))
 
 
-def mellin_checks(s_grid: Sequence = (2, 3, 2.5),
-                  q_grid: Sequence[QParam] = (QParam.real(Fraction(3, 10)),
-                                              QParam.real(Fraction(1, 2)),
-                                              QParam.real(Fraction(4, 5))),
+def mellin_checks(s=None, q: Optional[QParam] = None,
                   tol: float = 1e-8) -> List[VerificationOutcome]:
     """mellin-defs: quadrature against series for the plain, shifted
-    (x = 1/2) and twisted (nonprincipal mod 4) transforms."""
+    (x = 1/2) and twisted (nonprincipal mod 4) transforms at s in
+    {2, 3, 5/2} and q in {3/10, 1/2, 4/5}."""
     from .mellin import verify_mellin_roundtrip
 
     chi4 = characters_mod(4)[1]
     targets = (("zeta", {}), ("hurwitz", {"x": 0.5}), ("l", {"chi": chi4}))
-    return [verify_mellin_roundtrip(target, s, q, tol=tol, **kwargs)
-            for s in s_grid for q in q_grid for target, kwargs in targets]
+    return _report_order(
+        verify_mellin_roundtrip(target, si, qi, tol=tol, **kwargs)
+        for si in _axis(s, (2, 3, 2.5))
+        for qi in _axis(q, (QParam.real(Fraction(3, 10)), _Q_HALF,
+                            QParam.real(Fraction(4, 5))))
+        for target, kwargs in targets)
 
 
-def product_check(tid: int, s=2, q: QParam = QParam.real(Fraction(1, 2)),
+def product_check(tid: int, s=2, q: QParam = _Q_HALF,
                   chi: Optional[DirichletCharacter] = None,
-                  tol: float = 1e-4) -> VerificationOutcome:
-    """thm19-thm23: product identity ``tid``; the twisted identities 22 and
-    23 default to the nonprincipal character mod 4."""
+                  tol: float = 1e-4) -> List[VerificationOutcome]:
+    """thm19-thm23: the one outcome of product identity ``tid``; the twisted
+    identities 22 and 23 default to the nonprincipal character mod 4."""
     from .mellin import verify_product_identity
 
     if chi is None and tid in (22, 23):
         chi = characters_mod(4)[1]
-    return verify_product_identity(tid, s, q, chi=chi, tol=tol)
+    return [verify_product_identity(tid, s, q, chi=chi, tol=tol)]
 
 
-def _criterion(number: int, description: str, head: str,
+def _criterion(number: int, description: str, heads: List[str],
                failures: List[str]) -> CriterionResult:
     """A criterion passes iff it has no failure line: its details are the
-    summary line ``head``, then ``failures``."""
+    summary lines ``heads``, then ``failures``."""
     return CriterionResult(number, description, not failures,
-                           [head] + failures)
+                           heads + failures)
 
 
 def _outcomes_criterion(number: int, description: str,
@@ -132,7 +145,7 @@ def _outcomes_criterion(number: int, description: str,
     if limit and elapsed > limit[0]:
         failures.append(f"{limit[1]} took {elapsed:.2f}s > {limit[0]:g}s")
     return _criterion(number, description,
-                      head.format(n=len(outs), worst=_worst(outs)), failures)
+                      [head.format(n=len(outs), worst=_worst(outs))], failures)
 
 
 def criterion_1() -> CriterionResult:
@@ -214,16 +227,12 @@ def criterion_6() -> CriterionResult:
     """Product identities: 19, 21, 22 at s = 2, q = 1/2 (nonprincipal mod 4
     for 22) within 1e-4 after damping and extrapolation; 20 and 23 reported
     under the documented plain-series normalization at the same tolerance."""
-    ok = True
-    details = []
-    for tid in (19, 20, 21, 22, 23):
-        out = product_check(tid)
-        details.append(f"id {tid}: |lhs - rhs| = {out.abs_diff:.3e}")
-        if not out.passed:
-            ok = False
-            details[-1] += "  FAIL"
-    return CriterionResult(6, "product identities at s = 2 (1e-4)", ok,
-                           details)
+    outs = [out for tid in (19, 20, 21, 22, 23) for out in product_check(tid)]
+    return _criterion(6, "product identities at s = 2 (1e-4)",
+                      [f"id {out.params['id']}: |lhs - rhs| = {out.abs_diff:.3e}"
+                       for out in outs],
+                      [f"id {out.params['id']}: {out.abs_diff:.3e} > "
+                       f"{out.tolerance:.1e}" for out in outs if not out.passed])
 
 
 def _egf_product_check(entries, rhs_coeffs) -> bool:
@@ -278,8 +287,8 @@ def criterion_7() -> CriterionResult:
             failures.append(f"|zeta_G(1-{n})| != |G_{n}/{n}|")
         signs.append("+" if zg == target else "-")
     return _criterion(7, "number tables, bridge, continuation values",
-                      "observed zeta_G(1-n) = (sign) G_n/n with signs "
-                      f"{signs} relative to +G_n/n", failures)
+                      ["observed zeta_G(1-n) = (sign) G_n/n with signs "
+                       f"{signs} relative to +G_n/n"], failures)
 
 
 def criterion_8() -> CriterionResult:
@@ -289,8 +298,7 @@ def criterion_8() -> CriterionResult:
     limit is 2 sum (-1)^n chi4(n) n^(-2) = -2G, G Catalan's constant."""
     from .qzeta import q_alt_l, q_alt_zeta
 
-    ok = True
-    details = []
+    heads, failures = [], []
     target_plain = genocchi_zeta(2, 1e-13).value
     chi4 = characters_mod(4)[1]
     target_chi = -2.0 * _CATALAN
@@ -305,11 +313,11 @@ def criterion_8() -> CriterionResult:
             dists.append(abs(fn(q) - target))
         mono = all(a > b for a, b in zip(dists, dists[1:]))
         small = dists[-1] <= 1e-3
+        heads.append(f"{name}: distances {['%.2e' % d for d in dists]} "
+                     f"monotone={mono} final<=1e-3={small}")
         if not (mono and small):
-            ok = False
-        details.append(f"{name}: distances {['%.2e' % d for d in dists]} "
-                       f"monotone={mono} final<=1e-3={small}")
-    return CriterionResult(8, "q -> 1 continuity at s = 2", ok, details)
+            failures.append(f"{name}: no monotone approach to within 1e-3")
+    return _criterion(8, "q -> 1 continuity at s = 2", heads, failures)
 
 
 def criterion_9() -> CriterionResult:
@@ -320,10 +328,10 @@ def criterion_9() -> CriterionResult:
     worst_mult = 0.0
     worst_orth = 0.0
     for f in range(1, 25):
-        chars = characters_mod(f)
-        if len(chars) != _euler_phi(f):
+        group = characters_mod(f)
+        if len(group) != _euler_phi(f):
             failures.append(f"modulus {f}: wrong character count")
-        for chi in chars:
+        for chi in group:
             vals = chi.table
             err = max(abs(vals[m * n % f] - vals[m] * vals[n])
                       for m in range(f) for n in range(f))
@@ -341,8 +349,8 @@ def criterion_9() -> CriterionResult:
                 if abs(total) > 1e-12:
                     failures.append(f"orthogonality fails: chi {chi.label}")
     return _criterion(9, "character algebra, f <= 24",
-                      f"worst multiplicativity {worst_mult:.2e}, "
-                      f"worst orthogonality {worst_orth:.2e}", failures)
+                      [f"worst multiplicativity {worst_mult:.2e}, "
+                       f"worst orthogonality {worst_orth:.2e}"], failures)
 
 
 def criterion_10() -> CriterionResult:
@@ -363,7 +371,7 @@ def criterion_10() -> CriterionResult:
             failures.append(f"{v}({h},{k}): moved {move:.2e} >= "
                             f"residual {base.residual:.2e}")
     return _criterion(10, "regularization schedule stability",
-                      f"worst move/residual ratio {worst_ratio:.3e}", failures)
+                      [f"worst move/residual ratio {worst_ratio:.3e}"], failures)
 
 
 def _euler_phi(f: int) -> int:

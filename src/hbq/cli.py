@@ -30,10 +30,6 @@ from .sums import (HARDY_VARIANTS, _hardy_variant, dedekind_sum,
 from .zeta import (digamma, genocchi_zeta, hurwitz_zeta, lerch_phi,
                    odd_power_sum, riemann_zeta, zeta_star)
 
-_THM_IDS = ("thm4", "thm5", "thm6", "mellin-defs", "thm19", "thm20", "thm21",
-            "thm22", "thm23", "all")
-
-
 # ----------------------------------------------------------------------
 # canonical serialization
 # ----------------------------------------------------------------------
@@ -446,50 +442,50 @@ def _cmd_qsum(args):
     return results
 
 
-def _checks(acceptance, args) -> List[VerificationOutcome]:
-    """Outcomes of one identity target, in report order; each of --s, --q,
-    --x and --chi replaces that axis of the target's default grid."""
-    which = args.what
-    tol = {} if args.tol is None else {"tol": args.tol}
-    if which == "thm4":
-        return sorted(acceptance.trig_series_checks(args.k_max, **tol),
-                      key=lambda o: (o.params["variant"], o.params["k"],
-                                     o.params["h"]))
-    point, grid = dict(tol), dict(tol)
-    if args.s:
-        point["s"] = _maybe_int(_parse_s(args.s))
-        grid["s_grid"] = [point["s"]]
-    if args.q:
-        point["q"] = QParam.parse(args.q)
-        grid["q_grid"] = [point["q"]]
-    chi = character_from_label(args.chi) if args.chi else None
-    if which in ("thm5", "thm6"):
-        if chi:
-            grid["chars"] = [chi]
-        if which == "thm6" and args.x is not None:
-            grid["x_grid"] = [args.x]
-        outs = acceptance.decomposition_checks(which == "thm6", **grid)
-    elif which == "mellin-defs":
-        outs = acceptance.mellin_checks(**grid)
-    else:
-        return [acceptance.product_check(int(which[3:]), chi=chi, **point)]
-    return sorted(outs, key=lambda o: sorted(str(v) for v in o.params.values()))
-
-
 def _cmd_verify(args):
     from . import acceptance
 
-    if args.what == "all":
-        return [{"kind": "criterion", "number": res.number,
-                 "name": res.description, "pass": res.passed,
-                 "details": list(res.details)}
-                for res in acceptance.run_all()]
-    return [_outcome_entry(o) for o in _checks(acceptance, args)]
+    fn, fixed, reads = _VERIFY[args.what]
+    given = {opt: getattr(args, opt) for opt in _VERIFY_OPTIONS
+             if getattr(args, opt) is not None}
+    unread = [f"--{opt.replace('_', '-')}" for opt in given if opt not in reads]
+    if unread:
+        raise DomainError(f"verify {args.what} does not read {', '.join(unread)}")
+    rows = getattr(acceptance, fn)(
+        *(() if fixed is None else (fixed,)),
+        **{opt: _VERIFY_PARSE.get(opt, lambda v: v)(v) for opt, v in given.items()})
+    return [_outcome_entry(row) if isinstance(row, VerificationOutcome) else
+            {"kind": "criterion", "number": row.number,
+             "name": row.description, "pass": row.passed,
+             "details": list(row.details)}
+            for row in rows]
 
 
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
+
+# verify target: (function of `hbq.acceptance`, its fixed first argument,
+# the options it reads; it refuses the others).  Kept here, by name, so that
+# building the parser does not import `hbq.acceptance`
+_VERIFY = {
+    "thm4": ("trig_series_checks", None, ("k_max", "tol")),
+    "thm5": ("decomposition_checks", False, ("s", "q", "chi", "tol")),
+    "thm6": ("decomposition_checks", True, ("s", "q", "chi", "x", "tol")),
+    "mellin-defs": ("mellin_checks", None, ("s", "q", "tol")),
+    "thm19": ("product_check", 19, ("s", "q", "tol")),
+    "thm20": ("product_check", 20, ("s", "q", "tol")),
+    "thm21": ("product_check", 21, ("s", "q", "tol")),
+    "thm22": ("product_check", 22, ("s", "q", "chi", "tol")),
+    "thm23": ("product_check", 23, ("s", "q", "chi", "tol")),
+    "all": ("run_all", None, ()),
+}
+# each verify option, its argparse type, and how its text is read
+_VERIFY_OPTIONS = {"s": str, "q": str, "x": float, "chi": str, "tol": float,
+                   "k_max": int}
+_VERIFY_PARSE = {"s": lambda text: _maybe_int(_parse_s(text)),
+                 "q": QParam.parse, "chi": character_from_label}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -573,13 +569,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p = sub.add_parser("verify", help="identity verification suites")
-    p.add_argument("what", choices=_THM_IDS)
-    p.add_argument("--s", default=None)
-    p.add_argument("--q", default=None)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--chi", default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--k-max", type=int, default=15)
+    p.add_argument("what", choices=tuple(_VERIFY))
+    for opt, kind in _VERIFY_OPTIONS.items():
+        p.add_argument("--" + opt.replace("_", "-"), type=kind, default=None)
     add_output(p)
 
     return parser

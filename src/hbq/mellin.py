@@ -218,7 +218,8 @@ def mellin_transform(kind: str, s, q: QParam,
                 f"generating series at t = {ts[g_tails.index(math.inf)]:.3g} "
                 f"hit its {_GEN_TERMS}-term cap; q is too close to 1 for the "
                 "quadrature route")
-        return [cmath.exp(-s * v - lgam) * (gv + n0coef) * math.exp(-t * xv)
+        # in one exponent, as exp(-s v) alone overflows at large Re s
+        return [cmath.exp(-s * v - lgam - t * xv) * (gv + n0coef)
                 for v, t, gv in zip(vs, ts, vals)]
 
     value, quad = _tanh_sinh(f, -math.log(t_big), v_hi, cfg.tol * _QUAD_SHARE)
@@ -302,11 +303,10 @@ def verify_product_identity(tid: int, s, q: QParam,
     """Damped-extrapolated left side of product identity ``tid`` in 19..23
     against its closed right side.
 
-    Right sides: 19/21 use [2] * (alternating q-zeta), 20 the plain q-zeta,
-    22 the scaled twisted series, 23 the plain twisted series; the second
-    factor is zeta*(s+1) except for 21 which takes the full zeta(s+1).  The
-    q-series is `_alt_series` at the reading of the identity's generating
-    kind.
+    Right sides: the q-series `_alt_series` at the reading of the
+    identity's generating kind, times [2] when that kind alternates (19, 21,
+    22), times zeta*(s+1) under the odd weights 2m - 1 and the full
+    zeta(s+1) under all weights m (21).
     """
     if tid not in _PRODUCT_WIRING:
         raise DomainError("identity id must be one of 19..23")
@@ -336,8 +336,8 @@ def verify_product_identity(tid: int, s, q: QParam,
            for eps in _PRODUCT_REG.offsets]
     lhs, resid = _richardson(_PRODUCT_REG.offsets, per, _PRODUCT_REG.order)
 
-    second = (riemann_zeta if tid == 21 else zeta_star)(s + 1.0, inner_tol).value
-    first = (1.0 + float(qfrac)) * x_series if tid in (19, 21, 22) else x_series
+    second = (zeta_star if odd_w else riemann_zeta)(s + 1.0, inner_tol).value
+    first = (1.0 + float(qfrac)) * x_series if alt else x_series
     rhs = branch_prefactor(s) * first * second
 
     params = {"id": tid, "s": s, "q": str(qfrac),

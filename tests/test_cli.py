@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -283,6 +284,57 @@ def test_verify_pass_and_fail_exit_codes(capsys):
     assert code == 1 and "FAIL" in out
 
 
+@pytest.mark.parametrize("argv, unread", [
+    (("all", "--tol", "1e-30"), "--tol"),
+    (("thm19", "--chi", "5:2"), "--chi"),
+    (("mellin-defs", "--chi", "5:1", "--x", "0.25"), "--x, --chi"),
+    (("thm5", "--x", "0.3"), "--x"),
+    (("thm4", "--s", "3"), "--s"),
+], ids=["all-tol", "thm19-chi", "mellin-defs-chi-x", "thm5-x", "thm4-s"])
+def test_verify_refuses_an_option_it_does_not_read(capsys, argv, unread):
+    # each used to exit 0 or 1 with the option echoed in the report's
+    # command but no check reading it
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: verify {argv[0]} does not read {unread}\n"
+
+
+_OPTION_TEXT = {"--s": "3", "--q": "1/3", "--x": "0.3", "--chi": "5:1",
+                "--tol": "1e-6", "--k-max": "3"}
+
+
+def test_verify_passes_each_option_its_target_reads(capsys, monkeypatch):
+    # every (target, option) pair: the 31 that a check reads reach its
+    # acceptance function, which takes them; the other 29 exit 2
+    import inspect
+
+    from hbq import acceptance, cli
+
+    calls = []
+    for fn in {entry[0] for entry in cli._VERIFY.values()}:
+        def record(*args, _fn=fn, _sig=inspect.signature(getattr(acceptance, fn)),
+                   **kwargs):
+            _sig.bind(*args, **kwargs)
+            calls.append((_fn, args, kwargs))
+            return []
+        monkeypatch.setattr(acceptance, fn, record)
+    read = 0
+    for target, (fn, fixed, reads) in cli._VERIFY.items():
+        for option, text in _OPTION_TEXT.items():
+            calls.clear()
+            code, out, err = run(capsys, "verify", target, option, text)
+            name = option[2:].replace("-", "_")
+            assert code == (0 if name in reads else 2), (target, option)
+            if name in reads:
+                read += 1
+                assert [(f, a, list(kw)) for f, a, kw in calls] == \
+                    [(fn, () if fixed is None else (fixed,), [name])]
+            else:
+                assert not calls and out == ""
+                assert err == f"error: verify {target} does not read {option}\n"
+    assert read == 31
+
+
 def test_thm4_report_does_not_depend_on_the_psi_cache(tmp_path):
     # the psi rows are cached; a cold, a warm and a cleared cache give the
     # same bytes
@@ -336,18 +388,71 @@ def test_out_path_is_not_echoed(tmp_path):
     assert json.loads(spaced.read_bytes())["command"] == args
 
 
-def test_every_value_carries_certificate(capsys):
-    code, out, _ = run(capsys, "qzeta", "--fn", "im", "--s", "2", "--q", "1/2",
-                       "--format", "json")
+_SERIES = ("tail_bound", "terms_used")
+_HB = ("qsum", "--kind", "hardy-berndt", "--h", "1", "--k", "2", "--q", "1")
+_DEDEKIND = ("qsum", "--kind", "dedekind", "--h", "1", "--k", "3", "--q", "1")
+
+
+# one command per value row of the CLI: (argv, row name, route, the row's
+# certificate keys).  Exact rows need none; the scaled q-hardy-berndt and
+# q-dedekind rows drop their sum's residual and carry none yet (ROADMAP
+# item 6)
+_VALUE_ROWS = [
+    (("finite", "--variant", "dedekind", "--h", "1", "--k", "3"),
+     "dedekind-sum", "exact", ()),
+    (("numbers", "--kind", "genocchi", "--n-max", "4"), "genocchi-number",
+     "exact-recurrence", ()),
+    (("numbers", "--kind", "q-euler", "--m", "3", "--q", "1/2"),
+     "q-euler-number", "exact-closed-form", ()),
+    (("numbers", "--kind", "q-genocchi", "--m", "3", "--q", "1/2"),
+     "q-genocchi-number", "exact-closed-form", ()),
+    (("characters", "--f", "5"), "character", "enumeration", ()),
+    (("characters", "--f", "4", "--index", "1", "--n", "3"),
+     "character-value", "root-of-unity", ()),
+    (("zeta", "--fn", "zeta", "--s", "2"), "riemann-zeta", "accelerated-eta",
+     _SERIES),
+    (("zeta", "--fn", "zeta-star", "--s", "2"), "zeta-star", "identity",
+     _SERIES),
+    (("zeta", "--fn", "genocchi-zeta", "--s", "2"), "genocchi-zeta",
+     "accelerated-eta", _SERIES),
+    (("zeta", "--fn", "hurwitz", "--s", "2", "--a", "0.5"), "hurwitz-zeta",
+     "euler-maclaurin", _SERIES),
+    (("zeta", "--fn", "lerch", "--s", "2", "--z", "0.5"), "lerch-phi",
+     "direct-series", _SERIES),
+    (("zeta", "--fn", "odd-power", "--s", "2", "--z", "0.5"), "odd-power-sum",
+     "direct", _SERIES),
+    (("zeta", "--fn", "digamma", "--s", "0.5"), "digamma", "asymptotic-series",
+     ("tail_bound",)),
+    (("qzeta", "--fn", "im", "--s", "2", "--q", "1/2"), "q-alt-zeta",
+     "alternating-series", _SERIES),
+    (("qzeta", "--fn", "im-hurwitz", "--s", "2", "--q", "1/2", "--x", "0.5"),
+     "q-alt-zeta-hurwitz", "alternating-series", _SERIES),
+    (("qzeta", "--fn", "l", "--s", "2", "--q", "1/2", "--chi", "5:1"),
+     "q-alt-l", "alternating-series", _SERIES),
+    (("qzeta", "--fn", "plain", "--s", "2", "--q", "1/2"), "q-plain-zeta",
+     "plain-series", _SERIES),
+    (("qzeta", "--fn", "cck", "--s", "2", "--q", "1/2"), "cck-zeta",
+     "alternating-series", _SERIES),
+    (("qsum", "--kind", "gen", "--variant", "S", "--h", "1", "--k", "2",
+      "--q", "1"), "oscillatory-sum", "limit1-abel-period",
+     ("diverged", "per_offset", "residual")),
+    (_HB, "q-hardy-berndt", "scaled-oscillatory-sum", ()),
+    (_HB, "exact-finite-sum", "exact", ()),
+    (_DEDEKIND, "q-dedekind", "scaled-oscillatory-sum", ()),
+    (_DEDEKIND, "classical-dedekind-sum", "exact", ()),
+]
+
+
+@pytest.mark.parametrize("argv, name, route, certificate", _VALUE_ROWS,
+                         ids=[row[1] for row in _VALUE_ROWS])
+def test_every_value_carries_certificate(capsys, argv, name, route,
+                                         certificate):
+    code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
-    report = json.loads(out)
-    row = report["results"][0]
-    assert row["route"] and "tail_bound" in row and "terms_used" in row
-    code, out, _ = run(capsys, "qsum", "--kind", "gen", "--variant", "S",
-                       "--h", "1", "--k", "2", "--q", "1", "--format", "json")
-    report = json.loads(out)
-    row = report["results"][0]
-    assert "residual" in row and "per_offset" in row and row["route"]
+    row = next(r for r in json.loads(out)["results"] if r["name"] == name)
+    assert row["route"] == route
+    assert sorted(set(row) - {"kind", "name", "params", "route", "value",
+                              "exact"}) == list(certificate)
 
 
 def test_cck_route_is_named_as_its_siblings(capsys):
@@ -482,10 +587,18 @@ def test_mellin_defs_large_s(capsys):
         assert code in (0, 1) and err == ""
         assert out.count("[PASS]") + out.count("[FAIL]") == rows
     # at Re s = 20 (x^(-s) = 2^20) the compare relative to max(1, |rhs|)
-    # answers; an absolute 1e-8 refused it for rounding of the mass
-    for s in ("10", "20"):
+    # answers; an absolute 1e-8 refused it for rounding of the mass.  At
+    # Re s = 300 and 400 the shifted row's exp(-s v - log Gamma(s)) used to
+    # overflow (an OverflowError, exit 1) before e^(-t x) damped it
+    for s in ("10", "20", "300", "400"):
         code, out, _ = run(capsys, "verify", "mellin-defs", "--s", s)
         assert code == 0 and out.count("[PASS]") == 9
+    # past that, the node tolerance leaves the float range: refused
+    code, out, err = run(capsys, "verify", "mellin-defs", "--s", "1000",
+                         "--q", "1/2")
+    assert code == 2 and out == ""
+    assert err == ("error: node tolerance e^-1024 below the float range; "
+                   "Re(s) is too large\n")
 
 
 def test_digamma_unreachable_tol_exit_2(capsys):
@@ -541,3 +654,32 @@ def test_value_rows_in_text_and_csv(capsys):
         ["value", "hurwitz-zeta", "a=1.5;s=2+0j", "0.93480220054467922+0j",
          "tail_bound=6.2666637337522848e-26;terms_used=25", ""],
         ["overall", "", "", "", "", "True"]]
+
+
+# sha256 of the stdout of the benchmark's verify commands; a change that
+# moves report bytes updates these and names the moved reports
+_REPORT_SHA256 = {
+    "all json": "8b9f4955e057c843f1f241a0913aa27882a8a9848894e746a517c45bda7c39d8",
+    "all text": "8168b039fa23354082bd18e861cc1d508454606bf27d4b1f93457b8a8f20d7c8",
+    "all csv": "17b5d7d704baebe81ded321522008f6950469ddb099d22b793a9ffa1d7ed28e4",
+    "thm4 --k-max 40 json":
+        "d76ea6ab4eda909e3fb40de935319c68fa491317debd26acd2d336d5eddc05f7",
+    "thm5 json": "d2961936492f92c9209ae9ebf9f9aee8cbf44c0d0b76aaec89dabd0708b5b7f2",
+    "thm6 json": "3a4dbc1f54aed81381907a4144239bc01f358917cb47fc58d3b13e40be8e4529",
+    "mellin-defs json":
+        "d712ef7afaed21b5c42f75e71cc175a543670a6af1d24ed3a4657e6395e0c60a",
+    "thm19 json": "900a1c6a394dfb31934f69ffd936d3cd8eb67111fe4bc19f206c3edde4033354",
+    "thm20 json": "feda2c1ecab74b93fa5e8c88de0e11ff367aec47391383fbe31ce4bc954f3857",
+    "thm21 json": "099d4949ec05b5e7d393989fd5a0c6c204d40d98a66343c8d0b1108f4a5f74bc",
+    "thm22 json": "c25c787520457cf595abe5663034b201e7ec25c901453c6a187d72904004acc8",
+    "thm23 json": "10161f40178a5f02b8035bad7f6d8862be537b50105a1e44f2edc0cc31144b22",
+}
+
+
+@pytest.mark.parametrize("command", _REPORT_SHA256)
+def test_verify_report_bytes(capsys, command):
+    *args, fmt = command.split()
+    code, out, err = run(capsys, "verify", *args, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        _REPORT_SHA256[command]
