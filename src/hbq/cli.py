@@ -201,8 +201,8 @@ def _to_text(report) -> str:
             for d in row.get("details", []):
                 lines.append(f"    {d}")
         else:
-            lines.append(f"{row['name']} {params} = {_flat(row['value'])}"
-                         + (f"  [{row['route']}; {cert}]" if cert or row.get("route") else ""))
+            lines.append(f"{row['name']} {params} = {_flat(row['value'])}  "
+                         f"[{'; '.join(filter(None, (row['route'], cert)))}]")
     lines.append("overall: " + ("PASS" if report["pass"] else "FAIL"))
     return "\n".join(lines) + "\n"
 
@@ -277,8 +277,6 @@ def _cmd_numbers(args):
             results.append(_value_entry(f"{args.kind}-number",
                                         {"n": n}, v, "exact-recurrence"))
     else:
-        if args.q is None:
-            raise DomainError("q-deformed numbers need --q")
         q = QParam.parse(args.q)
         # QParam.parse builds no complex q, so both values are exact
         v = q_euler_number(args.m, q) if args.kind == "q-euler" \
@@ -292,8 +290,6 @@ def _cmd_numbers(args):
 def _cmd_characters(args):
     results = []
     if args.n is not None:
-        if args.index is None:
-            raise DomainError("evaluation needs --index")
         chi = character_from_label(f"{args.f}:{args.index}")
         results.append(_value_entry("character-value",
                                     {"chi": chi.label, "n": args.n},
@@ -362,8 +358,6 @@ def _cmd_qzeta(args):
         entry = _series_entry("q-alt-zeta", {"s": s, "q": str(q), "scaled": scale},
                               sv, "alternating-series")
     elif args.fn == "im-hurwitz":
-        if args.x is None:
-            raise DomainError("--x required for the Hurwitz series")
         sv = q_alt_zeta_hurwitz(s, args.x, q, tol, variant=args.variant,
                                 genocchi_scale=scale)
         entry = _series_entry("q-alt-zeta-hurwitz",
@@ -371,8 +365,6 @@ def _cmd_qzeta(args):
                                "variant": args.variant, "scaled": scale},
                               sv, "alternating-series")
     elif args.fn == "l":
-        if chi is None:
-            raise DomainError("--chi required for the l-series")
         sv = q_alt_l(s, chi, q, tol, genocchi_scale=scale, x=args.x)
         entry = _series_entry("q-alt-l",
                               {"s": s, "q": str(q), "chi": chi.label,
@@ -445,12 +437,9 @@ def _cmd_qsum(args):
 def _cmd_verify(args):
     from . import acceptance
 
-    fn, fixed, reads = _VERIFY[args.what]
+    fn, fixed = _VERIFY[args.what]
     given = {opt: getattr(args, opt) for opt in _VERIFY_OPTIONS
              if getattr(args, opt) is not None}
-    unread = [f"--{opt.replace('_', '-')}" for opt in given if opt not in reads]
-    if unread:
-        raise DomainError(f"verify {args.what} does not read {', '.join(unread)}")
     rows = getattr(acceptance, fn)(
         *(() if fixed is None else (fixed,)),
         **{opt: _VERIFY_PARSE.get(opt, lambda v: v)(v) for opt, v in given.items()})
@@ -465,26 +454,111 @@ def _cmd_verify(args):
 # parser
 # ----------------------------------------------------------------------
 
-# verify target: (function of `hbq.acceptance`, its fixed first argument,
-# the options it reads; it refuses the others).  Kept here, by name, so that
-# building the parser does not import `hbq.acceptance`
+# verify target: (function of `hbq.acceptance`, its fixed first argument).
+# Kept here, by name, so that building the parser does not import
+# `hbq.acceptance`
 _VERIFY = {
-    "thm4": ("trig_series_checks", None, ("k_max", "tol")),
-    "thm5": ("decomposition_checks", False, ("s", "q", "chi", "tol")),
-    "thm6": ("decomposition_checks", True, ("s", "q", "chi", "x", "tol")),
-    "mellin-defs": ("mellin_checks", None, ("s", "q", "tol")),
-    "thm19": ("product_check", 19, ("s", "q", "tol")),
-    "thm20": ("product_check", 20, ("s", "q", "tol")),
-    "thm21": ("product_check", 21, ("s", "q", "tol")),
-    "thm22": ("product_check", 22, ("s", "q", "chi", "tol")),
-    "thm23": ("product_check", 23, ("s", "q", "chi", "tol")),
-    "all": ("run_all", None, ()),
+    "thm4": ("trig_series_checks", None),
+    "thm5": ("decomposition_checks", False),
+    "thm6": ("decomposition_checks", True),
+    "mellin-defs": ("mellin_checks", None),
+    "thm19": ("product_check", 19),
+    "thm20": ("product_check", 20),
+    "thm21": ("product_check", 21),
+    "thm22": ("product_check", 22),
+    "thm23": ("product_check", 23),
+    "all": ("run_all", None),
 }
 # each verify option, its argparse type, and how its text is read
 _VERIFY_OPTIONS = {"s": str, "q": str, "x": float, "chi": str, "tol": float,
                    "k_max": int}
 _VERIFY_PARSE = {"s": lambda text: _maybe_int(_parse_s(text)),
                  "q": QParam.parse, "chi": character_from_label}
+
+# what each command reads: command -> {selection: (the options it reads, the
+# options it needs)}, options named by dest.  A selection is named as the
+# refusals name it: `--fn im`, `--kind gen`, a verify target, and for
+# characters `--n` (evaluate) or `without --n` (list).  `main` refuses any
+# other option, and a needed one left out, before a handler runs.  Not
+# listed: `finite`, which reads every option it takes, and the options that
+# argparse requires or every selection reads (`--s`, `--h`, `--format`, ...)
+_READS = {
+    "numbers": {
+        "--kind bernoulli": (("n_max",), ()),
+        "--kind euler": (("n_max",), ()),
+        "--kind genocchi": (("n_max",), ()),
+        "--kind q-euler": (("m", "q"), ("q",)),
+        "--kind q-genocchi": (("m", "q", "tol"), ("q",)),
+    },
+    "characters": {
+        "without --n": ((), ()),
+        "--n": (("index",), ("index",)),
+    },
+    "zeta": {
+        "--fn zeta": (("tol",), ()),
+        "--fn zeta-star": (("route", "tol"), ()),
+        "--fn genocchi-zeta": (("tol",), ()),
+        "--fn hurwitz": (("a", "tol"), ()),
+        "--fn lerch": (("a", "z", "tol"), ()),
+        "--fn odd-power": (("z", "b", "route", "tol"), ()),
+        "--fn digamma": (("tol",), ()),
+    },
+    "qzeta": {
+        "--fn im": (("genocchi_scale", "tol"), ()),
+        "--fn im-hurwitz": (("x", "variant", "genocchi_scale", "tol"), ("x",)),
+        "--fn l": (("x", "chi", "genocchi_scale", "tol"), ("chi",)),
+        "--fn plain": (("chi", "tol"), ()),
+        "--fn cck": (("tol",), ()),
+    },
+    "qsum": {
+        "--kind gen": (("variant", "chi", "eps", "order", "tol"), ()),
+        "--kind hardy-berndt": (("variant", "chi", "eps", "order", "tol",
+                                 "no_parity_check"), ()),
+        "--kind dedekind": (("p", "eps", "order", "tol"), ()),
+    },
+    "verify": {
+        "thm4": (("tol", "k_max"), ()),
+        "thm5": (("s", "q", "chi", "tol"), ()),
+        "thm6": (("s", "q", "x", "chi", "tol"), ()),
+        "mellin-defs": (("s", "q", "tol"), ()),
+        "thm19": (("s", "q", "tol"), ()),
+        "thm20": (("s", "q", "tol"), ()),
+        "thm21": (("s", "q", "tol"), ()),
+        "thm22": (("s", "q", "chi", "tol"), ()),
+        "thm23": (("s", "q", "chi", "tol"), ()),
+        "all": ((), ()),
+    },
+}
+
+
+def _check_reads(args, argv: List[str]) -> None:
+    """Refuse an option that the command's selection does not read, and a
+    needed one left out, listing each in parser order."""
+    table = _READS.get(args.cmd)
+    if table is None:
+        return
+    # with abbreviations off each `--opt` token is an option string exactly,
+    # so these are the options given, told apart from the defaulted ones
+    given = {arg[2:].split("=")[0].replace("-", "_") for arg in argv
+             if arg.startswith("--")}
+    if args.cmd == "verify":
+        selection = args.what
+    elif args.cmd == "characters":
+        selection = "--n" if "n" in given else "without --n"
+    else:
+        flag = "fn" if hasattr(args, "fn") else "kind"
+        selection = f"--{flag} {getattr(args, flag)}"
+    reads, needs = table[selection]
+    # every option a command takes and does not require, some selection reads
+    optional = {dest for read, _ in table.values() for dest in read}
+    # the namespace holds the options in the order the parser added them
+    for verb, dests in (
+            ("does not read", [d for d in vars(args)
+                               if d in given & optional and d not in reads]),
+            ("needs", [d for d in vars(args) if d in needs and d not in given])):
+        if dests:
+            raise DomainError(f"{args.cmd} {selection} {verb} " + ", ".join(
+                "--" + dest.replace("_", "-") for dest in dests))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -497,81 +571,89 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
+    def command(name, help):
+        """A subcommand's parser, and the `add` of its options, whose help
+        names the selections that read each option."""
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        table = _READS.get(name, {})
+
+        def add(flag, help=None, **kwargs):
+            dest = flag[2:].replace("-", "_")
+            readers = [sel + " (needed)" * (dest in needs)
+                       for sel, (reads, needs) in table.items() if dest in reads]
+            if readers:
+                help = (f"{help}; " if help else "") + "read by " + ", ".join(readers)
+            p.add_argument(flag, help=help, **kwargs)
+        return p, add
+
     def add_output(p):
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="text")
         p.add_argument("--out", default=None, help="write the report to FILE")
 
-    p = sub.add_parser("finite", help="exact classical sums")
-    p.add_argument("--variant", required=True,
-                   choices=HARDY_VARIANTS + ("dedekind",))
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p, add = command("finite", "exact classical sums")
+    add("--variant", required=True, choices=HARDY_VARIANTS + ("dedekind",))
+    add("--h", type=int, required=True)
+    add("--k", type=int, required=True)
     add_output(p)
 
-    p = sub.add_parser("numbers", help="number tables and q-deformations")
-    p.add_argument("--kind", required=True,
-                   choices=("bernoulli", "euler", "genocchi", "q-euler",
-                            "q-genocchi"))
-    p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--q", default=None, help="exact rational 'p/r' or '1'")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p, add = command("numbers", "number tables and q-deformations")
+    add("--kind", required=True,
+        choices=("bernoulli", "euler", "genocchi", "q-euler", "q-genocchi"))
+    add("--n-max", type=int, default=10)
+    add("--m", type=int, default=0)
+    add("--q", default=None, help="exact rational 'p/r' or '1'")
+    add("--tol", type=float, default=1e-12)
     add_output(p)
 
-    p = sub.add_parser("characters", help="list or evaluate characters mod f")
-    p.add_argument("--f", type=int, required=True)
-    p.add_argument("--index", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p, add = command("characters", "list or evaluate characters mod f")
+    add("--f", type=int, required=True)
+    add("--index", type=int, default=None)
+    add("--n", type=int, default=None, help="evaluate at n")
     add_output(p)
 
-    p = sub.add_parser("zeta", help="classical zeta family")
-    p.add_argument("--fn", required=True,
-                   choices=("zeta", "zeta-star", "genocchi-zeta", "hurwitz",
-                            "lerch", "odd-power", "digamma"))
-    p.add_argument("--s", required=True, help="'re' or 're,im'")
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--z", type=float, default=0.5)
-    p.add_argument("--b", type=int, default=1)
-    p.add_argument("--route", default=None)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p, add = command("zeta", "classical zeta family")
+    add("--fn", required=True,
+        choices=("zeta", "zeta-star", "genocchi-zeta", "hurwitz", "lerch",
+                 "odd-power", "digamma"))
+    add("--s", required=True, help="'re' or 're,im'")
+    add("--a", type=float, default=1.0)
+    add("--z", type=float, default=0.5)
+    add("--b", type=int, default=1)
+    add("--route", default=None)
+    add("--tol", type=float, default=1e-12)
     add_output(p)
 
-    p = sub.add_parser("qzeta", help="q-deformed zeta / l family")
-    p.add_argument("--fn", required=True,
-                   choices=("im", "im-hurwitz", "l", "plain", "cck"))
-    p.add_argument("--s", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--chi", default=None, help="character label 'f:index'")
-    p.add_argument("--variant", choices=("additive", "bracket"),
-                   default="additive")
-    p.add_argument("--genocchi-scale", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p, add = command("qzeta", "q-deformed zeta / l family")
+    add("--fn", required=True, choices=("im", "im-hurwitz", "l", "plain", "cck"))
+    add("--s", required=True)
+    add("--q", required=True)
+    add("--x", type=float, default=None)
+    add("--chi", default=None, help="character label 'f:index'")
+    add("--variant", choices=("additive", "bracket"), default="additive")
+    add("--genocchi-scale", action="store_true")
+    add("--tol", type=float, default=1e-12)
     add_output(p)
 
-    p = sub.add_parser("qsum", help="oscillatory sums and their scalings")
-    p.add_argument("--kind", required=True,
-                   choices=("gen", "hardy-berndt", "dedekind"))
-    p.add_argument("--variant", default="S",
-                   help="S, s1..s5 or index 0..5 for --kind gen/hardy-berndt")
-    p.add_argument("--p", type=int, default=1, help="odd order for dedekind")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--chi", default=None)
-    p.add_argument("--eps", default=None,
-                   help="comma list of damping offsets, decreasing")
-    p.add_argument("--order", type=int, default=None,
-                   help="extrapolation order for --eps (default 2)")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--no-parity-check", action="store_true")
+    p, add = command("qsum", "oscillatory sums and their scalings")
+    add("--kind", required=True, choices=("gen", "hardy-berndt", "dedekind"))
+    add("--variant", default="S", help="S, s1..s5 or index 0..5")
+    add("--p", type=int, default=1, help="odd order")
+    add("--h", type=int, required=True)
+    add("--k", type=int, required=True)
+    add("--q", required=True)
+    add("--chi", default=None)
+    add("--eps", default=None, help="comma list of damping offsets, decreasing")
+    add("--order", type=int, default=None,
+        help="extrapolation order for --eps (default 2)")
+    add("--tol", type=float, default=1e-8)
+    add("--no-parity-check", action="store_true")
     add_output(p)
 
-    p = sub.add_parser("verify", help="identity verification suites")
+    p, add = command("verify", "identity verification suites")
     p.add_argument("what", choices=tuple(_VERIFY))
     for opt, kind in _VERIFY_OPTIONS.items():
-        p.add_argument("--" + opt.replace("_", "-"), type=kind, default=None)
+        add("--" + opt.replace("_", "-"), type=kind, default=None)
     add_output(p)
 
     return parser
@@ -596,6 +678,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_reads(args, argv)
         variant = getattr(args, "variant", None)
         if variant is not None and variant.isdigit():
             args.variant = _hardy_variant(int(variant))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -123,9 +124,11 @@ def test_qzeta_hurwitz_without_x_exit_2(capsys):
 
 def test_zeta_nonpositive_tol_exit_2(capsys):
     # tol 0 would certify an exact value with tail_bound 0
-    for fn in ("hurwitz", "lerch", "odd-power"):
-        code, out, err = run(capsys, "zeta", "--fn", fn, "--s", "2",
-                             "--a", "0.5", "--z", "0.5", "--tol", "0")
+    for fn, shifts in (("hurwitz", ("--a", "0.5")),
+                       ("lerch", ("--a", "0.5", "--z", "0.5")),
+                       ("odd-power", ("--z", "0.5"))):
+        code, out, err = run(capsys, "zeta", "--fn", fn, "--s", "2", *shifts,
+                             "--tol", "0")
         assert code == 2 and out == ""
         assert err == "error: tol must be positive\n"
 
@@ -167,8 +170,9 @@ def test_nan_z_exit_2(fn):
     # a nan |z| used to fall into the |z| = 1 branch and run the whole
     # 50M-term loop; a fresh process with a timeout keeps that from hanging
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    shift = ("--a", "1") if fn == "lerch" else ()
     proc = subprocess.run([sys.executable, "-m", "hbq.cli", "zeta", "--fn", fn,
-                           "--s", "2", "--z", "nan", "--a", "1"],
+                           "--s", "2", "--z", "nan", *shift],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2 and proc.stdout == ""
@@ -311,7 +315,7 @@ def test_verify_passes_each_option_its_target_reads(capsys, monkeypatch):
     from hbq import acceptance, cli
 
     calls = []
-    for fn in {entry[0] for entry in cli._VERIFY.values()}:
+    for fn in {fn for fn, _ in cli._VERIFY.values()}:
         def record(*args, _fn=fn, _sig=inspect.signature(getattr(acceptance, fn)),
                    **kwargs):
             _sig.bind(*args, **kwargs)
@@ -319,7 +323,8 @@ def test_verify_passes_each_option_its_target_reads(capsys, monkeypatch):
             return []
         monkeypatch.setattr(acceptance, fn, record)
     read = 0
-    for target, (fn, fixed, reads) in cli._VERIFY.items():
+    for target, (fn, fixed) in cli._VERIFY.items():
+        reads = cli._READS["verify"][target][0]
         for option, text in _OPTION_TEXT.items():
             calls.clear()
             code, out, err = run(capsys, "verify", target, option, text)
@@ -333,6 +338,131 @@ def test_verify_passes_each_option_its_target_reads(capsys, monkeypatch):
                 assert not calls and out == ""
                 assert err == f"error: verify {target} does not read {option}\n"
     assert read == 31
+
+
+class _Reached(ValueError):
+    pass
+
+
+# the API each handler calls; a recorder in its place records the call and
+# stops the command there, so no value is computed
+_API = {"cli": ("number_table", "q_euler_number", "q_genocchi_number",
+                "characters_mod", "chi_eval", "riemann_zeta", "zeta_star",
+                "genocchi_zeta", "hurwitz_zeta", "lerch_phi", "odd_power_sum",
+                "digamma", "oscillatory_sum", "q_hardy_berndt_sum",
+                "q_dedekind_sum"),
+        "qzeta": ("q_alt_zeta", "q_alt_zeta_hurwitz", "q_alt_l",
+                  "q_plain_zeta", "cck_zeta"),
+        "acceptance": ("trig_series_checks", "decomposition_checks",
+                       "mellin_checks", "product_check", "run_all")}
+
+# each option: its argv in a run that leaves it at its default (or, as a
+# selection may need it, sets another value), then in a run that sets it;
+# an option that is read makes the two runs call the API differently
+_SET = {"n_max": ((), ("--n-max", "3")), "m": ((), ("--m", "3")),
+        "q": (("--q", "1/2"), ("--q", "1/3")), "tol": ((), ("--tol", "1e-6")),
+        "index": (("--index", "1"), ("--index", "2")),
+        "a": ((), ("--a", "0.3")), "z": ((), ("--z", "0.3")),
+        "b": ((), ("--b", "3")), "route": ((), ("--route", "decomposition")),
+        "x": (("--x", "0.25"), ("--x", "0.3")),
+        "chi": (("--chi", "5:1"), ("--chi", "5:2")),
+        "variant": ((), ("--variant", "bracket")),
+        "genocchi_scale": ((), ("--genocchi-scale",)),
+        "p": ((), ("--p", "3")), "eps": ((), ("--eps", "0.2,0.1")),
+        "order": (("--eps", "0.2,0.1"), ("--eps", "0.2,0.1", "--order", "1")),
+        "no_parity_check": ((), ("--no-parity-check",)),
+        "s": ((), ("--s", "3")), "k_max": ((), ("--k-max", "3"))}
+_SET_IN = {("qsum", "variant"): ((), ("--variant", "s1"))}
+_REQUIRED = {"zeta": ("--s", "2"), "qzeta": ("--s", "2", "--q", "1/2"),
+             "qsum": ("--h", "1", "--k", "3", "--q", "1/2")}
+# (command, selection, option) pairs the table lets through
+_PAIRS_READ = {"numbers": 8, "characters": 1, "zeta": 14, "qzeta": 13,
+               "qsum": 15, "verify": 31}
+
+
+def _base(cmd, selection):
+    if cmd == "verify":
+        return [cmd, selection]
+    if cmd == "characters":
+        return [cmd, "--f", "5"] + (["--n", "3"] if selection == "--n" else [])
+    return [cmd, *selection.split(), *_REQUIRED.get(cmd, ())]
+
+
+@pytest.mark.parametrize("cmd", _PAIRS_READ)
+def test_every_option_is_read_or_refused_by_the_table(capsys, monkeypatch, cmd):
+    # every (command, selection, option) pair: a read option reaches the
+    # API call, an unread one exits 2 naming it, and a needed one left out
+    # exits 2; once, each of these exited 0 with the option ignored
+    import importlib
+
+    from hbq import cli
+
+    calls = []
+    for module, names in _API.items():
+        mod = importlib.import_module(f"hbq.{module}")
+        for name in names:
+            def record(*args, _name=name, **kwargs):
+                calls.append((_name, args, kwargs))
+                raise _Reached("reached")
+            monkeypatch.setattr(mod, name, record)
+
+    def reached(argv):
+        calls.clear()
+        assert run(capsys, *argv) == (2, "", "error: reached\n"), argv
+        return calls[:]
+
+    def refused(argv, message):
+        calls.clear()
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert not calls
+
+    sub = next(a for a in cli._build_parser()._actions if a.choices)
+    actions = sub.choices[cmd]._actions
+    selector = {"verify": "what", "characters": "n"}.get(
+        cmd, "fn" if cmd in ("zeta", "qzeta") else "kind")
+    options = [a.dest for a in actions if a.option_strings and not a.required
+               and a.dest not in ("help", "format", "out", selector)]
+    # the table has one selection per choice of the selector
+    choices = next(a.choices for a in actions if a.dest == selector)
+    table = cli._READS[cmd]
+    assert list(table) == (["without --n", "--n"] if cmd == "characters" else
+                           list(choices) if cmd == "verify" else
+                           [f"--{selector} {c}" for c in choices])
+    read = 0
+    for selection, (reads, needs) in table.items():
+        for option in options:
+            argv = _base(cmd, selection) + [
+                text for need in needs if need != option
+                for text in _SET[need][0]]
+            unset, set_ = map(list, _SET_IN.get((cmd, option), _SET[option]))
+            flag = "--" + option.replace("_", "-")
+            if option in reads:
+                read += 1
+                assert reached(argv + unset) != reached(argv + set_), \
+                    (selection, option)
+            else:
+                refused(argv + set_, f"{cmd} {selection} does not read {flag}")
+            if option in needs:
+                refused(argv, f"{cmd} {selection} needs {flag}")
+    assert read == _PAIRS_READ[cmd]
+
+
+def test_abbreviated_options_exit_2(capsys):
+    # each used to run as the option it abbreviates, echoing the abbreviation
+    for argv, unknown in ((("verify", "thm4", "--k-m", "2"), "--k-m 2"),
+                          (("qsum", "--kind", "hardy-berndt", "--h", "1",
+                            "--k", "2", "--q", "1", "--no-par"), "--no-par")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: unrecognized arguments: {unknown}\n")
+
+
+def test_help_names_the_selections_that_read_each_option(capsys):
+    assert main(["qzeta", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--x X read by --fn im-hurwitz (needed), --fn l " in out
+    assert ("--chi CHI character label 'f:index'; read by --fn l (needed), "
+            "--fn plain ") in out
 
 
 def test_thm4_report_does_not_depend_on_the_psi_cache(tmp_path):
@@ -654,6 +784,79 @@ def test_value_rows_in_text_and_csv(capsys):
         ["value", "hurwitz-zeta", "a=1.5;s=2+0j", "0.93480220054467922+0j",
          "tail_bound=6.2666637337522848e-26;terms_used=25", ""],
         ["overall", "", "", "", "", "True"]]
+    # a route with no certificate is printed alone, once as `[exact; ]`
+    code, out, _ = run(capsys, *_HB)
+    assert code == 0
+    assert out.splitlines() == [
+        "q-hardy-berndt h=1 k=2 q=1 variant=S = 1+0j  [scaled-oscillatory-sum]",
+        "exact-finite-sum h=1 k=2 variant=S = 1  [exact]",
+        "overall: PASS"]
+
+
+def _moved_trig_series(real):
+    # the series S(1, 2) moved by 2e-9, twice thm4's 1e-9
+    def moved(v, h, k, **kwargs):
+        return real(v, h, k, **kwargs) + (2e-9 if (v, h, k) == ("S", 1, 2) else 0.0)
+    return moved
+
+
+def _moved_left_side(x):
+    # the twisted left side at chi = 3:1, s = 2, q = 1/2 moved by 2e-10
+    # before its [2] = 3/2: 3e-10 against the tol 1e-10
+    def make(real):
+        def moved(s, q, xv, chi, tol, **kwargs):
+            out = real(s, q, xv, chi, tol, **kwargs)
+            if chi is None or chi.label != "3:1" or complex(s) != 2 \
+                    or str(q) != "1/2" or xv != x:
+                return out
+            return dataclasses.replace(out, value=out.value + 2e-10)
+        return moved
+    return make
+
+
+def _moved_round_trip(real):
+    # the shifted transform at s = 2, q = 1/2 moved by 2e-8 of its value,
+    # twice the round trip's 1e-8 max(1, |rhs|)
+    def moved(kind, s, q, x=None, **kwargs):
+        out = real(kind, s, q, x=x, **kwargs)
+        if x is None or complex(s) != 2 or str(q) != "1/2":
+            return out
+        return dataclasses.replace(out, value=out.value * (1 + 2e-8))
+    return moved
+
+
+def _shifted_double_sum(real):
+    # the damped double sum shifted by 1e-3 at every offset, which the
+    # extrapolation keeps: ten times the tol 1e-4
+    def shifted(*args):
+        return real(*args) + 1e-3
+    return shifted
+
+
+_PRODUCT = ("_kernels", "damped_pair_sum", _shifted_double_sum)
+_MUTATIONS = {
+    "thm4": ("acceptance", "classical_trig_series", _moved_trig_series),
+    "thm5": ("qzeta", "_alt_series", _moved_left_side(None)),
+    "thm6": ("qzeta", "_alt_series", _moved_left_side(0.25)),
+    "mellin-defs": ("mellin", "mellin_transform", _moved_round_trip),
+    "thm19": _PRODUCT, "thm20": _PRODUCT, "thm21": _PRODUCT,
+    "thm22": _PRODUCT, "thm23": _PRODUCT,
+    "all": ("acceptance", "classical_trig_series", _moved_trig_series),
+}
+
+
+@pytest.mark.parametrize("target", _MUTATIONS)
+def test_verify_target_fails_on_a_moved_route(capsys, monkeypatch, target):
+    # one route moved by the least error the target's tolerance must catch:
+    # the target exits 1 with one FAIL row, the moved one
+    import importlib
+
+    module, name, move = _MUTATIONS[target]
+    mod = importlib.import_module(f"hbq.{module}")
+    monkeypatch.setattr(mod, name, move(getattr(mod, name)))
+    code, out, err = run(capsys, "verify", target)
+    assert (code, err) == (1, "")
+    assert out.count("[FAIL] ") == 1 and out.endswith("overall: FAIL\n")
 
 
 # sha256 of the stdout of the benchmark's verify commands; a change that

@@ -2,9 +2,10 @@
 code and the sha256 of its stdout and of its stderr.
 
 The commands are the benchmark's own: ``perfbench/ops.py::cli_ops(7, 400)``
-and the ten ``VERIFY_COMMANDS``, each in json, text and csv.  They all run
-in this one process through ``hbq.cli.main``, so two checkouts compare by
-diffing their digests:
+and the ten ``VERIFY_COMMANDS``, each in json, text and csv; then
+``REFUSED``, one command per (command, selection) that the CLI refuses, in
+json.  They all run in this one process through ``hbq.cli.main``, so two
+checkouts compare by diffing their digests:
 
     python tools/report_digest.py > after.txt
     python tools/report_digest.py PATH/TO/OTHER/CHECKOUT > before.txt
@@ -25,6 +26,43 @@ from pathlib import Path
 
 FORMATS = ("json", "text", "csv")
 
+# per (command, selection): an option it does not read, or a needed one left
+# out (numbers --kind q-genocchi, characters --n, qzeta --fn l)
+REFUSED = """\
+numbers --kind bernoulli --n-max 2 --q 1/2 --m 4
+numbers --kind euler --tol 1e-9
+numbers --kind genocchi --q 1/2
+numbers --kind q-euler --m 2 --q 1/2 --n-max 3
+numbers --kind q-genocchi --m 2
+characters --f 5 --index 2
+characters --f 5 --n 2
+zeta --fn zeta --s 2 --a 0.5
+zeta --fn zeta-star --s 2 --z 0.1
+zeta --fn genocchi-zeta --s 2 --route direct
+zeta --fn hurwitz --s 2 --z 0.1
+zeta --fn lerch --s 2 --b 3
+zeta --fn odd-power --s 2 --a 0.5
+zeta --fn digamma --s 2 --a 5 --z 0.1 --b 3
+qzeta --fn im --s 2 --q 1/2 --chi 5:1 --x 0.5
+qzeta --fn im-hurwitz --s 2 --q 1/2 --x 0.5 --chi 5:1
+qzeta --fn l --s 2 --q 1/2
+qzeta --fn plain --s 2 --q 1/2 --genocchi-scale
+qzeta --fn cck --s 2 --q 1/2 --x 0.5
+qsum --kind gen --h 1 --k 2 --q 1/2 --p 3
+qsum --kind hardy-berndt --h 1 --k 2 --q 1 --p 3
+qsum --kind dedekind --h 1 --k 3 --q 1 --chi 5:1
+verify thm4 --s 3
+verify thm5 --x 0.3
+verify thm6 --k-max 3
+verify mellin-defs --chi 5:1 --x 0.25
+verify thm19 --chi 5:2
+verify thm20 --x 0.3
+verify thm21 --k-max 3
+verify thm22 --x 0.3
+verify thm23 --k-max 3
+verify all --tol 1e-30
+"""
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -34,7 +72,9 @@ def commands(ops):
     """Every command's argv, without its format, then each format."""
     bases = [op["argv"][:-2] for op in ops.cli_ops(7, 400)]
     bases += [list(argv) for argv in ops.VERIFY_COMMANDS]
-    return [base + ["--format", fmt] for base in bases for fmt in FORMATS]
+    return ([base + ["--format", fmt] for base in bases for fmt in FORMATS]
+            + [line.split() + ["--format", "json"]
+               for line in REFUSED.splitlines()])
 
 
 def run(main, argv):
