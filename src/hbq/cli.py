@@ -1,9 +1,12 @@
 """Command-line front end: compute any object, run verification suites, emit
 machine-readable reports.
 
-The ``qzeta`` and ``mellin`` layers load only in the handlers and checks that
-use them, and numpy only when an array kernel runs, so the exact commands
-and ``verify thm4`` start without numpy.
+One table, ``_TABLE``, holds every selection of every command: the API
+function it calls, the options it reads and those it needs, and the report
+row it makes.  One handler walks the row and imports the function's layer on
+first use, so a command loads only the layers it calls (``finite`` loads
+``core``, ``sums`` and ``numbers``), and numpy only when an array kernel
+runs.
 
 Reports are deterministic: floats are rendered with 17 significant digits,
 keys and result rows are sorted, and no timestamps are embedded, so identical
@@ -13,22 +16,18 @@ invocations produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
+import re
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from . import __version__
-from .characters import character_from_label, characters_mod, chi_eval
 from .core import (ConvergenceError, DomainError, ParityError, QParam,
-                   SeriesValue, VerificationOutcome, _finite, _maybe_int)
-from .numbers import q_euler_number, q_genocchi_number, number_table
-from .qsums import (RegularizationSchedule, oscillatory_sum, q_dedekind_sum,
-                    q_hardy_berndt_sum)
+                   SeriesValue, VerificationOutcome, _finite)
 from .sums import (HARDY_VARIANTS, _hardy_variant, dedekind_sum,
                    hardy_berndt_sum, parity_condition)
-from .zeta import (digamma, genocchi_zeta, hurwitz_zeta, lerch_phi,
-                   odd_power_sum, riemann_zeta, zeta_star)
 
 # ----------------------------------------------------------------------
 # canonical serialization
@@ -126,12 +125,6 @@ def _value_entry(name: str, params: Dict[str, Any], value,
         entry["exact"] = False
     entry.update(certificate or {})
     return entry
-
-
-def _series_entry(name, params, sv: SeriesValue, route: str) -> Dict[str, Any]:
-    return _value_entry(name, params, sv.value, route,
-                        {"tail_bound": sv.tail_bound,
-                         "terms_used": sv.terms_used})
 
 
 def _emit(report: Dict[str, Any], fmt: str, out_path: Optional[str]) -> None:
@@ -233,6 +226,20 @@ def _report(argv: List[str], results: List[Dict[str, Any]]) -> Dict[str, Any]:
 # argument helpers
 # ----------------------------------------------------------------------
 
+def _joined(argv: List[str]) -> List[str]:
+    """``argv`` with each value that starts with ``-`` and a digit or ``.``
+    joined to its option as ``--opt=value``: argparse reads ``-1`` and
+    ``-0.5`` as values, but ``-1e-5`` and ``-1.5,2`` as options."""
+    out: List[str] = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and re.match(r"-[\d.]", arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _parse_s(text: str) -> complex:
     parts = text.split(",")
     if len(parts) not in (1, 2):
@@ -242,7 +249,9 @@ def _parse_s(text: str) -> complex:
     return s
 
 
-def _schedule(args) -> Optional[RegularizationSchedule]:
+def _schedule(args):
+    from .qsums import RegularizationSchedule
+
     if not args.eps:
         if args.order is not None:
             raise ValueError("--order needs --eps")
@@ -251,315 +260,272 @@ def _schedule(args) -> Optional[RegularizationSchedule]:
     return RegularizationSchedule(offsets, 2 if args.order is None else args.order)
 
 
+def _chi(args):
+    from .characters import character_from_label
+
+    return character_from_label(args.chi)
+
+
+# dest -> (API keyword, how its value is read from the namespace) for the
+# options whose keyword or value is not the option's own
+_KEYWORDS = {
+    "s": ("s", lambda args: _parse_s(args.s)),
+    "q": ("q", lambda args: QParam.parse(args.q)),
+    "chi": ("chi", _chi),
+    "eps": ("reg", _schedule),
+    "order": ("reg", _schedule),
+    "no_parity_check": ("enforce_parity", lambda args: not args.no_parity_check),
+}
+
+
+def _keywords(args, dests) -> Dict[str, Any]:
+    """The API keyword and value of each option of ``dests`` that is set."""
+    out: Dict[str, Any] = {}
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            keyword, read = _KEYWORDS.get(dest, (dest, None))
+            out[keyword] = getattr(args, dest) if read is None else read(args)
+    return out
+
+
+def _echo(value):
+    """A param as a report shows it: q as its text, a character by label."""
+    return (str(value) if isinstance(value, QParam)
+            else getattr(value, "label", value))
+
+
 # ----------------------------------------------------------------------
-# subcommands
+# the selection table
 # ----------------------------------------------------------------------
 
-def _cmd_finite(args):
-    if args.variant == "dedekind":
-        value = dedekind_sum(args.h, args.k)
-        name = "dedekind-sum"
-    else:
-        value = hardy_berndt_sum(args.variant, args.h, args.k)
-        name = f"hardy-berndt-{args.variant}"
-    entry = _value_entry(name, {"h": args.h, "k": args.k}, value, "exact")
-    if args.format == "text" and not args.out:
-        sys.stdout.write(f"{value}\n")
-        return None  # the bare value, without a report
-    return [entry]
+class _Row(NamedTuple):
+    """One selection of a command.  ``fn`` is the API function it calls, as
+    "module.name" (None: the command's own handler), and ``fixed`` is that
+    function's fixed first argument (None for none); ``reads`` and ``needs``
+    are the options, by dest, that the selection reads and those it needs.
+    The rest is its report row: the ``name`` (``{}`` stands for the
+    selection), the ``params`` it reports and the ``route`` (by default the
+    result's own)."""
+    fn: Optional[str]
+    reads: Tuple[str, ...] = ()
+    needs: Tuple[str, ...] = ()
+    name: str = ""
+    params: Tuple[str, ...] = ()
+    route: Optional[str] = None
+    fixed: Any = None
 
 
-def _cmd_numbers(args):
-    results = []
-    if args.kind in ("bernoulli", "euler", "genocchi"):
-        table = number_table(args.kind, args.n_max)
-        for n, v in enumerate(table.entries):
-            results.append(_value_entry(f"{args.kind}-number",
-                                        {"n": n}, v, "exact-recurrence"))
-    else:
-        q = QParam.parse(args.q)
+# command -> (the flag that selects, the options every selection reads,
+# {selection: row}).  A selection is named as the refusals name it: `--fn
+# im`, `--kind gen`, a verify target, and for characters `--n` (evaluate)
+# or `without --n` (list).  `main` refuses any other option, and a needed
+# one left out, before a handler runs.  Options that no selection reads
+# (`--format`, `--out`) are not listed
+_TABLE = {
+    "finite": ("--variant", ("h", "k"), {
+        **{v: _Row("sums.hardy_berndt_sum", name="hardy-berndt-{}",
+                   params=("h", "k"), route="exact", fixed=v)
+           for v in HARDY_VARIANTS},
+        "dedekind": _Row("sums.dedekind_sum", name="{}-sum", params=("h", "k"),
+                         route="exact"),
+    }),
+    "numbers": ("--kind", (), {
+        **{kind: _Row("numbers.number_table", ("n_max",), name="{}-number",
+                      route="exact-recurrence", fixed=kind)
+           for kind in ("bernoulli", "euler", "genocchi")},
         # QParam.parse builds no complex q, so both values are exact
-        v = q_euler_number(args.m, q) if args.kind == "q-euler" \
-            else q_genocchi_number(args.m, q, args.tol)
-        results.append(_value_entry(f"{args.kind}-number",
-                                    {"m": args.m, "q": str(q)}, v,
-                                    "exact-closed-form"))
-    return results
+        "q-euler": _Row("numbers.q_euler_number", ("m", "q"), ("q",),
+                        "{}-number", ("m", "q"), "exact-closed-form"),
+        "q-genocchi": _Row("numbers.q_genocchi_number", ("m", "q", "tol"),
+                           ("q",), "{}-number", ("m", "q"), "exact-closed-form"),
+    }),
+    "characters": ("", ("f",), {
+        "without --n": _Row(None),
+        "--n": _Row(None, ("index",), ("index",)),
+    }),
+    "zeta": ("--fn", ("s",), {
+        "zeta": _Row("zeta.riemann_zeta", ("tol",), (), "riemann-zeta", ("s",),
+                     "accelerated-eta"),
+        "zeta-star": _Row("zeta.zeta_star", ("route", "tol"), (), "{}",
+                          ("s", "route"), "identity"),
+        "genocchi-zeta": _Row("zeta.genocchi_zeta", ("tol",), (), "{}", ("s",),
+                              "accelerated-eta"),
+        "hurwitz": _Row("zeta.hurwitz_zeta", ("a", "tol"), (), "hurwitz-zeta",
+                        ("s", "a"), "euler-maclaurin"),
+        "lerch": _Row("zeta.lerch_phi", ("a", "z", "tol"), (), "lerch-phi",
+                      ("s", "a", "z"), "direct-series"),
+        "odd-power": _Row("zeta.odd_power_sum", ("z", "b", "route", "tol"), (),
+                          "odd-power-sum", ("s", "z", "b"), "direct"),
+        "digamma": _Row("zeta.digamma", ("tol",), (), "{}", ("x",),
+                        "asymptotic-series"),
+    }),
+    "qzeta": ("--fn", ("s", "q"), {
+        "im": _Row("qzeta.q_alt_zeta", ("genocchi_scale", "tol"), (),
+                   "q-alt-zeta", ("s", "q", "scaled"), "alternating-series"),
+        "im-hurwitz": _Row("qzeta.q_alt_zeta_hurwitz",
+                           ("x", "variant", "genocchi_scale", "tol"), ("x",),
+                           "q-alt-zeta-hurwitz",
+                           ("s", "q", "x", "variant", "scaled"),
+                           "alternating-series"),
+        "l": _Row("qzeta.q_alt_l", ("x", "chi", "genocchi_scale", "tol"),
+                  ("chi",), "q-alt-l", ("s", "q", "chi", "x", "scaled"),
+                  "alternating-series"),
+        "plain": _Row("qzeta.q_plain_zeta", ("chi", "tol"), (), "q-plain-zeta",
+                      ("s", "q", "chi"), "plain-series"),
+        "cck": _Row("qzeta.cck_zeta", ("tol",), (), "cck-zeta", ("s", "q"),
+                    "alternating-series"),
+    }),
+    "qsum": ("--kind", ("h", "k", "q"), {
+        "gen": _Row("qsums.oscillatory_sum",
+                    ("variant", "chi", "eps", "order", "tol"), (),
+                    "oscillatory-sum", ("variant", "h", "k", "q", "chi")),
+        "hardy-berndt": _Row("qsums.q_hardy_berndt_sum",
+                             ("variant", "chi", "eps", "order", "tol",
+                              "no_parity_check"), (), "q-hardy-berndt",
+                             ("variant", "h", "k", "q"),
+                             "scaled-oscillatory-sum"),
+        "dedekind": _Row("qsums.q_dedekind_sum", ("p", "eps", "order", "tol"),
+                         (), "q-dedekind", ("p", "h", "k", "q"),
+                         "scaled-oscillatory-sum"),
+    }),
+    "verify": ("", (), {
+        "thm4": _Row("acceptance.trig_series_checks", ("tol", "k_max")),
+        "thm5": _Row("acceptance.decomposition_checks", ("s", "q", "chi", "tol"),
+                     fixed=False),
+        "thm6": _Row("acceptance.decomposition_checks",
+                     ("s", "q", "x", "chi", "tol"), fixed=True),
+        "mellin-defs": _Row("acceptance.mellin_checks", ("s", "q", "tol")),
+        # identities 22 and 23 are twisted by a character
+        **{f"thm{tid}": _Row("acceptance.product_check",
+                             ("s", "q", "chi", "tol") if tid > 21 else
+                             ("s", "q", "tol"), fixed=tid)
+           for tid in range(19, 24)},
+        "all": _Row("acceptance.run_all"),
+    }),
+}
 
 
-def _cmd_characters(args):
-    results = []
-    if args.n is not None:
-        chi = character_from_label(f"{args.f}:{args.index}")
-        results.append(_value_entry("character-value",
-                                    {"chi": chi.label, "n": args.n},
-                                    chi_eval(chi, args.n),
-                                    "root-of-unity"))
-    else:
-        for chi in characters_mod(args.f):
-            results.append(_value_entry(
-                "character", {"chi": chi.label,
-                              "exponents": list(chi.exponents),
-                              "order": chi.order,
-                              "principal": chi.is_principal},
-                complex(1.0) if chi.is_principal else chi_eval(chi, 2),
-                "enumeration"))
-    return results
+def _label(cmd: str, selection: str) -> str:
+    """A selection as messages and ``--help`` name it: ``--fn im``."""
+    flag = _TABLE[cmd][0]
+    return f"{flag} {selection}" if flag else selection
 
 
-def _cmd_zeta(args):
-    s = _parse_s(args.s)
-    si = _maybe_int(s)
-    tol = args.tol
-    if args.fn == "zeta":
-        sv = riemann_zeta(si, tol)
-        entry = _series_entry("riemann-zeta", {"s": s}, sv, "accelerated-eta")
-    elif args.fn == "zeta-star":
-        sv = zeta_star(si, tol, route=args.route or "identity")
-        entry = _series_entry("zeta-star", {"s": s, "route": args.route or "identity"},
-                              sv, args.route or "identity")
-    elif args.fn == "genocchi-zeta":
-        sv = genocchi_zeta(si, tol)
-        entry = _series_entry("genocchi-zeta", {"s": s}, sv, "accelerated-eta")
-    elif args.fn == "hurwitz":
-        sv = hurwitz_zeta(s, args.a, tol)
-        entry = _series_entry("hurwitz-zeta", {"s": s, "a": args.a}, sv,
-                              "euler-maclaurin")
-    elif args.fn == "lerch":
-        sv = lerch_phi(complex(args.z), s, args.a, tol)
-        entry = _series_entry("lerch-phi", {"s": s, "a": args.a, "z": args.z},
-                              sv, "direct-series")
-    elif args.fn == "odd-power":
-        sv = odd_power_sum(complex(args.z), s, args.b, tol,
-                           route=args.route or "direct")
-        entry = _series_entry("odd-power-sum",
-                              {"s": s, "z": args.z, "b": args.b}, sv,
-                              args.route or "direct")
-    else:  # digamma; argparse restricts --fn to these choices
+def _selection(args, argv: List[str]) -> str:
+    """The command's selection, once an option that it does not read, and a
+    needed one left out, are refused; each is listed in parser order."""
+    flag, _, rows = _TABLE[args.cmd]
+    # with abbreviations off each `--opt` token is an option string exactly,
+    # so these are the options given, told apart from the defaulted ones
+    given = {arg[2:].split("=")[0].replace("-", "_") for arg in argv
+             if arg.startswith("--")}
+    if flag:
+        selection = getattr(args, flag[2:])
+    elif args.cmd == "verify":
+        selection = args.what
+    else:  # characters
+        selection = "--n" if "n" in given else "without --n"
+    row = rows[selection]
+    # every option a command takes and does not require, some selection reads
+    optional = {dest for r in rows.values() for dest in r.reads}
+    # the namespace holds the options in the order the parser added them
+    for verb, dests in (
+            ("does not read", [d for d in vars(args)
+                               if d in given & optional and d not in row.reads]),
+            ("needs", [d for d in vars(args)
+                       if d in row.needs and d not in given])):
+        if dests:
+            raise DomainError(f"{args.cmd} {_label(args.cmd, selection)} {verb} "
+                              + ", ".join("--" + dest.replace("_", "-")
+                                          for dest in dests))
+    return selection
+
+
+# ----------------------------------------------------------------------
+# handlers
+# ----------------------------------------------------------------------
+
+def _cmd_select(args, selection: str) -> List[Dict[str, Any]]:
+    """Call the selection's API function with the options it reads, and make
+    the report rows of its result."""
+    _, common, rows = _TABLE[args.cmd]
+    row = rows[selection]
+    module, fn = row.fn.split(".")
+    kwargs = _keywords(args, common + row.reads)
+    cert: Dict[str, Any] = {}
+    if row.fn == "zeta.digamma":  # real x only; the tol is its tail bound
+        s = kwargs.pop("s")
         if s.imag:
             raise ValueError("digamma takes a real --s")
-        v = digamma(s.real, tol)
-        entry = _value_entry("digamma", {"x": s.real}, complex(v),
-                             "asymptotic-series", {"tail_bound": tol})
-    return [entry]
+        kwargs["x"], cert = s.real, {"tail_bound": args.tol}
+    try:
+        result = getattr(importlib.import_module(f".{module}", __package__), fn)(
+            *(() if row.fixed is None else (row.fixed,)), **kwargs)
+    except ParityError as exc:  # name the CLI's switch, not the keyword
+        raise ParityError(str(exc).replace("enforce_parity=False",
+                                           "--no-parity-check")) from None
+    if isinstance(result, list):  # verify's outcomes or criteria
+        return [_outcome_entry(r) if isinstance(r, VerificationOutcome) else
+                {"kind": "criterion", "number": r.number,
+                 "name": r.description, "pass": r.passed,
+                 "details": list(r.details)}
+                for r in result]
+    name, route, value = (row.name.format(selection),
+                          kwargs.get("route", row.route), result)
+    if hasattr(result, "entries"):  # a number table: one row per entry
+        return [_value_entry(name, {"n": n}, v, route)
+                for n, v in enumerate(result.entries)]
+    if isinstance(result, SeriesValue):
+        value, cert = result.value, {"tail_bound": result.tail_bound,
+                                     "terms_used": result.terms_used}
+    elif hasattr(result, "per_offset"):  # an oscillatory sum
+        value, route = result.value, result.route
+        cert = {"residual": result.residual, "diverged": result.diverged,
+                "per_offset": [[e, v] for e, v in result.per_offset]}
+    shown = {**kwargs, "scaled": kwargs.get("genocchi_scale"), "route": route}
+    return [_value_entry(name, {key: _echo(shown.get(key)) for key in row.params},
+                         value, route, cert)] + _exact_at_q1(row, args, kwargs)
 
 
-def _cmd_qzeta(args):
-    from .qzeta import (cck_zeta, q_alt_l, q_alt_zeta, q_alt_zeta_hurwitz,
-                        q_plain_zeta)
-
-    s = _parse_s(args.s)
-    q = QParam.parse(args.q)
-    chi = character_from_label(args.chi) if args.chi else None
-    tol = args.tol
-    scale = args.genocchi_scale
-    if args.fn == "im":
-        sv = q_alt_zeta(s, q, tol, genocchi_scale=scale)
-        entry = _series_entry("q-alt-zeta", {"s": s, "q": str(q), "scaled": scale},
-                              sv, "alternating-series")
-    elif args.fn == "im-hurwitz":
-        sv = q_alt_zeta_hurwitz(s, args.x, q, tol, variant=args.variant,
-                                genocchi_scale=scale)
-        entry = _series_entry("q-alt-zeta-hurwitz",
-                              {"s": s, "q": str(q), "x": args.x,
-                               "variant": args.variant, "scaled": scale},
-                              sv, "alternating-series")
-    elif args.fn == "l":
-        sv = q_alt_l(s, chi, q, tol, genocchi_scale=scale, x=args.x)
-        entry = _series_entry("q-alt-l",
-                              {"s": s, "q": str(q), "chi": chi.label,
-                               "x": args.x, "scaled": scale},
-                              sv, "alternating-series")
-    elif args.fn == "plain":
-        sv = q_plain_zeta(s, q, tol, chi=chi)
-        entry = _series_entry("q-plain-zeta",
-                              {"s": s, "q": str(q),
-                               "chi": chi.label if chi else None},
-                              sv, "plain-series")
-    else:  # cck; argparse restricts --fn to these choices
-        sv = cck_zeta(s, q, tol)
-        entry = _series_entry("cck-zeta", {"s": s, "q": str(q)}, sv,
-                              "alternating-series")
-    return [entry]
+def _exact_at_q1(row: _Row, args, kwargs) -> List[Dict[str, Any]]:
+    """At q = 1, the exact finite sum that a scaled sum reduces to."""
+    if not getattr(kwargs.get("q"), "is_one", False):
+        return []
+    if row.fn == "qsums.q_hardy_berndt_sum":
+        if not parity_condition(args.variant, args.h, args.k).holds:
+            return []
+        return [_value_entry("exact-finite-sum",
+                             {"variant": args.variant, "h": args.h, "k": args.k},
+                             hardy_berndt_sum(args.variant, args.h, args.k),
+                             "exact")]
+    if row.fn == "qsums.q_dedekind_sum":
+        params = {"h": args.h, "k": args.k}
+        if args.p != 1:  # the p = 1 row keeps its classical params
+            params["p"] = args.p
+        return [_value_entry("classical-dedekind-sum", params,
+                             dedekind_sum(args.h, args.k, args.p), "exact")]
+    return []
 
 
-def _cmd_qsum(args):
-    q = QParam.parse(args.q)
-    chi = character_from_label(args.chi) if args.chi else None
-    reg = _schedule(args)
-    results = []
-    if args.kind == "gen":
-        res = oscillatory_sum(args.variant, args.h, args.k, q, chi=chi,
-                              reg=reg, tol=args.tol)
-        cert = {"residual": res.residual, "diverged": res.diverged,
-                "per_offset": [[e, v] for e, v in res.per_offset]}
-        results.append(_value_entry("oscillatory-sum",
-                                    {"variant": args.variant, "h": args.h,
-                                     "k": args.k, "q": str(q),
-                                     "chi": chi.label if chi else None},
-                                    res.value, res.route, cert))
-    elif args.kind == "hardy-berndt":
-        try:
-            v = q_hardy_berndt_sum(args.variant, args.h, args.k, q, chi=chi,
-                                   reg=reg, tol=args.tol,
-                                   enforce_parity=not args.no_parity_check)
-        except ParityError as exc:  # name the CLI's switch, not the keyword
-            raise ParityError(str(exc).replace("enforce_parity=False",
-                                               "--no-parity-check")) from None
-        results.append(_value_entry("q-hardy-berndt",
-                                    {"variant": args.variant, "h": args.h,
-                                     "k": args.k, "q": str(q)},
-                                    v, "scaled-oscillatory-sum"))
-        if q.is_one:
-            pc = parity_condition(args.variant, args.h, args.k)
-            if pc.holds:
-                exact = hardy_berndt_sum(args.variant, args.h, args.k)
-                results.append(_value_entry("exact-finite-sum",
-                                            {"variant": args.variant,
-                                             "h": args.h, "k": args.k},
-                                            exact, "exact"))
-    else:
-        v = q_dedekind_sum(args.p, args.h, args.k, q, reg=reg, tol=args.tol)
-        results.append(_value_entry("q-dedekind",
-                                    {"p": args.p, "h": args.h, "k": args.k,
-                                     "q": str(q)},
-                                    v, "scaled-oscillatory-sum"))
-        if q.is_one:
-            params = {"h": args.h, "k": args.k}
-            if args.p != 1:  # the p = 1 row keeps its classical params
-                params["p"] = args.p
-            results.append(_value_entry("classical-dedekind-sum", params,
-                                        dedekind_sum(args.h, args.k, args.p),
-                                        "exact"))
-    return results
+def _cmd_characters(args) -> List[Dict[str, Any]]:
+    from .characters import character_from_label, characters_mod, chi_eval
 
-
-def _cmd_verify(args):
-    from . import acceptance
-
-    fn, fixed = _VERIFY[args.what]
-    given = {opt: getattr(args, opt) for opt in _VERIFY_OPTIONS
-             if getattr(args, opt) is not None}
-    rows = getattr(acceptance, fn)(
-        *(() if fixed is None else (fixed,)),
-        **{opt: _VERIFY_PARSE.get(opt, lambda v: v)(v) for opt, v in given.items()})
-    return [_outcome_entry(row) if isinstance(row, VerificationOutcome) else
-            {"kind": "criterion", "number": row.number,
-             "name": row.description, "pass": row.passed,
-             "details": list(row.details)}
-            for row in rows]
+    if args.n is not None:
+        chi = character_from_label(f"{args.f}:{args.index}")
+        return [_value_entry("character-value", {"chi": chi.label, "n": args.n},
+                             chi_eval(chi, args.n), "root-of-unity")]
+    return [_value_entry("character", {"chi": chi.label,
+                                       "exponents": list(chi.exponents),
+                                       "order": chi.order,
+                                       "principal": chi.is_principal},
+                         complex(1.0) if chi.is_principal else chi_eval(chi, 2),
+                         "enumeration")
+            for chi in characters_mod(args.f)]
 
 
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
-
-# verify target: (function of `hbq.acceptance`, its fixed first argument).
-# Kept here, by name, so that building the parser does not import
-# `hbq.acceptance`
-_VERIFY = {
-    "thm4": ("trig_series_checks", None),
-    "thm5": ("decomposition_checks", False),
-    "thm6": ("decomposition_checks", True),
-    "mellin-defs": ("mellin_checks", None),
-    "thm19": ("product_check", 19),
-    "thm20": ("product_check", 20),
-    "thm21": ("product_check", 21),
-    "thm22": ("product_check", 22),
-    "thm23": ("product_check", 23),
-    "all": ("run_all", None),
-}
-# each verify option, its argparse type, and how its text is read
-_VERIFY_OPTIONS = {"s": str, "q": str, "x": float, "chi": str, "tol": float,
-                   "k_max": int}
-_VERIFY_PARSE = {"s": lambda text: _maybe_int(_parse_s(text)),
-                 "q": QParam.parse, "chi": character_from_label}
-
-# what each command reads: command -> {selection: (the options it reads, the
-# options it needs)}, options named by dest.  A selection is named as the
-# refusals name it: `--fn im`, `--kind gen`, a verify target, and for
-# characters `--n` (evaluate) or `without --n` (list).  `main` refuses any
-# other option, and a needed one left out, before a handler runs.  Not
-# listed: `finite`, which reads every option it takes, and the options that
-# argparse requires or every selection reads (`--s`, `--h`, `--format`, ...)
-_READS = {
-    "numbers": {
-        "--kind bernoulli": (("n_max",), ()),
-        "--kind euler": (("n_max",), ()),
-        "--kind genocchi": (("n_max",), ()),
-        "--kind q-euler": (("m", "q"), ("q",)),
-        "--kind q-genocchi": (("m", "q", "tol"), ("q",)),
-    },
-    "characters": {
-        "without --n": ((), ()),
-        "--n": (("index",), ("index",)),
-    },
-    "zeta": {
-        "--fn zeta": (("tol",), ()),
-        "--fn zeta-star": (("route", "tol"), ()),
-        "--fn genocchi-zeta": (("tol",), ()),
-        "--fn hurwitz": (("a", "tol"), ()),
-        "--fn lerch": (("a", "z", "tol"), ()),
-        "--fn odd-power": (("z", "b", "route", "tol"), ()),
-        "--fn digamma": (("tol",), ()),
-    },
-    "qzeta": {
-        "--fn im": (("genocchi_scale", "tol"), ()),
-        "--fn im-hurwitz": (("x", "variant", "genocchi_scale", "tol"), ("x",)),
-        "--fn l": (("x", "chi", "genocchi_scale", "tol"), ("chi",)),
-        "--fn plain": (("chi", "tol"), ()),
-        "--fn cck": (("tol",), ()),
-    },
-    "qsum": {
-        "--kind gen": (("variant", "chi", "eps", "order", "tol"), ()),
-        "--kind hardy-berndt": (("variant", "chi", "eps", "order", "tol",
-                                 "no_parity_check"), ()),
-        "--kind dedekind": (("p", "eps", "order", "tol"), ()),
-    },
-    "verify": {
-        "thm4": (("tol", "k_max"), ()),
-        "thm5": (("s", "q", "chi", "tol"), ()),
-        "thm6": (("s", "q", "x", "chi", "tol"), ()),
-        "mellin-defs": (("s", "q", "tol"), ()),
-        "thm19": (("s", "q", "tol"), ()),
-        "thm20": (("s", "q", "tol"), ()),
-        "thm21": (("s", "q", "tol"), ()),
-        "thm22": (("s", "q", "chi", "tol"), ()),
-        "thm23": (("s", "q", "chi", "tol"), ()),
-        "all": ((), ()),
-    },
-}
-
-
-def _check_reads(args, argv: List[str]) -> None:
-    """Refuse an option that the command's selection does not read, and a
-    needed one left out, listing each in parser order."""
-    table = _READS.get(args.cmd)
-    if table is None:
-        return
-    # with abbreviations off each `--opt` token is an option string exactly,
-    # so these are the options given, told apart from the defaulted ones
-    given = {arg[2:].split("=")[0].replace("-", "_") for arg in argv
-             if arg.startswith("--")}
-    if args.cmd == "verify":
-        selection = args.what
-    elif args.cmd == "characters":
-        selection = "--n" if "n" in given else "without --n"
-    else:
-        flag = "fn" if hasattr(args, "fn") else "kind"
-        selection = f"--{flag} {getattr(args, flag)}"
-    reads, needs = table[selection]
-    # every option a command takes and does not require, some selection reads
-    optional = {dest for read, _ in table.values() for dest in read}
-    # the namespace holds the options in the order the parser added them
-    for verb, dests in (
-            ("does not read", [d for d in vars(args)
-                               if d in given & optional and d not in reads]),
-            ("needs", [d for d in vars(args) if d in needs and d not in given])):
-        if dests:
-            raise DomainError(f"{args.cmd} {selection} {verb} " + ", ".join(
-                "--" + dest.replace("_", "-") for dest in dests))
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -572,18 +538,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def command(name, help):
-        """A subcommand's parser, and the `add` of its options, whose help
-        names the selections that read each option."""
+        """A subcommand's parser with its selecting flag, and the `add` of
+        its options, whose help names the selections that read each one."""
         p = sub.add_parser(name, help=help, allow_abbrev=False)
-        table = _READS.get(name, {})
+        selector, _, rows = _TABLE[name]
 
         def add(flag, help=None, **kwargs):
             dest = flag[2:].replace("-", "_")
-            readers = [sel + " (needed)" * (dest in needs)
-                       for sel, (reads, needs) in table.items() if dest in reads]
+            readers = [_label(name, key) + " (needed)" * (dest in row.needs)
+                       for key, row in rows.items() if dest in row.reads]
             if readers:
                 help = (f"{help}; " if help else "") + "read by " + ", ".join(readers)
             p.add_argument(flag, help=help, **kwargs)
+        if selector:
+            add(selector, required=True, choices=tuple(rows))
         return p, add
 
     def add_output(p):
@@ -592,14 +560,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the report to FILE")
 
     p, add = command("finite", "exact classical sums")
-    add("--variant", required=True, choices=HARDY_VARIANTS + ("dedekind",))
     add("--h", type=int, required=True)
     add("--k", type=int, required=True)
     add_output(p)
 
     p, add = command("numbers", "number tables and q-deformations")
-    add("--kind", required=True,
-        choices=("bernoulli", "euler", "genocchi", "q-euler", "q-genocchi"))
     add("--n-max", type=int, default=10)
     add("--m", type=int, default=0)
     add("--q", default=None, help="exact rational 'p/r' or '1'")
@@ -613,9 +578,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p, add = command("zeta", "classical zeta family")
-    add("--fn", required=True,
-        choices=("zeta", "zeta-star", "genocchi-zeta", "hurwitz", "lerch",
-                 "odd-power", "digamma"))
     add("--s", required=True, help="'re' or 're,im'")
     add("--a", type=float, default=1.0)
     add("--z", type=float, default=0.5)
@@ -625,7 +587,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p, add = command("qzeta", "q-deformed zeta / l family")
-    add("--fn", required=True, choices=("im", "im-hurwitz", "l", "plain", "cck"))
     add("--s", required=True)
     add("--q", required=True)
     add("--x", type=float, default=None)
@@ -636,7 +597,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p, add = command("qsum", "oscillatory sums and their scalings")
-    add("--kind", required=True, choices=("gen", "hardy-berndt", "dedekind"))
     add("--variant", default="S", help="S, s1..s5 or index 0..5")
     add("--p", type=int, default=1, help="odd order")
     add("--h", type=int, required=True)
@@ -651,39 +611,34 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p, add = command("verify", "identity verification suites")
-    p.add_argument("what", choices=tuple(_VERIFY))
-    for opt, kind in _VERIFY_OPTIONS.items():
-        add("--" + opt.replace("_", "-"), type=kind, default=None)
+    p.add_argument("what", choices=tuple(_TABLE["verify"][2]))
+    add("--s")
+    add("--q")
+    add("--x", type=float)
+    add("--chi")
+    add("--tol", type=float)
+    add("--k-max", type=int)
     add_output(p)
 
     return parser
-
-
-_HANDLERS = {
-    "finite": _cmd_finite,
-    "numbers": _cmd_numbers,
-    "characters": _cmd_characters,
-    "zeta": _cmd_zeta,
-    "qzeta": _cmd_qzeta,
-    "qsum": _cmd_qsum,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _check_reads(args, argv)
+        selection = _selection(args, argv)
         variant = getattr(args, "variant", None)
         if variant is not None and variant.isdigit():
             args.variant = _hardy_variant(int(variant))
-        results = _HANDLERS[args.cmd](args)
-        if results is None:
+        results = (_cmd_characters(args) if args.cmd == "characters"
+                   else _cmd_select(args, selection))
+        if args.cmd == "finite" and args.format == "text" and not args.out:
+            sys.stdout.write(f"{results[0]['value']}\n")  # the bare value
             return 0
         report = _report(argv, results)
         _emit(report, args.format, args.out)

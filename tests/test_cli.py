@@ -246,10 +246,13 @@ def _fresh(*argv):
      "a^(-s) overflows the float range"),
     (("zeta", "--fn", "lerch", "--s", "2,3", "--z", "0.5", "--a", "1e-200"),
      "a^(-s) overflows the float range"),
+    # a negative --s as its own token reaches the route, not argparse
+    (("zeta", "--fn", "zeta", "--s", "-1.5,2"),
+     "alternating route needs Re(s) > 0"),
 ], ids=["qzeta-im-s", "cck-im-s", "lerch-im-s", "hurwitz-overflow",
         "hurwitz-overflow-1e308", "lerch-z1-divergent", "odd-power-z1-divergent",
         "lerch-unit-circle-cap", "lerch-tiny-shift", "lerch-tiny-shift-z0",
-        "lerch-tiny-shift-complex-s"])
+        "lerch-tiny-shift-complex-s", "zeta-negative-s-token"])
 def test_out_of_domain_exit_2(argv, message):
     # each used to exit 0 with a value that has no correct digit, die with a
     # traceback, or spin for most of a minute
@@ -314,8 +317,9 @@ def test_verify_passes_each_option_its_target_reads(capsys, monkeypatch):
 
     from hbq import acceptance, cli
 
+    rows = cli._TABLE["verify"][2]
     calls = []
-    for fn in {fn for fn, _ in cli._VERIFY.values()}:
+    for fn in {row.fn.split(".")[1] for row in rows.values()}:
         def record(*args, _fn=fn, _sig=inspect.signature(getattr(acceptance, fn)),
                    **kwargs):
             _sig.bind(*args, **kwargs)
@@ -323,8 +327,8 @@ def test_verify_passes_each_option_its_target_reads(capsys, monkeypatch):
             return []
         monkeypatch.setattr(acceptance, fn, record)
     read = 0
-    for target, (fn, fixed) in cli._VERIFY.items():
-        reads = cli._READS["verify"][target][0]
+    for target, row in rows.items():
+        fn, fixed, reads = row.fn.split(".")[1], row.fixed, row.reads
         for option, text in _OPTION_TEXT.items():
             calls.clear()
             code, out, err = run(capsys, "verify", target, option, text)
@@ -344,13 +348,13 @@ class _Reached(ValueError):
     pass
 
 
-# the API each handler calls; a recorder in its place records the call and
-# stops the command there, so no value is computed
-_API = {"cli": ("number_table", "q_euler_number", "q_genocchi_number",
-                "characters_mod", "chi_eval", "riemann_zeta", "zeta_star",
-                "genocchi_zeta", "hurwitz_zeta", "lerch_phi", "odd_power_sum",
-                "digamma", "oscillatory_sum", "q_hardy_berndt_sum",
-                "q_dedekind_sum"),
+# the API each handler calls, by home module; a recorder in its place
+# records the call and stops the command there, so no value is computed
+_API = {"numbers": ("number_table", "q_euler_number", "q_genocchi_number"),
+        "characters": ("characters_mod", "chi_eval"),
+        "zeta": ("riemann_zeta", "zeta_star", "genocchi_zeta", "hurwitz_zeta",
+                 "lerch_phi", "odd_power_sum", "digamma"),
+        "qsums": ("oscillatory_sum", "q_hardy_berndt_sum", "q_dedekind_sum"),
         "qzeta": ("q_alt_zeta", "q_alt_zeta_hurwitz", "q_alt_l",
                   "q_plain_zeta", "cck_zeta"),
         "acceptance": ("trig_series_checks", "decomposition_checks",
@@ -401,8 +405,10 @@ def test_every_option_is_read_or_refused_by_the_table(capsys, monkeypatch, cmd):
     for module, names in _API.items():
         mod = importlib.import_module(f"hbq.{module}")
         for name in names:
-            def record(*args, _name=name, **kwargs):
+            def record(*args, _name=name, _real=getattr(mod, name), **kwargs):
                 calls.append((_name, args, kwargs))
+                if _name == "characters_mod":  # labels are parsed through it
+                    return _real(*args, **kwargs)
                 raise _Reached("reached")
             monkeypatch.setattr(mod, name, record)
 
@@ -424,12 +430,12 @@ def test_every_option_is_read_or_refused_by_the_table(capsys, monkeypatch, cmd):
                and a.dest not in ("help", "format", "out", selector)]
     # the table has one selection per choice of the selector
     choices = next(a.choices for a in actions if a.dest == selector)
-    table = cli._READS[cmd]
-    assert list(table) == (["without --n", "--n"] if cmd == "characters" else
-                           list(choices) if cmd == "verify" else
-                           [f"--{selector} {c}" for c in choices])
+    rows = cli._TABLE[cmd][2]
+    assert list(rows) == (["without --n", "--n"] if cmd == "characters" else
+                          list(choices))
     read = 0
-    for selection, (reads, needs) in table.items():
+    for key, row in rows.items():
+        selection, reads, needs = cli._label(cmd, key), row.reads, row.needs
         for option in options:
             argv = _base(cmd, selection) + [
                 text for need in needs if need != option
@@ -455,6 +461,58 @@ def test_abbreviated_options_exit_2(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.endswith(f"error: unrecognized arguments: {unknown}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeta", "--fn", "lerch", "--s", "2", "--z", "-1e-5"),
+    ("zeta", "--fn", "hurwitz", "--s", "-1.5,2", "--a", "0.5"),
+], ids=["lerch-z", "hurwitz-s"])
+def test_negative_value_as_a_separate_token(capsys, argv):
+    # argparse took `-1e-5` and `-1.5,2` for options and exited 2 with
+    # `expected one argument`; they now compute what `--opt=value` does,
+    # and the report echoes argv as it was typed
+    argv = list(argv) + ["--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["command"] == argv
+    i = next(i for i, arg in enumerate(argv) if arg.startswith("-") and
+             arg[1].isdigit())
+    joined = argv[:i - 1] + [f"{argv[i - 1]}={argv[i]}"] + argv[i + 1:]
+    code, joined_out, _ = run(capsys, *joined)
+    assert code == 0
+    assert json.loads(joined_out)["results"] == json.loads(out)["results"]
+
+
+def _readme_table():
+    """{(command, selection): (options read, options needed)} from the
+    README's table of the options each command reads."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as f:
+        text = f.read()
+    head = "| command and selection | options it reads (needed ones in bold) |"
+    lines = text[text.index(head):].splitlines()[2:]
+    table = {}
+    for line in lines[:next(i for i, l in enumerate(lines) if not l)]:
+        first, options = line.strip("|").split("|")
+        cmd, label = first.split("`")[1].split(" ", 1)
+        prefix = label.rsplit(" ", 1)[0] + " " if " " in label else ""
+        labels = [label] + [prefix + more for more in first.split("`")[3::2]]
+        cells = [o.strip() for o in options.split(",") if o.strip() != "none"]
+        reads = tuple(c.strip("*`")[2:].replace("-", "_") for c in cells)
+        needs = tuple(c.strip("*`")[2:].replace("-", "_") for c in cells
+                      if c.startswith("**"))
+        table.update({(cmd, lab): (reads, needs) for lab in labels})
+    return table
+
+
+def test_readme_lists_what_each_selection_reads():
+    # the README's table has one row per selection of the CLI's table, with
+    # the same options read and needed, in the same order
+    from hbq import cli
+
+    assert _readme_table() == {
+        (cmd, cli._label(cmd, key)): (row.reads, row.needs)
+        for cmd, (_, _, rows) in cli._TABLE.items() if cmd != "finite"
+        for key, row in rows.items()}
 
 
 def test_help_names_the_selections_that_read_each_option(capsys):

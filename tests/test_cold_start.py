@@ -1,7 +1,8 @@
 """Cold start: ``import hbq``, ``import hbq.qzeta``, the exact commands and
 the real-s q-series commands load neither numpy nor scipy, numpy is imported
-only inside the array kernels, and no computation loads scipy.  Each check runs a fresh interpreter
-and reads its ``sys.modules``; nothing is timed."""
+only inside the array kernels, no computation loads scipy, and a command
+loads only the hbq layers it calls.  Each check runs a fresh interpreter and
+reads its ``sys.modules``; nothing is timed."""
 
 import ast
 import glob
@@ -18,15 +19,16 @@ import hbq
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hbq.__file__)))
 
 
-def _heavy_modules_after(code: str) -> list:
-    """numpy and scipy modules loaded by a fresh interpreter that imports
-    hbq and hbq.cli and then runs ``code``."""
+def _heavy_modules_after(code: str, roots=("numpy", "scipy")) -> list:
+    """The modules of the packages ``roots`` (numpy and scipy by default)
+    loaded by a fresh interpreter that imports hbq and hbq.cli and then runs
+    ``code``."""
     script = "\n".join((
         "import json, os, sys",
         "import hbq, hbq.cli",
         code,
         "print(json.dumps(sorted(m for m in sys.modules",
-        "                        if m.split('.')[0] in ('numpy', 'scipy'))))",
+        f"                        if m.split('.')[0] in {roots!r})))",
     ))
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script],
@@ -117,10 +119,33 @@ def test_numpy_is_imported_only_inside_the_array_kernels():
 
 
 def test_lazy_names_are_the_module_objects():
-    modules = {m: importlib.import_module(f"hbq.{m}") for m in ("mellin", "qzeta")}
+    # every layer loads on first use of its names: the 56 names hbq exports,
+    # each its layer's own object, are all of its layers' `__all__` but
+    # `characters.chi_table`
+    layers = sorted(set(hbq._LAZY.values()))
+    assert layers == ["characters", "core", "mellin", "numbers", "qsums",
+                      "qzeta", "sums", "zeta"]
+    modules = {m: importlib.import_module(f"hbq.{m}") for m in layers}
+    assert len(hbq._LAZY) == 56
     assert set(hbq._LAZY) == {name for mod in modules.values()
-                              for name in mod.__all__}
+                              for name in mod.__all__} - {"chi_table"}
     for name, module in hbq._LAZY.items():
         assert getattr(hbq, name) is getattr(modules[module], name)
+        assert name in vars(hbq)  # kept: a later read is an attribute read
         assert name in dir(hbq)
-    assert hbq.qzeta is modules["qzeta"] and hbq.mellin is modules["mellin"]
+    for layer in layers:
+        assert getattr(hbq, layer) is modules[layer]
+
+
+def test_each_command_loads_only_the_layers_it_calls():
+    # `finite` calls `sums`, which reads the Bernoulli rows of `numbers`;
+    # once, `import hbq` loaded every exact layer, and `hbq.cli` the rest
+    def loaded(*argv):
+        return _heavy_modules_after(_cli(*argv), ("hbq",))
+
+    base = ["hbq", "hbq.cli", "hbq.core", "hbq.numbers", "hbq.sums"]
+    assert loaded("finite", "--variant", "S", "--h", "1", "--k", "2",
+                  "--format", "json") == base
+    assert loaded("zeta", "--fn", "zeta", "--s", "2") == \
+        sorted(base + ["hbq._kernels", "hbq.zeta"])
+    assert loaded("characters", "--f", "5") == sorted(base + ["hbq.characters"])

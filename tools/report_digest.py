@@ -2,10 +2,11 @@
 code and the sha256 of its stdout and of its stderr.
 
 The commands are the benchmark's own: ``perfbench/ops.py::cli_ops(7, 400)``
-and the ten ``VERIFY_COMMANDS``, each in json, text and csv; then
-``REFUSED``, one command per (command, selection) that the CLI refuses, in
-json.  They all run in this one process through ``hbq.cli.main``, so two
-checkouts compare by diffing their digests:
+and the ten ``VERIFY_COMMANDS``, then ``NEGATIVE``, negative values written
+as separate tokens, each in json, text and csv; then ``REFUSED``, one
+command per (command, selection) that the CLI refuses, in json.  They all
+run in this one process through ``hbq.cli.main``, so two checkouts compare
+by diffing their digests:
 
     python tools/report_digest.py > after.txt
     python tools/report_digest.py PATH/TO/OTHER/CHECKOUT > before.txt
@@ -25,6 +26,13 @@ import sys
 from pathlib import Path
 
 FORMATS = ("json", "text", "csv")
+
+# a value that starts with `-` and a digit, as its own token
+NEGATIVE = """\
+zeta --fn lerch --s 2 --z -1e-5
+zeta --fn zeta --s -1.5,2
+zeta --fn hurwitz --s -1.5,2 --a 0.5
+"""
 
 # per (command, selection): an option it does not read, or a needed one left
 # out (numbers --kind q-genocchi, characters --n, qzeta --fn l)
@@ -72,6 +80,7 @@ def commands(ops):
     """Every command's argv, without its format, then each format."""
     bases = [op["argv"][:-2] for op in ops.cli_ops(7, 400)]
     bases += [list(argv) for argv in ops.VERIFY_COMMANDS]
+    bases += [line.split() for line in NEGATIVE.splitlines()]
     return ([base + ["--format", fmt] for base in bases for fmt in FORMATS]
             + [line.split() + ["--format", "json"]
                for line in REFUSED.splitlines()])
