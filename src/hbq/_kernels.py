@@ -1,17 +1,23 @@
-"""Hot numeric kernels: the float-heavy inner loops (series partial sums, the
-one Cohen-Rodriguez Villegas-Zagier loop for alternating series, the damped
-double sums of the product-identity checks, generating-function evaluation
-inside quadrature and for ``eval_gen``).  The three array kernels
-(`qzeta_partial_sum`, `damped_pair_sum`, `gen_series_sum`) import numpy
-when called, the only numpy imports in hbq; the direct q-series sum runs in
-blocks of at most 32,768 terms, in buffers made once per call, and the
-generating series over many nodes in blocks of about 16,384 rows times
-nodes.  ``chi`` is always one period of character values.  Exact-rational
-code paths stay elsewhere.
+"""Hot numeric kernels: the float-heavy inner loops (the long direct
+q-series sums, the one Cohen-Rodriguez Villegas-Zagier loop for alternating
+series, the damped double sums of the product-identity checks, and the
+generating series inside quadrature and at the one node of ``eval_gen``).
+
+Arrays serve only the sums whose set-up they repay.  The three array kernels
+import numpy when called, the only numpy imports in hbq:
+`qzeta_partial_sum` for direct q-series of more than `qzeta._PY_TERMS`
+terms, in blocks of at most 32,768 terms in buffers made once per call;
+`damped_pair_sum`; and `gen_series_sum` for the many nodes of a quadrature
+level, in blocks of about 16,384 rows times nodes.  Everything else is a
+plain loop: `crvz_sum`, whose weights are tabled once per n, and
+`gen_node_sum`, one node by the stop rule of `gen_series_sum`.  ``chi`` is
+always one period of character values.  Exact-rational code paths stay
+elsewhere.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -20,6 +26,7 @@ __all__ = [
     "crvz_sum",
     "crvz_terms",
     "damped_pair_sum",
+    "gen_node_sum",
     "gen_series_sum",
     "qzeta_partial_sum",
 ]
@@ -58,25 +65,45 @@ def crvz_sum(terms, n):
     of T_n(1-2t) / ((1+t) T_n(3)) against mu, so a complex measure on a
     set with Re t >= 0 whose image 1 - 2t lies in the Bernstein ellipse
     E_rho, where |T_n| <= rho^n, gains the factor rho^n."""
+    d, weights = _crvz_weights(n)
+    acc = 0j
+    for c, a in zip(weights, terms):
+        acc += c * a
+    return acc / d
+
+
+@functools.lru_cache(maxsize=CRVZ_MAX_TERMS + 1)
+def _crvz_weights(n: int):
+    """d = T_n(3) = (x^n + x^(-n)) / 2, x = 3 + sqrt 8, and the weights
+    c_0, ..., c_(n-1) of `crvz_sum`, formed once per n by the float
+    operations of the loop they come from."""
     d = (3.0 + math.sqrt(8.0)) ** n
     d = (d + 1.0 / d) / 2.0
     b = -1.0
     c = -d
-    acc = 0j
-    for k, a in zip(range(n), terms):
+    weights = []
+    for k in range(n):
         c = b - c
-        acc += c * a
+        weights.append(c)
         b *= 2.0 * (k + n) * (k - n) / ((2.0 * k + 1.0) * (k + 1.0))
-    return acc / d
+    return d, tuple(weights)
+
+
+@functools.lru_cache(maxsize=None)
+def _coefficients(chi: tuple, alt: bool) -> tuple:
+    """c_n = sign^n chi(n) for n = 0..L-1, over the period L = lcm(2, f)
+    (alternating) or f: the coefficients of every series here."""
+    f = len(chi)
+    return tuple((-1 if alt and n % 2 else 1) * chi[n % f]
+                 for n in range(math.lcm(2 if alt else 1, f)))
 
 
 @functools.lru_cache(maxsize=None)
 def _sign_chi_period(chi, alt):
-    """sign^r chi(r) over one period 2f of both: one read-only array each."""
+    """`_coefficients` as one read-only complex array."""
     import numpy as np
 
-    coef = np.asarray([complex(-1.0 if alt and r % 2 else 1.0, 0.0) * complex(chi[r % len(chi)])
-                       for r in range(2 * len(chi))], dtype=np.complex128)
+    coef = np.asarray(_coefficients(chi, alt), dtype=np.complex128)
     coef.flags.writeable = False
     return coef
 
@@ -168,18 +195,55 @@ def damped_pair_sum(s, eps, logq, alt, chi, odd_weights, m_count, n_count):
     return complex(acc)
 
 
+def _gen_cap(logq, nmax):
+    """The last n a generating series may reach: nmax, or the last n with
+    q^(-n-1)[n+1] < q^(-n-1) / (1 - q) <= e^709 inside the float range."""
+    return min(nmax, int((_LOG_FLOAT_MAX + math.log(-math.expm1(logq))) / -logq) - 1)
+
+
+def _gen_stops(cur, nxt, tol):
+    """The stop rule of the generating series, on floats or on arrays: a node
+    stops at the first n whose next majorant
+    m_(n+1) = q^(-n-1) exp(-q^(-n-1)[n+1] Re t) (``nxt``) is below tol/2
+    and below m_n / 2 (``cur``), or m_n = 0.  The ratio
+    m_(j+1) / m_j = q^(-1) exp(-q^(-j-1) Re t) falls with j, so 2 m_(n+1)
+    bounds the tail."""
+    return (nxt < 0.5 * tol) & ((nxt + nxt < cur) | (cur == 0.0))
+
+
+def gen_node_sum(t, logq, alt, chi, nmax, tol):
+    """`gen_series_sum` at the one node t, in a plain loop: (value, tail
+    bound, terms used), with its rows, terms and stop rule."""
+    t = complex(t)
+    omq = -math.expm1(logq)
+    cap = _gen_cap(logq, nmax)
+    coef = _coefficients(chi, alt)
+    value, cur = 0j, None
+    for n in range(1, cap + 2) if cap > 0 else ():
+        qinv = math.exp(n * -logq)
+        a = (qinv - 1.0) / omq
+        major = math.exp(-a * t.real) * qinv
+        if cur is not None and _gen_stops(cur, major, tol):
+            return value, 2.0 * major, n - 1
+        if n > cap:
+            break
+        term = coef[n % len(coef)] * major
+        if t.imag:
+            term *= cmath.exp(complex(0.0, -a * t.imag))
+        value += term
+        cur = major
+    return value, math.inf, max(cap, 0)
+
+
 def gen_series_sum(ts, logq, alt, chi, nmax, tol):
     """sum_{n>=1} sign^n chi(n) q^(-n) exp(-q^(-n)[n] t) at each node t of
     ``ts`` (real or complex, Re t > 0), with a rigorous tail; ``chi`` is one
     period of character values.  Returns three lists: the values, the tail
     bounds and the numbers of terms used.
 
-    A node stops at the first n whose next major
-    m_(n+1) = q^(-n-1) exp(-q^(-n-1)[n+1] Re t) is below tol/2 and below
-    m_n / 2.  The ratio m_(j+1) / m_j = q^(-1) exp(-q^(-j-1) Re t) falls
-    with j, so 2 m_(n+1) bounds the tail.  A node still running after nmax
-    terms, or at the last n with q^(-n)[n] inside the float range, has tail
-    bound inf.
+    A node stops by `_gen_stops`, and a node still running after nmax terms,
+    or at the last n with q^(-n)[n] inside the float range (`_gen_cap`),
+    has tail bound inf.  `gen_node_sum` sums one node by the same rule.
 
     The row q^(-n), q^(-n)[n] and the coefficients are formed once per block
     of n and shared by every node still running.  A block spans at most
@@ -194,8 +258,7 @@ def gen_series_sum(ts, logq, alt, chi, nmax, tol):
     tr, ti = t.real, t.imag
     phased = bool(ti.any())
     omq = -math.expm1(logq)
-    # q^(-cap-1)[cap+1] < q^(-cap-1) / (1 - q) <= e^709 stays finite
-    cap = min(nmax, int((_LOG_FLOAT_MAX + math.log(omq)) / -logq) - 1)
+    cap = _gen_cap(logq, nmax)
     coef = _sign_chi_period(chi, alt)
     if not (phased or coef.imag.any()):
         coef = coef.real
@@ -214,7 +277,7 @@ def gen_series_sum(ts, logq, alt, chi, nmax, tol):
             major = np.exp(np.multiply.outer(-a, tr[live]))
             major *= qinv[:, None]
             cur, nxt = major[:-1], major[1:]
-            stop = (nxt < 0.5 * tol) & ((nxt + nxt < cur) | (cur == 0.0))
+            stop = _gen_stops(cur, nxt, tol)
             terms = coef[np.arange(lo, hi + 1) % len(coef)][:, None] * cur
             if phased:
                 terms *= np.exp(1j * np.multiply.outer(-a[:-1], ti[live]))

@@ -26,8 +26,6 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 from . import __version__
 from .core import (ConvergenceError, DomainError, ParityError, QParam,
                    SeriesValue, VerificationOutcome, _finite)
-from .sums import (HARDY_VARIANTS, _hardy_variant, dedekind_sum,
-                   hardy_berndt_sum, parity_condition)
 
 # ----------------------------------------------------------------------
 # canonical serialization
@@ -325,7 +323,7 @@ _TABLE = {
     "finite": ("--variant", ("h", "k"), {
         **{v: _Row("sums.hardy_berndt_sum", name="hardy-berndt-{}",
                    params=("h", "k"), route="exact", fixed=v)
-           for v in HARDY_VARIANTS},
+           for v in ("S", "s1", "s2", "s3", "s4", "s5")},  # sums.HARDY_VARIANTS
         "dedekind": _Row("sums.dedekind_sum", name="{}-sum", params=("h", "k"),
                          route="exact"),
     }),
@@ -491,6 +489,8 @@ def _exact_at_q1(row: _Row, args, kwargs) -> List[Dict[str, Any]]:
     """At q = 1, the exact finite sum that a scaled sum reduces to."""
     if not getattr(kwargs.get("q"), "is_one", False):
         return []
+    from .sums import dedekind_sum, hardy_berndt_sum, parity_condition
+
     if row.fn == "qsums.q_hardy_berndt_sum":
         if not parity_condition(args.variant, args.h, args.k).holds:
             return []
@@ -634,6 +634,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         selection = _selection(args, argv)
         variant = getattr(args, "variant", None)
         if variant is not None and variant.isdigit():
+            from .sums import _hardy_variant
+
             args.variant = _hardy_variant(int(variant))
         results = (_cmd_characters(args) if args.cmd == "characters"
                    else _cmd_select(args, selection))

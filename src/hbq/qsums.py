@@ -188,8 +188,8 @@ def eval_gen(kind: str, t, q: QParam, tol: float = 1e-12,
         raise DomainError("Re(t) > 0 required; the damped oscillatory path "
                           "handles the imaginary axis")
     _positive("tol", tol)
-    (value,), (tail,), (n,) = _kernels.gen_series_sum(
-        [t], _logq(q.value), alternating, chi_table(chi), 1_000_000, tol)
+    value, tail, n = _kernels.gen_node_sum(
+        t, _logq(q.value), alternating, chi_table(chi), 1_000_000, tol)
     if tail == math.inf:
         raise ConvergenceError("generating series did not reach tolerance")
     return SeriesValue(value, tail, n)

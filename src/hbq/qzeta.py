@@ -14,7 +14,10 @@ segment from 0 within a quarter turn of [0, 1], and sums them with the
 Cohen-Rodriguez Villegas-Zagier acceleration (`_kernels.crvz_sum`, its
 bound widened by a Bernstein ellipse factor off [0, 1]) when that needs
 fewer terms; otherwise it sums the terms directly, with tails controlled by
-a geometric majorant B decay^n; `_kernels.qzeta_partial_sum` forms them in
+a geometric majorant B decay^n.  One generator (`_class_terms`) forms the
+terms of both routes.  The one rule for the direct sum reads only its term
+count: at most `_PY_TERMS` terms are added in Python, with `math.fsum`,
+and longer sums go to `_kernels.qzeta_partial_sum`, which forms them in
 bounded blocks, in buffers made once per call.  With q^n in place of
 q^(n(s-1)) it also sums `cck_zeta`, at any s, and the complex-q q-Genocchi
 numbers.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from typing import Optional
 
@@ -46,6 +50,10 @@ _QSERIES_MAX_IM = 1000.0
 _MAX_PHASE = 1e5
 _CCK_MAX_IM = 1e4
 _MAX_TERMS = 10_000_000  # about 2 s of direct sum at 0.2 s a million terms
+# direct sums of at most this many terms are added in Python, longer ones by
+# the array kernel: its warm break-even, about 50 terms at real s (37 at
+# complex s, where a term costs more), rounded to a power of two
+_PY_TERMS = 64
 
 
 def _disk_majorant(s: complex, qc: complex, x: float):
@@ -68,9 +76,8 @@ def _antiperiod(chi: tuple, alternating: bool):
     c_(n+P) = -c_n for all n, or None when c has none.  c then has minimal
     period 2P, which divides the period L of sign^n chi(n), so P runs over
     the divisors of L/2."""
-    f = len(chi)
-    period = math.lcm(2 if alternating else 1, f)
-    coef = [(-1 if alternating and n % 2 else 1) * chi[n % f] for n in range(period)]
+    coef = _kernels._coefficients(chi, alternating)
+    period = len(coef)
     if period % 2:
         return None
     half = period // 2
@@ -90,6 +97,33 @@ def _ellipse_log_rho(theta: float) -> float:
     w = 1.0 - 2.0 * cmath.exp(complex(0.0, theta))
     root = cmath.sqrt(w * w - 1.0)
     return math.log(max(abs(w + root), abs(w - root)))
+
+
+def _class_terms(r: int, step: int, count: int, s: complex, x: float, alpha,
+                 logq):
+    """g(r + step m) for m = 0..count-1, g(n) = q^(n alpha) ([n] + x q^n)^(-s),
+    the one term generator: `_crvz` sums it accelerated over each residue
+    class mod step, the short direct route plainly from r = step = 1.  log q
+    is real for 0 < q < 1 and complex on the disk.  [k + step] =
+    [k] + q^k [step] adds positive terms at real q, so the bracket keeps its
+    digits as q nears 1."""
+    if isinstance(logq, float):
+        qexp, expm1, log = math.exp, math.expm1, math.log
+    else:  # the disk, direct route only: r = step = 1, and [1] = 1 needs no expm1
+        qexp, expm1, log = cmath.exp, lambda z: cmath.exp(z) - 1.0, cmath.log
+    alpha = complex(alpha)
+    if alpha.imag == 0:
+        alpha = alpha.real
+    exp, power = (math.exp, s.real) if s.imag == 0 and log is math.log \
+        else (cmath.exp, s)
+    omq = -expm1(logq)
+    q_step = qexp(step * logq)
+    bracket_step = -expm1(step * logq) / omq  # [step]
+    qk, bracket = qexp(r * logq), -expm1(r * logq) / omq
+    for k in range(r, r + step * count, step):
+        yield exp(k * alpha * logq - power * log(bracket + x * qk))
+        bracket += qk * bracket_step
+        qk *= q_step
 
 
 def _crvz(s: complex, x: float, chi: tuple, alternating: bool, alpha,
@@ -137,22 +171,8 @@ def _crvz(s: complex, x: float, chi: tuple, alternating: bool, alpha,
     n = _kernels.crvz_terms(log_mass, tol, log_rho)
     if n > _kernels.CRVZ_MAX_TERMS or n * len(classes) >= n_direct:
         return None
-    if alpha.imag == 0:
-        alpha = alpha.real
-    exp, power = (math.exp, s.real) if s.imag == 0 else (cmath.exp, s)
-    q_step = math.exp(period * logq)
-    bracket_step = -math.expm1(period * logq) / omq  # [P]
-
-    def class_terms(r):
-        # g(r + Pm) for m = 0..n-1; [k+P] = [k] + q^k [P] adds positive
-        # terms, so the bracket keeps its digits as q nears 1
-        qk, bracket = math.exp(r * logq), -math.expm1(r * logq) / omq
-        for k in range(r, r + period * n, period):
-            yield exp(k * alpha * logq - power * math.log(bracket + x * qk))
-            bracket += qk * bracket_step
-            qk *= q_step
-
-    value = sum(c * _kernels.crvz_sum(class_terms(r), n) for r, c in classes)
+    value = sum(c * _kernels.crvz_sum(_class_terms(r, period, n, s, x, alpha, logq), n)
+                for r, c in classes)
     bound = 3.0 * math.exp(log_mass - n * (_kernels.CRVZ_LOG_RATE - log_rho))
     return value, bound, n * len(classes)
 
@@ -172,12 +192,14 @@ def _alt_series(s, q: QParam, x: Optional[float],
     s, whose nodes lie in [0, 1], and the complex-s q-series, whose nodes
     q^(P(k+s-1)) lie on a segment from 0 within a quarter turn of [0, 1],
     at a rate slowed by the Bernstein ellipse about it.  The direct route
-    sums the terms with `_kernels.qzeta_partial_sum`, in blocks of at most
-    32,768 terms in buffers made once per call.  The regime sets log q
-    (`core._logq` for rational q, on both routes) and B in |term_n| <=
-    B decay^n (B = 1 for rational q, as [n] + x q^n >= 1 and Re s > 0), and
-    B decay^(n+1) / (1 - decay) <= tol the term count; at complex q = 0 the
-    terms n >= 1 vanish if Re alpha > 0.  Phase rounding limits |Im s| to
+    adds up to `_PY_TERMS` terms in Python and passes longer sums to
+    `_kernels.qzeta_partial_sum`; as both routes then sum short series in
+    Python, the rule by term count compares like with like.  The regime
+    sets log q (`core._logq` for rational q, on both routes) and B in
+    |term_n| <= B decay^n (B = 1 for rational q, as [n] + x q^n >= 1 and
+    Re s > 0), and B decay^(n+1) / (1 - decay) <= tol the term count, on
+    both direct routes; at complex q = 0 the terms n >= 1 vanish if
+    Re alpha > 0.  Phase rounding limits |Im s| to
     1000 (at tol 1e-12 the error against mpmath there is up to 5.6e-13 for
     1 - q in [0.05, 0.9]; 1.8e-12 at 3e3, q = 1/2; see the README) and, on
     the direct route, n |Im(alpha log q)| to 1e5 rad: on 25 disk points with
@@ -223,8 +245,20 @@ def _alt_series(s, q: QParam, x: Optional[float],
         raise DomainError(f"phase of {power} {phase:.3g} above the limit of {_MAX_PHASE:g}")
     if n_stop > _MAX_TERMS:
         raise ConvergenceError(f"series needs {n_stop} terms, above the cap of {_MAX_TERMS}")
-    body, check = _kernels.qzeta_partial_sum(logq, s, xv, chiv, alternating,
-                                             1, n_stop + 1, alpha)
+    if n_stop <= _PY_TERMS:
+        coef = _kernels._coefficients(chiv, alternating)
+        try:
+            terms = [c * g for c, g in zip(
+                itertools.islice(itertools.cycle(coef), 1, None),
+                _class_terms(1, 1, n_stop + 1, s, xv, alpha, logq))]
+        except (OverflowError, ValueError):  # math's exp and log raise
+            raise DomainError("series terms overflow the float range") from None
+        check = abs(terms.pop())
+        body = complex(math.fsum([t.real for t in terms]),
+                       math.fsum([t.imag for t in terms]))
+    else:
+        body, check = _kernels.qzeta_partial_sum(logq, s, xv, chiv, alternating,
+                                                 1, n_stop + 1, alpha)
     # B decay^(n+1) as one power of decay, so B itself never overflows
     tail = rate ** (n_stop + 1 + log_b / log_decay) / (1.0 - rate)
     # belt and suspenders: the first omitted term must sit under the majorant

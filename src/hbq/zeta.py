@@ -12,7 +12,6 @@ nonpositive integers go through exact Bernoulli-number arithmetic.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from fractions import Fraction
 
@@ -187,21 +186,43 @@ def _power_tail(az: float, sr: float, m: int, step: int, offset) -> float:
 
 def _power_series(zc: complex, sc: complex, tol: float, m0: int, step: int,
                   offset) -> SeriesValue:
-    """sum_{m>=m0} z^m (step m + offset)^(-s); an input whose bound misses
-    tol at the cap of 5e7 terms fails before anything is summed."""
+    """sum_{m>=m0} z^m (step m + offset)^(-s), summed to the first m whose
+    `_power_tail` is at most tol; an input whose bound misses tol at the cap
+    of 5e7 terms fails before anything is summed.
+
+    That m is found before summing, by galloping and then bisection, as the
+    bound falls with m.  On |z| = 1 it is u^(1 - Re s) / (Re s - 1),
+    u = step m + offset, which falls for Re s > 1.  For |z| < 1 the ratio
+    r = |z| (v/u)^max(0, -Re s), v = u + step, falls with m, so the bound is
+    inf up to some m and finite from there on, where one step multiplies it
+    by |z| (v'/v)^(-Re s) <= |z| < 1 for Re s >= 0 (v' = v + step), and by
+    r' (1 - r) / (1 - r') for Re s < 0, r' the next ratio.  That factor is
+    below 1 iff r' (2 - r) < 1, and r' < r < 1 gives
+    r' (2 - r) < r (2 - r) = 1 - (1 - r)^2.  The terms are then added in
+    the order, and with the operations, of a loop that tests each term."""
     az, sr = abs(zc), sc.real
-    if not _power_tail(az, sr, m0 + _DIRECT_MAX_TERMS, step, offset) <= tol:
+
+    def done(m):
+        return _power_tail(az, sr, m, step, offset) <= tol
+
+    hi = m0 + _DIRECT_MAX_TERMS
+    if not done(hi):
         raise ConvergenceError(f"the series needs more than {_DIRECT_MAX_TERMS} terms")
+    lo, gap = m0 - 1, 1  # the stop lies in (lo, hi]
+    while lo + gap < hi and not done(lo + gap):
+        lo, gap = lo + gap, 2 * gap
+    hi = min(hi, lo + gap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if done(mid) else (mid, hi)
     acc = 0j
     zp = 1.0 + 0j
     for _ in range(m0):
         zp *= zc
-    for m in itertools.count(m0):  # ends by the cap, as checked above
+    for m in range(m0, hi + 1):
         acc += zp * cmath.exp(-sc * math.log(step * m + offset))
-        tail = _power_tail(az, sr, m, step, offset)
-        if tail <= tol:
-            return SeriesValue(acc, tail, m - m0 + 1)
         zp *= zc
+    return SeriesValue(acc, _power_tail(az, sr, hi, step, offset), hi - m0 + 1)
 
 
 def lerch_phi(z, s, a, tol: float = 1e-12) -> SeriesValue:

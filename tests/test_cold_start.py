@@ -1,8 +1,8 @@
-"""Cold start: ``import hbq``, ``import hbq.qzeta``, the exact commands and
-the real-s q-series commands load neither numpy nor scipy, numpy is imported
-only inside the array kernels, no computation loads scipy, and a command
-loads only the hbq layers it calls.  Each check runs a fresh interpreter and
-reads its ``sys.modules``; nothing is timed."""
+"""Cold start: ``import hbq``, ``import hbq.qzeta``, the exact commands, the
+real-s q-series commands and the short direct series load neither numpy nor
+scipy, numpy is imported only inside the array kernels, no computation loads
+scipy, and a command loads only the hbq layers it calls.  Each check runs a
+fresh interpreter and reads its ``sys.modules``; nothing is timed."""
 
 import ast
 import glob
@@ -52,15 +52,25 @@ def test_exact_commands_load_neither_numpy_nor_scipy():
 
 def test_qzeta_imports_without_numpy():
     # the direct route's array kernel imports numpy on its first call, not
-    # when hbq.qzeta is imported; the CRVZ route (rational q, at real s and
-    # at complex s near q = 1) never does
+    # when hbq.qzeta is imported, and only for sums of more than
+    # qzeta._PY_TERMS terms; the CRVZ route (rational q, at real s and at
+    # complex s near q = 1) never does
     assert _heavy_modules_after("import hbq.qzeta") == []
+    # no antiperiod, so the direct route, in 44 terms
+    assert _heavy_modules_after(_cli("qzeta", "--fn", "plain", "--s", "2",
+                                     "--q", "1/2")) == []
     assert _heavy_modules_after(_cli("qzeta", "--fn", "im", "--s", "2",
                                      "--q", "1/2")) == []
     assert _heavy_modules_after(_cli("qzeta", "--fn", "im", "--s", "1.5,7",
                                      "--q", "99999/100000")) == []
     assert _heavy_modules_after(_cli("qzeta", "--fn", "cck", "--s", "2",
                                      "--q", "99999/100000")) == []
+
+
+def test_short_series_verify_targets_load_no_numpy():
+    # the conductor decompositions sum at most 45 terms a series
+    assert _heavy_modules_after(_cli("verify", "thm5")) == []
+    assert _heavy_modules_after(_cli("verify", "thm6")) == []
 
 
 def test_acceptance_imports_without_numpy():
@@ -143,9 +153,12 @@ def test_each_command_loads_only_the_layers_it_calls():
     def loaded(*argv):
         return _heavy_modules_after(_cli(*argv), ("hbq",))
 
-    base = ["hbq", "hbq.cli", "hbq.core", "hbq.numbers", "hbq.sums"]
+    base = ["hbq", "hbq.cli", "hbq.core"]
     assert loaded("finite", "--variant", "S", "--h", "1", "--k", "2",
-                  "--format", "json") == base
+                  "--format", "json") == sorted(base + ["hbq.numbers", "hbq.sums"])
     assert loaded("zeta", "--fn", "zeta", "--s", "2") == \
-        sorted(base + ["hbq._kernels", "hbq.zeta"])
+        sorted(base + ["hbq._kernels", "hbq.numbers", "hbq.zeta"])
+    # neither calls sums or numbers
     assert loaded("characters", "--f", "5") == sorted(base + ["hbq.characters"])
+    assert loaded("qzeta", "--fn", "im", "--s", "2", "--q", "1/2") == \
+        sorted(base + ["hbq._kernels", "hbq.characters", "hbq.qzeta"])

@@ -1,8 +1,10 @@
 """The float kernels against small direct sums, on the branches the engine
 tests reach least: complex log q, complex s in the damped double sum, and a
 complex argument t of the generating series; the q-series sum of one block
-against one array and each term at any position, bit for bit; and the CRVZ
-loop against closed forms."""
+against one array and each term at any position, bit for bit; the CRVZ
+loop against closed forms and its tabled weights against the loop that
+formed them per call; and the generating series at one node against the
+array kernel."""
 
 import cmath
 import math
@@ -201,3 +203,66 @@ def test_crvz_sum_within_its_bound():
     for log_mass, tol in ((0.0, 1e-12), (-30.0, 1e-12), (75.0, 1e-15)):
         n = _kernels.crvz_terms(log_mass, tol)
         assert 3 * math.exp(log_mass - n * _kernels.CRVZ_LOG_RATE) <= tol
+
+
+def _crvz_per_call(terms, n):
+    """`crvz_sum` as it was, with its weights formed on every call."""
+    d = (3.0 + math.sqrt(8.0)) ** n
+    d = (d + 1.0 / d) / 2.0
+    b = -1.0
+    c = -d
+    acc = 0j
+    for k, a in zip(range(n), terms):
+        c = b - c
+        acc += c * a
+        b *= 2.0 * (k + n) * (k - n) / ((2.0 * k + 1.0) * (k + 1.0))
+    return acc / d
+
+
+def test_crvz_weights_keep_the_bits_of_the_per_call_loop():
+    # real, complex and moment sequences, shorter than n too, n up to the cap
+    rng = random.Random("crvz-weights")
+    for _ in range(300):
+        n = rng.randint(1, _kernels.CRVZ_MAX_TERMS)
+        kind = rng.randrange(3)
+        if kind == 0:
+            seq = [rng.uniform(-1, 1) for _ in range(n)]
+        elif kind == 1:
+            seq = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+        else:
+            t = rng.random()
+            seq = [t ** k for k in range(rng.randint(1, n))]
+        got = _kernels.crvz_sum(iter(seq), n)
+        want = _crvz_per_call(iter(seq), n)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_gen_node_sum_matches_the_array_kernel():
+    # seeded nodes, real and complex t, for the four kinds f, F, f_chi and
+    # F_chi: the same term counts; tails equal up to the rounding of exp
+    # (numpy's and math's differ in the last bit, which q^(-n)[n] Re t
+    # magnifies); values within tol
+    rng = random.Random("gen-node")
+    chi = characters_mod(5)[1].table
+    for _ in range(400):
+        q = rng.uniform(0.1, 0.95)
+        t = 10 ** rng.uniform(-1, 1.5)
+        if rng.random() < 0.5:
+            t = complex(t, rng.uniform(-5, 5))
+        alt, table = rng.choice(((False, (1,)), (True, (1,)), (False, chi), (True, chi)))
+        args = (math.log(q), alt, table, 1_000_000, 1e-12)
+        (value,), (tail,), (n,) = _kernels.gen_series_sum([t], *args)
+        node = _kernels.gen_node_sum(t, *args)
+        assert node[2] == n
+        assert math.isclose(node[1], tail, rel_tol=1e-12)
+        assert abs(node[0] - value) <= 1e-12
+
+
+def test_gen_node_sum_caps_and_underflow():
+    # the array kernel's caps: past the float range, at nmax, and a node
+    # whose terms underflow
+    logq = math.log(0.5)
+    for t, nmax in ((1e-306, 5000), (800.0, 5000), (1e-6, 5)):
+        (value,), (tail,), (n,) = _kernels.gen_series_sum([t], logq, True, (1,),
+                                                          nmax, 1e-12)
+        assert _kernels.gen_node_sum(t, logq, True, (1,), nmax, 1e-12)[1:] == (tail, n)

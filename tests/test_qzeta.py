@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from hbq import (ConvergenceError, DomainError, QParam, cck_zeta, characters_mod, chi_eval,
                  genocchi_zeta, q_alt_l, q_alt_zeta, q_alt_zeta_hurwitz,
                  q_plain_zeta, qzeta, verify_conductor_decomposition)
+from hbq.core import QRegime
 
 Q_HALF = QParam.real(Fraction(1, 2))
 Q_NEAR_ONE = QParam.real(Fraction(99999, 100000))  # 1 - q = 1e-5
@@ -316,6 +318,140 @@ def test_direct_route_fallbacks(monkeypatch):
     ref = _direct(monkeypatch, lambda: q_alt_zeta(complex(2, 1), q))
     assert got.terms_used < ref.terms_used
     assert abs(got.value - ref.value) <= got.tail_bound + ref.tail_bound
+
+
+def _route(monkeypatch, py_terms, call):
+    """call() with every direct sum of at most py_terms terms on the short
+    route, and the rest on the array kernel."""
+    with monkeypatch.context() as m:
+        m.setattr(qzeta, "_PY_TERMS", py_terms)
+        return call()
+
+
+def _tol_for(call, n):
+    """A tol at which call(tol) sums exactly n terms, by bisection on log tol
+    (the term count falls as tol grows)."""
+    lo, hi = -300.0, 0.0  # log10 tol: n terms or more at lo, fewer at hi
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        if call(10.0 ** mid).terms_used >= n:
+            lo = mid
+        else:
+            hi = mid
+    assert call(10.0 ** lo).terms_used == n
+    return 10.0 ** lo
+
+
+# (q, x, chi): real and disk q, with and without a shift and a character,
+# each reaching 64 terms near tol 1e-12
+_SHORT_CASES = (
+    (QParam.real(Fraction(3, 4)), None, None),
+    (QParam.real(Fraction(3, 4)), 0.6, characters_mod(5)[1]),
+    (QParam.complex_disk(cmath.rect(0.8, 0.1)), None, characters_mod(4)[1]),
+    (QParam.complex_disk(cmath.rect(0.85, 0.2)), 1.3, None),
+)
+
+
+@pytest.mark.parametrize("q, x, chi", _SHORT_CASES)
+def test_short_route_at_its_boundary(monkeypatch, q, x, chi):
+    # at _PY_TERMS - 1, _PY_TERMS and _PY_TERMS + 1 terms the two routes
+    # agree within tol, and the engine takes the short route up to
+    # _PY_TERMS terms; the plain series has no antiperiod, so no CRVZ
+    s = complex(2.5, 1.5)
+
+    def call(tol):
+        return qzeta._alt_series(s, q, x, chi, tol, alternating=False)
+
+    kernel_calls = []
+    monkeypatch.setattr(qzeta._kernels, "qzeta_partial_sum",
+                        lambda *a, f=qzeta._kernels.qzeta_partial_sum:
+                        kernel_calls.append(a) or f(*a))
+    for n in (qzeta._PY_TERMS - 1, qzeta._PY_TERMS, qzeta._PY_TERMS + 1):
+        tol = _tol_for(call, n)
+        kernel_calls.clear()
+        got = call(tol)
+        assert bool(kernel_calls) == (n > qzeta._PY_TERMS)
+        short = _route(monkeypatch, n, lambda: call(tol))
+        array = _route(monkeypatch, n - 1, lambda: call(tol))
+        assert short.terms_used == array.terms_used == got.terms_used == n
+        assert short.tail_bound == array.tail_bound
+        assert abs(short.value - array.value) <= tol
+
+
+def _mp_direct(s, q, x, chi, alternating):
+    """sum sign^n chi(n) q^(n(s-1)) ([n] + x q^n)^(-s), n from 0 with a
+    shift x, else from 1, at 30 digits, term by term until |q^(n(s-1))| is
+    below 1e-40; and the sum of |term|."""
+    with mpmath.workdps(30):
+        if q.regime is QRegime.REAL_UNIT:
+            qm = mpmath.mpf(q.value.numerator) / q.value.denominator
+        else:
+            qm = mpmath.mpc(complex(q.value))
+        s = mpmath.mpmathify(s)
+        table = (1,) if chi is None else chi.table
+        total, size = mpmath.mpc(0), mpmath.mpf(0)
+        n = 0 if x is not None else 1
+        while True:
+            base = (1 - qm ** n) / (1 - qm) + (x or 0) * qm ** n
+            qpow = mpmath.exp(n * (s - 1) * mpmath.log(qm)) if n else 1
+            term = (-1 if alternating and n % 2 else 1) * mpmath.mpmathify(
+                table[n % len(table)]) * qpow * mpmath.exp(-s * mpmath.log(base))
+            total += term
+            size += abs(term)
+            if n > 2 and abs(qpow) < mpmath.mpf(10) ** -40:
+                return complex(total), float(size)
+            n += 1
+
+
+def test_short_route_against_a_30_digit_sum(monkeypatch):
+    # seeded real and disk q, shifts and characters, CRVZ off: each value is
+    # within its tail bound plus rounding, 8 eps (1 + |s|) sum |term|, of the
+    # series summed directly at 30 digits (not mpmath.nsum, whose
+    # extrapolation misreads periodic coefficients)
+    monkeypatch.setattr(qzeta, "_crvz", lambda *args: None)
+    rng = random.Random("short-route")
+    checked = 0
+    while checked < 60:
+        if rng.random() < 0.5:
+            q = QParam.real(Fraction(rng.randint(5, 80), 100))
+        else:
+            q = QParam.complex_disk(cmath.rect(rng.uniform(0.05, 0.7),
+                                               rng.uniform(-math.pi, math.pi)))
+        s = complex(rng.uniform(1.5, 4), rng.choice((0.0, rng.uniform(-10, 10))))
+        x = rng.choice((None, rng.uniform(0.1, 2)))
+        chi = rng.choice((None, characters_mod(5)[rng.randrange(4)],
+                          characters_mod(4)[1]))
+        alternating = rng.random() < 0.5
+        try:
+            sv = qzeta._alt_series(s, q, x, chi, 1e-12, alternating)
+        except DomainError:  # no decay at this (s, q) on the disk
+            continue
+        if sv.terms_used > qzeta._PY_TERMS:
+            continue
+        ref, size = _mp_direct(s, q, x, chi, alternating)
+        rounding = 8 * 2.0 ** -52 * (1 + abs(s)) * size
+        assert abs(sv.value - ref) <= sv.tail_bound + rounding, (s, q, x, chi)
+        checked += 1
+
+
+@pytest.mark.parametrize("short", [True, False])
+def test_consistency_check_still_raises(monkeypatch, short):
+    # the first omitted term moved above the majorant fails the stop rule's
+    # check, on the short route (44 terms) and on the array kernel
+    if short:
+        terms = qzeta._class_terms
+
+        def moved(*args):
+            *head, last = terms(*args)
+            return iter(head + [last * 1e6])
+        monkeypatch.setattr(qzeta, "_class_terms", moved)
+    else:
+        monkeypatch.setattr(qzeta, "_PY_TERMS", 0)
+        kernel = qzeta._kernels.qzeta_partial_sum
+        monkeypatch.setattr(qzeta._kernels, "qzeta_partial_sum",
+                            lambda *a: (kernel(*a)[0], kernel(*a)[1] * 1e6))
+    with pytest.raises(ConvergenceError, match="consistency check"):
+        q_plain_zeta(2, Q_HALF)
 
 
 def test_complex_disk_regime():

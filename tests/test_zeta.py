@@ -1,4 +1,7 @@
+import cmath
+import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -8,7 +11,7 @@ import pytest
 from hbq import (ConvergenceError, DomainError, digamma, genocchi_zeta, genocchi_zeta_exact,
                  hurwitz_zeta, lerch_phi, number_table, odd_power_sum,
                  riemann_zeta, zeta_star)
-from hbq.zeta import zeta_exact_nonpositive
+from hbq.zeta import _power_tail, zeta_exact_nonpositive
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -230,3 +233,41 @@ def test_digamma_refuses_a_tol_its_series_cannot_reach():
         assert abs(digamma(0.5, tol) - float(mpmath.digamma(0.5))) <= tol + 1e-15
     # at large x the omitted term is far below any tol
     assert abs(digamma(1e6, 1e-30) - float(mpmath.digamma(1e6))) < 1e-14
+
+
+def _power_series_per_term(zc, sc, tol, m0, step, offset):
+    """The Lerch family's series as it was summed: the tail bound tested
+    after every term."""
+    acc = 0j
+    zp = 1.0 + 0j
+    for _ in range(m0):
+        zp *= zc
+    for m in itertools.count(m0):
+        acc += zp * cmath.exp(-sc * math.log(step * m + offset))
+        tail = _power_tail(abs(zc), sc.real, m, step, offset)
+        if tail <= tol:
+            return acc, tail, m - m0 + 1
+        zp *= zc
+
+
+def test_power_series_stop_keeps_the_per_term_loop():
+    # the stop found before summing gives the bits and term counts of the
+    # per-term loop: seeded points with Re s < 0, on |z| = 1 and near it
+    rng = random.Random("power-series")
+    for i in range(150):
+        th = rng.uniform(-math.pi, math.pi)
+        if i % 3 == 0:  # |z| = 1, Re s > 1
+            z, s = cmath.rect(1.0, th), complex(rng.uniform(3, 6), rng.uniform(-20, 20))
+            tol = 10 ** rng.uniform(-8, -6)
+        else:  # |z| near 1 with Re s of both signs, or well inside
+            r = 1 - 10 ** rng.uniform(-2.5, -1) if i % 3 == 1 else rng.uniform(0, 0.9)
+            z, s = cmath.rect(r, th), complex(rng.uniform(-6, 6), rng.uniform(-20, 20))
+            tol = 10 ** rng.uniform(-13, -6)
+        a = 10 ** rng.uniform(-1, 1)
+        got = lerch_phi(z, s, a, tol)
+        assert repr((got.value, got.tail_bound, got.terms_used)) == \
+            repr(_power_series_per_term(z, s, tol, 0, 1, a))
+        if abs(z) < 1:
+            got = odd_power_sum(z, s, 1, tol)
+            assert repr((got.value, got.tail_bound, got.terms_used)) == \
+                repr(_power_series_per_term(z, s, tol, 1, 2, -1))
