@@ -3,16 +3,16 @@ q-series sums, the one Cohen-Rodriguez Villegas-Zagier loop for alternating
 series, the damped double sums of the product-identity checks, and the
 generating series inside quadrature and at the one node of ``eval_gen``).
 
-Arrays serve only the sums whose set-up they repay.  The three array kernels
+Arrays serve only the sums whose set-up they repay.  The two array kernels
 import numpy when called, the only numpy imports in hbq:
 `qzeta_partial_sum` for direct q-series of more than `qzeta._PY_TERMS`
-terms, in blocks of at most 32,768 terms in buffers made once per call;
-`damped_pair_sum`; and `gen_series_sum` for the many nodes of a quadrature
-level, in blocks of about 16,384 rows times nodes.  Everything else is a
-plain loop: `crvz_sum`, whose weights are tabled once per n, and
-`gen_node_sum`, one node by the stop rule of `gen_series_sum`.  ``chi`` is
-always one period of character values.  Exact-rational code paths stay
-elsewhere.
+terms, in blocks of at most 32,768 terms in buffers made once per call, and
+`gen_series_sum` for the many nodes of a quadrature level, in blocks of
+about 16,384 rows times nodes.  Everything else is a plain loop: `crvz_sum`,
+whose weights are tabled once per n; `gen_node_sum`, one node by the stop
+rule of `gen_series_sum`; and `damped_pair_sum`, a short m-head per n with
+the binomial m-tail from tabled Hurwitz zetas.  ``chi`` is always one period
+of character values.  Exact-rational code paths stay elsewhere.
 """
 
 from __future__ import annotations
@@ -165,34 +165,56 @@ def qzeta_partial_sum(logq, s, x, chi, alt, n0, n1, alpha):
     return body, abs(complex(terms[m - 1]))
 
 
-def damped_pair_sum(s, eps, logq, alt, chi, odd_weights, m_count, n_count):
-    """sum_{n,m} c_n w_m [(eps - i w)^(-s) - (eps + i w)^(-s)], w = A_n mu_m,
-    c_n = sign^n chi(n) q^(-n), mu_m = 2m-1 (odd_weights) or m, w_m = 1/mu_m.
+def damped_pair_sum(s, eps, logq, alt, chi, odd_weights, m_count, n_count,
+                    tail=()):
+    """sum_{n <= n_count} c_n sum_{m <= m_count} w_m B_n(mu_m) plus the tail
+    below, where B_n(mu) = (eps - i w)^(-s) - (eps + i w)^(-s), w = a_n mu,
+    a_n = q^(-n)[n], c_n = sign^n chi(n) q^(-n), mu_m = 2m-1 (odd_weights)
+    or m, and w_m = 1/mu_m.
 
+    Each term is formed at unit scale: w_m B_n(mu) = a_n^(-s) mu^(-s-1)
+    [(t - i)^(-s) - (t + i)^(-s)], t = eps / w, so w itself is never formed.
     For real s the bracket is conjugate-symmetric and collapses to
-    2i (eps^2 + w^2)^(-s/2) sin(s atan2(w, eps)), one real power per term.
-    """
-    import numpy as np
+    2i (1 + t^2)^(-s/2) sin(s atan2(1, t)), one real power per term.
 
-    m = np.arange(1, m_count + 1, dtype=np.float64)
-    mu = 2.0 * m - 1.0 if odd_weights else m
-    acc = 0j
-    omq = -math.expm1(logq)
+    ``tail`` holds d_j = C(-s, j) 2i sin(pi (s+j)/2) sum_{m > m_count}
+    mu_m^(-s-1-j) for j = 1, 2, ...: each n then adds
+    c_n a_n^(-s) sum_j d_j (eps / a_n)^j, the terms j >= 1 of the binomial
+    series of its m > m_count remainder.  With no tail the sum is the
+    truncated double sum.
+    """
     real_s = complex(s).imag == 0.0
     sr = complex(s).real
+    mu = [2.0 * m - 1.0 if odd_weights else float(m)
+          for m in range(1, m_count + 1)]
+    inv_mu = [1.0 / v for v in mu]
+    if real_s:
+        mu_pow = [2.0 * v ** (-sr - 1.0) for v in mu]
+        half = -0.5 * sr
+    else:
+        mu_pow = [v ** (-s - 1.0) for v in mu]
+    omq = -math.expm1(logq)
+    coef = _coefficients(chi, alt)
+    acc = 0j
     for n in range(1, n_count + 1):
-        a = (math.exp(-n * logq) - 1.0) / omq  # q^{-n} [n]
-        c = chi[n % len(chi)] * math.exp(-n * logq)
-        if alt and n % 2 == 1:
-            c = -c
-        w = a * mu
+        qinv = math.exp(-n * logq)
+        a = (qinv - 1.0) / omq  # q^(-n) [n]
+        ea = eps / a
+        ts = [ea * v for v in inv_mu]
         if real_s:
-            bracket = 2j * (eps * eps + w * w) ** (-0.5 * sr) \
-                * np.sin(sr * np.arctan2(w, eps))
+            head = 1j * sum(p * (1.0 + t * t) ** half
+                            * math.sin(sr * math.atan2(1.0, t))
+                            for p, t in zip(mu_pow, ts))
+            scale = a ** -sr
         else:
-            bracket = (eps - 1j * w) ** (-s) - (eps + 1j * w) ** (-s)
-        acc += c * np.sum(bracket / mu)
-    return complex(acc)
+            head = sum(p * ((t - 1j) ** -s - (t + 1j) ** -s)
+                       for p, t in zip(mu_pow, ts))
+            scale = cmath.exp(-s * math.log(a))
+        rest = 0j
+        for d in reversed(tail):  # Horner in eps / a
+            rest = (rest + d) * ea
+        acc += coef[n % len(coef)] * qinv * scale * (head + rest)
+    return acc
 
 
 def _gen_cap(logq, nmax):

@@ -58,11 +58,13 @@ _ROUND_SHARE = 0.5
 _EPS = sys.float_info.epsilon
 _MASS_ULPS = 4  # rounding of the integrand, in ulps of its mass
 _LOG_FLOAT_MIN = math.log(sys.float_info.min)
-# the product identities' damped double sum: m-terms before the analytic
-# m-tail, and the offsets and Richardson order; the integrand limits are
-# smooth in eps, so a deeper tableau than the oscillatory-sum default pays
-_PRODUCT_M_TERMS = 2500
+# the product identities' damped double sum: the offsets and Richardson
+# order (the integrand limits are smooth in eps, so a deeper tableau than the
+# oscillatory-sum default pays), the least number of m-terms summed exactly,
+# and the share of the inner tolerance left to the binomial m-tail's cut
 _PRODUCT_REG = RegularizationSchedule((0.2, 0.1, 0.05, 0.025, 0.0125), 4)
+_PRODUCT_M_MIN = 32
+_PRODUCT_TAIL_SHARE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -297,6 +299,45 @@ _PRODUCT_WIRING = {
 }
 
 
+def _m_split(s: complex, logq: float, odd_w: bool, eps: float, tol: float):
+    """M, the m-terms the damped sum takes exactly, and the binomial tail
+    d_j = C(-s, j) 2i sin(pi (s+j)/2) Z_j, j = 0..J, of its m > M part,
+    Z_j = sum_{m>M} mu_m^(-s-1-j) (a Hurwitz zeta, DLMF 25.11).
+
+    For w = a mu > eps the bracket (eps - i w)^(-s) - (eps + i w)^(-s) is
+    sum_j C(-s, j) 2i sin(pi (s+j)/2) eps^j w^(-s-j) (DLMF 4.6), whose
+    terms past j = 1 fall by |s+j| / (j+1) r <= (|s|+1)/2 r <= 1/2, where
+    r = eps q / mu_(M+1) bounds eps / w over m > M, as a_n >= a_1 = 1/q.
+    With |Z_j| <= mu_(M+1)^(-j) M^(-sigma) / sigma, |sin| <= cosh(pi Im s
+    / 2) and sum_n |c_n a_n^(-s)| <= rate / (1 - rate), rate =
+    q^(sigma-1), the terms j > J add up, over every n, to at most the
+    product K of these bounds times 2 |C(-s, J+1)| r^(J+1); J is the least
+    with that at most tol."""
+    sigma, qv = s.real, math.exp(logq)
+    step = 2 if odd_w else 1  # mu_m = step m - step + 1
+    log_rate = logq * (sigma - 1.0)
+    big_m = max(_PRODUCT_M_MIN,
+                math.ceil(((abs(s) + 1.0) * eps * qv - 1.0) / step))
+    r = eps * qv / (step * big_m + 1)
+    y = 0.5 * math.pi * abs(s.imag)
+    log_k = (y + math.log1p(math.exp(-2.0 * y)) + log_rate
+             - math.log(-math.expm1(log_rate)) - sigma * math.log(big_m)
+             - math.log(sigma))
+    budget = math.exp(min(math.log(tol) - log_k, 0.0))
+    d, term, j = [], abs(s) * r, 0  # term: |C(-s, j+1)| r^(j+1)
+    binom = 1.0  # C(-s, j)
+    while True:
+        z = hurwitz_zeta(s + 1.0 + j, big_m + 1.0 / step, 1e-14).value
+        if odd_w:
+            z *= cmath.exp(-(s + 1.0 + j) * math.log(2.0))
+        d.append(binom * 2j * cmath.sin(0.5 * math.pi * (s + j)) * z)
+        if 2.0 * term <= budget:
+            return big_m, d
+        binom *= (-s - j) / (j + 1)
+        j += 1
+        term *= abs(s + j) / (j + 1) * r
+
+
 def verify_product_identity(tid: int, s, q: QParam,
                             chi: Optional[DirichletCharacter] = None,
                             tol: float = 1e-4) -> VerificationOutcome:
@@ -322,17 +363,22 @@ def verify_product_identity(tid: int, s, q: QParam,
     n_terms = max(12, int(math.ceil(math.log(inner_tol * (1.0 - rate))
                                     / (logq * (s.real - 1.0)))) + 4)
 
-    # analytic completion of the m-tail: for m > M the damped bracket is
-    # 2i sin(pi s/2) w^(-s) to O(eps/w); the m-sum is a Hurwitz zeta(s+1)
-    x_series = _alt_series(s, q, None, chi, inner_tol, alternating=alt).value
-    m_tail_zeta = hurwitz_zeta(s + 1.0, _PRODUCT_M_TERMS + (0.5 if odd_w else 1.0),
-                               1e-14).value
-    if odd_w:
-        m_tail_zeta *= cmath.exp(-(s + 1.0) * math.log(2.0))
-    m_tail = 2j * cmath.sin(math.pi * s / 2.0) * x_series * m_tail_zeta
+    limit = int((_LOG_FLOAT_MAX + math.log(-math.expm1(logq))) / -logq)
+    if n_terms > limit:
+        raise DomainError(
+            f"product identity needs {n_terms} n-terms at q = {qfrac}, but "
+            f"q^-n [n] leaves the float range (e^{_LOG_FLOAT_MAX:.4g}) past "
+            f"n = {limit}")
 
+    # the m-sum: m <= M exactly, and m > M by the binomial series of the
+    # bracket, whose term j = 0 over every n is the analytic completion
+    # 2i sin(pi s/2) x_series Z_0 and whose terms j = 1..J the kernel adds
+    x_series = _alt_series(s, q, None, chi, inner_tol, alternating=alt).value
+    m_head, d = _m_split(s, logq, odd_w, max(_PRODUCT_REG.offsets),
+                         inner_tol * _PRODUCT_TAIL_SHARE)
+    m_tail = d[0] * x_series
     per = [_kernels.damped_pair_sum(s, eps, logq, alt, chiv, odd_w,
-                                    _PRODUCT_M_TERMS, n_terms) + m_tail
+                                    m_head, n_terms, d[1:]) + m_tail
            for eps in _PRODUCT_REG.offsets]
     lhs, resid = _richardson(_PRODUCT_REG.offsets, per, _PRODUCT_REG.order)
 

@@ -63,6 +63,17 @@ def test_convergence_error_exit_2(capsys):
     assert err.startswith("error: ") and "term cap" in err
 
 
+def test_product_identity_past_the_float_range_exit_2(capsys):
+    # s near 1 needs more n-terms than q^(-n) [n] has float range for: 33,753
+    # at q = 1/2 and 660 at q = 1/20; refused before any sum, no traceback
+    for argv, need, limit in ((("--s", "1.001"), 33753, 1023),
+                              (("--s", "1.01", "--q", "1/20"), 660, 236)):
+        code, out, err = run(capsys, "verify", "thm19", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"needs {need} n-terms" in err and f"past n = {limit}" in err
+
+
 def test_qsum_dedekind_nonpositive_tol_exit_2(capsys):
     code, out, err = run(capsys, "qsum", "--kind", "dedekind", "--p", "1",
                          "--h", "1", "--k", "3", "--q", "2/5", "--tol", "0")
@@ -937,11 +948,11 @@ _REPORT_SHA256 = {
     "thm6 json": "5fcdde4f57616d426bfea6d1865c6fe66c3e18df915cee3f58711c0de3124323",
     "mellin-defs json":
         "d712ef7afaed21b5c42f75e71cc175a543670a6af1d24ed3a4657e6395e0c60a",
-    "thm19 json": "900a1c6a394dfb31934f69ffd936d3cd8eb67111fe4bc19f206c3edde4033354",
-    "thm20 json": "feda2c1ecab74b93fa5e8c88de0e11ff367aec47391383fbe31ce4bc954f3857",
-    "thm21 json": "099d4949ec05b5e7d393989fd5a0c6c204d40d98a66343c8d0b1108f4a5f74bc",
-    "thm22 json": "c25c787520457cf595abe5663034b201e7ec25c901453c6a187d72904004acc8",
-    "thm23 json": "10161f40178a5f02b8035bad7f6d8862be537b50105a1e44f2edc0cc31144b22",
+    "thm19 json": "47ed3b5cbb235b4c8bbcd6aa1b8be551e558d93c07db5147c10f98276e9fffcb",
+    "thm20 json": "5cfc5a1e0dcd8042084950063b5c2c8bea5cd22e30a4f3519622c017aaae5c8a",
+    "thm21 json": "fa74ab524f18d2a45a14b5aec403f102e4ec9e2e221273fdf11677183f8a085d",
+    "thm22 json": "79c55bec258e666d0cfe1f818e5c28b9cb617b50b45211bb047236155204fb91",
+    "thm23 json": "fd924cf21bde95e042c27ca7bbfc3e890b79c5973ec77f4a47624ef75e9a4397",
 }
 
 

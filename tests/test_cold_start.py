@@ -1,8 +1,9 @@
 """Cold start: ``import hbq``, ``import hbq.qzeta``, the exact commands, the
-real-s q-series commands and the short direct series load neither numpy nor
-scipy, numpy is imported only inside the array kernels, no computation loads
-scipy, and a command loads only the hbq layers it calls.  Each check runs a
-fresh interpreter and reads its ``sys.modules``; nothing is timed."""
+real-s q-series commands, the short direct series and the product identities
+load neither numpy nor scipy, numpy is imported only inside the array
+kernels, no computation loads scipy, and a command loads only the hbq layers
+it calls.  Each check runs a fresh interpreter and reads its
+``sys.modules``; nothing is timed."""
 
 import ast
 import glob
@@ -73,6 +74,13 @@ def test_short_series_verify_targets_load_no_numpy():
     assert _heavy_modules_after(_cli("verify", "thm6")) == []
 
 
+@pytest.mark.parametrize("target", ["thm19", "thm20", "thm21", "thm22", "thm23"])
+def test_product_identity_verify_targets_load_no_numpy(target):
+    # the damped double sums take a short m-head in a plain loop and the
+    # rest of the m-sum from Hurwitz zetas
+    assert _heavy_modules_after(_cli("verify", target)) == []
+
+
 def test_acceptance_imports_without_numpy():
     # the verify grids live in hbq.acceptance, which loads the numpy layers
     # only inside the checks that need them
@@ -84,11 +92,11 @@ def test_no_computation_loads_scipy():
     half = "hbq.QParam.real('1/2')"
     for code in (f"hbq.mellin_transform('F', 2, {half})",
                  "hbq.riemann_zeta(complex(2, 1))",
-                 _cli("verify", "mellin-defs"),
-                 _cli("verify", "thm19")):
+                 _cli("verify", "thm19"),
+                 _cli("verify", "mellin-defs")):
         loaded = _heavy_modules_after(code)
         assert not any(m.split(".")[0] == "scipy" for m in loaded), code
-    assert "numpy" in loaded  # thm19's damped double sum reached numpy
+    assert "numpy" in loaded  # mellin-defs' generating series reached numpy
 
 
 def _imports():

@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from hbq import _kernels, characters_mod
+from hbq import _kernels, characters_mod, mellin
 
 CHI5 = characters_mod(5)[1].table  # a complex character: values 1, i, -i, -1
 
@@ -115,6 +115,45 @@ def test_damped_pair_sum_complex_s():
             direct += c / mu * ((eps - 1j * w) ** (-s) - (eps + 1j * w) ** (-s))
     got = _kernels.damped_pair_sum(s, eps, logq, True, CHI5, True, 8, 6)
     assert abs(got - direct) < 1e-13 * abs(direct)
+
+
+def _damped_m_series_exact(s, eps, q, odd_weights, n_count, mpmath):
+    """sum_{n <= n_count} c_n sum_{m >= 1} w_m [(eps - i w)^(-s) -
+    (eps + i w)^(-s)] in 30 digits, alternating, chi = CHI5: the m-terms
+    are smooth in m and fall like m^(-Re s - 1), which Levin's transform
+    sums to full precision."""
+    with mpmath.workdps(30):
+        s, eps, q = mpmath.mpmathify(s), mpmath.mpf(eps), mpmath.mpf(q)
+        rows = [((-1) ** n * mpmath.mpmathify(CHI5[n % 5]) * q ** -n,
+                 (q ** -n - 1) / (1 - q)) for n in range(1, n_count + 1)]
+
+        def term(m):
+            mu = 2 * m - 1 if odd_weights else m
+            return sum(c * ((eps - 1j * a * mu) ** -s - (eps + 1j * a * mu) ** -s)
+                       for c, a in rows) / mu
+
+        return complex(mpmath.nsum(term, [1, mpmath.inf], method="levin"))
+
+
+@pytest.mark.parametrize("odd_weights", [True, False])
+@pytest.mark.parametrize("s", [2, complex(2.5, 1), 20, complex(3, 30)])
+def test_damped_pair_sum_with_its_tail_is_the_infinite_m_series(s, odd_weights):
+    # the m-head, the binomial tail terms j >= 1 and the term j = 0 (which
+    # the product identities take over every n from the q-series) add up to
+    # the whole m-series at n = 1..3
+    mpmath = pytest.importorskip("mpmath")
+    s, q, n_count = complex(s), 0.5, 3
+    logq = math.log(q)
+    m_head, tail = mellin._m_split(s, logq, odd_weights, 0.2, 1e-30)
+    j0 = tail[0] * sum(
+        (-1) ** n * CHI5[n % 5] * q ** -n
+        * cmath.exp(-s * math.log((q ** -n - 1) / (1 - q)))
+        for n in range(1, n_count + 1))
+    for eps in (0.2, 0.0125):
+        got = _kernels.damped_pair_sum(s, eps, logq, True, CHI5, odd_weights,
+                                       m_head, n_count, tail[1:]) + j0
+        exact = _damped_m_series_exact(s, eps, q, odd_weights, n_count, mpmath)
+        assert abs(got - exact) <= 1e-13 * abs(exact), eps
 
 
 def test_gen_series_sum_complex_t():
