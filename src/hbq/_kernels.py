@@ -8,11 +8,12 @@ import numpy when called, the only numpy imports in hbq:
 `qzeta_partial_sum` for direct q-series of more than `qzeta._PY_TERMS`
 terms, in blocks of at most 32,768 terms in buffers made once per call, and
 `gen_series_sum` for the many nodes of a quadrature level, in blocks of
-about 16,384 rows times nodes.  Everything else is a plain loop: `crvz_sum`,
-whose weights are tabled once per n; `gen_node_sum`, one node by the stop
-rule of `gen_series_sum`; and `damped_pair_sum`, a short m-head per n with
-the binomial m-tail from tabled Hurwitz zetas.  ``chi`` is always one period
-of character values.  Exact-rational code paths stay elsewhere.
+about 16,384 rows times real nodes.  Everything else is a plain loop:
+`crvz_sum`, whose weights are tabled once per n; `gen_node_sum`, one real or
+complex node; and `damped_pair_sum`, a short m-head per n with the binomial
+m-tail from tabled Hurwitz zetas.  ``chi`` is one period of character
+values.  Only here: the float cap of the row q^(-n)[n] (`_gen_cap`) and the
+stop rule under a majorant (`_gen_stops` on arrays, `_gen_stop` on floats).
 """
 
 from __future__ import annotations
@@ -218,14 +219,14 @@ def damped_pair_sum(s, eps, logq, alt, chi, odd_weights, m_count, n_count,
 
 
 def _gen_cap(logq, nmax):
-    """The last n a generating series may reach: nmax, or the last n with
-    q^(-n-1)[n+1] < q^(-n-1) / (1 - q) <= e^709 inside the float range."""
+    """The last n a generating series may reach: nmax, or the last n whose
+    next row q^(-n-1)[n+1] < q^(-n-1) / (1 - q) <= e^709 fits a float."""
     return min(nmax, int((_LOG_FLOAT_MAX + math.log(-math.expm1(logq))) / -logq) - 1)
 
 
 def _gen_stops(cur, nxt, tol):
-    """The stop rule of the generating series, on floats or on arrays: a node
-    stops at the first n whose next majorant
+    """The stop rule of the generating series, on arrays (`_gen_stop` on
+    floats): a node stops at the first n whose next majorant
     m_(n+1) = q^(-n-1) exp(-q^(-n-1)[n+1] Re t) (``nxt``) is below tol/2
     and below m_n / 2 (``cur``), or m_n = 0.  The ratio
     m_(j+1) / m_j = q^(-1) exp(-q^(-j-1) Re t) falls with j, so 2 m_(n+1)
@@ -233,9 +234,14 @@ def _gen_stops(cur, nxt, tol):
     return (nxt < 0.5 * tol) & ((nxt + nxt < cur) | (cur == 0.0))
 
 
+def _gen_stop(cur, nxt, tol):
+    """`_gen_stops` on two floats, short-circuit, in the same arithmetic."""
+    return nxt < 0.5 * tol and (nxt + nxt < cur or cur == 0.0)
+
+
 def gen_node_sum(t, logq, alt, chi, nmax, tol):
-    """`gen_series_sum` at the one node t, in a plain loop: (value, tail
-    bound, terms used), with its rows, terms and stop rule."""
+    """`gen_series_sum` at the one node t, also complex (Re t > 0), in a plain
+    loop: (value, tail bound, terms used), with its rows, terms and stop rule."""
     t = complex(t)
     omq = -math.expm1(logq)
     cap = _gen_cap(logq, nmax)
@@ -245,7 +251,7 @@ def gen_node_sum(t, logq, alt, chi, nmax, tol):
         qinv = math.exp(n * -logq)
         a = (qinv - 1.0) / omq
         major = math.exp(-a * t.real) * qinv
-        if cur is not None and _gen_stops(cur, major, tol):
+        if cur is not None and _gen_stop(cur, major, tol):
             return value, 2.0 * major, n - 1
         if n > cap:
             break
@@ -258,10 +264,10 @@ def gen_node_sum(t, logq, alt, chi, nmax, tol):
 
 
 def gen_series_sum(ts, logq, alt, chi, nmax, tol):
-    """sum_{n>=1} sign^n chi(n) q^(-n) exp(-q^(-n)[n] t) at each node t of
-    ``ts`` (real or complex, Re t > 0), with a rigorous tail; ``chi`` is one
-    period of character values.  Returns three lists: the values, the tail
-    bounds and the numbers of terms used.
+    """sum_{n>=1} sign^n chi(n) q^(-n) exp(-q^(-n)[n] t) at each real node
+    t > 0 of ``ts``, with a rigorous tail; ``chi`` is one period of
+    character values.  Returns three lists: the values, the tail bounds and
+    the numbers of terms used.  A complex node goes to `gen_node_sum`.
 
     A node stops by `_gen_stops`, and a node still running after nmax terms,
     or at the last n with q^(-n)[n] inside the float range (`_gen_cap`),
@@ -276,13 +282,11 @@ def gen_series_sum(ts, logq, alt, chi, nmax, tol):
     """
     import numpy as np
 
-    t = np.asarray(ts, dtype=np.complex128)
-    tr, ti = t.real, t.imag
-    phased = bool(ti.any())
+    t = np.asarray(ts, dtype=np.float64)
     omq = -math.expm1(logq)
     cap = _gen_cap(logq, nmax)
     coef = _sign_chi_period(chi, alt)
-    if not (phased or coef.imag.any()):
+    if not coef.imag.any():
         coef = coef.real
     values = np.zeros(t.size, np.complex128)
     tails = np.full(t.size, math.inf)
@@ -295,14 +299,12 @@ def gen_series_sum(ts, logq, alt, chi, nmax, tol):
             n = np.arange(lo, hi + 2, dtype=np.float64)
             qinv = np.exp(n * -logq)
             a = (qinv - 1.0) / omq
-            # majors of rows lo..hi+1 (exp(-inf) is 0 where a Re t overflows)
-            major = np.exp(np.multiply.outer(-a, tr[live]))
+            # majors of rows lo..hi+1 (exp(-inf) is 0 where a t overflows)
+            major = np.exp(np.multiply.outer(-a, t[live]))
             major *= qinv[:, None]
             cur, nxt = major[:-1], major[1:]
             stop = _gen_stops(cur, nxt, tol)
             terms = coef[np.arange(lo, hi + 1) % len(coef)][:, None] * cur
-            if phased:
-                terms *= np.exp(1j * np.multiply.outer(-a[:-1], ti[live]))
             done = stop.any(axis=0)
             last = np.where(done, stop.argmax(axis=0), hi - lo)
             used = np.arange(hi + 1 - lo)[:, None] <= last

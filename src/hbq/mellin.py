@@ -32,8 +32,8 @@ from typing import Optional
 
 from . import _kernels
 from .characters import DirichletCharacter, chi_table
-from .core import (_LOG_FLOAT_MAX, ConvergenceError, DomainError, QParam,
-                   QRegime, SeriesValue, VerificationOutcome, _finite, _logq,
+from .core import (ConvergenceError, DomainError, QParam, QRegime,
+                   SeriesValue, VerificationOutcome, _finite, _fits, _logq,
                    _positive, _shift)
 from .qsums import RegularizationSchedule, _gen_kind, _richardson
 from .qzeta import _alt_series
@@ -197,11 +197,11 @@ def mellin_transform(kind: str, s, q: QParam,
     # integrates over [-log T, V] to under T^a / (a |Gamma(s)|).  A node t
     # stops no sooner than q^(-n-1)[n+1] t > log(2 / inner), so the last
     # node t = e^(-V) needs q^(-n-1) > (1 - q) log(2 / inner) e^V: refuse
-    # before summing when that passes the term cap or the float range.
+    # before summing when that n passes the term cap or the float range.
     log_inner = min(0.0, log_share + math.log(a) - a * math.log(t_big)
                     + lgam.real)
     log_need = v_hi + math.log(-math.expm1(logq) * (math.log(2.0) - log_inner))
-    if log_need > min((_GEN_TERMS + 1) * -logq, _LOG_FLOAT_MAX):
+    if math.ceil(log_need / -logq) - 1 > _kernels._gen_cap(logq, _GEN_TERMS):
         raise ConvergenceError(
             f"generating series at t = e^-{v_hi:.4g} needs q^-n above "
             f"e^{log_need:.4g}, past its {_GEN_TERMS}-term cap or the float "
@@ -279,13 +279,15 @@ def verify_mellin_roundtrip(target: str, s, q: QParam,
 
 def branch_prefactor(s) -> complex:
     """i^(-s) ((-1)^(-s) - 1) under the principal logarithm
-    (log i = i pi/2, log(-1) = i pi); exactly zero at even integer s."""
+    (log i = i pi/2, log(-1) = i pi); exactly zero at even integer s.  Its
+    size is at most 2 e^(3 pi Im(s) / 2), which must fit a float."""
     z = complex(s)
     if z.imag == 0 and z.real == int(z.real):
         n = int(z.real)
         if n % 2 == 0:
             return 0j
         return (-1j) ** (n % 4) * (-2.0)
+    _fits("i^(-s) ((-1)^(-s) - 1)", 1.5 * math.pi * z.imag + math.log(2.0))
     return cmath.exp(-z * (0.5j * math.pi)) * (cmath.exp(-z * (1j * math.pi)) - 1.0)
 
 
@@ -363,17 +365,25 @@ def verify_product_identity(tid: int, s, q: QParam,
     n_terms = max(12, int(math.ceil(math.log(inner_tol * (1.0 - rate))
                                     / (logq * (s.real - 1.0)))) + 4)
 
-    limit = int((_LOG_FLOAT_MAX + math.log(-math.expm1(logq))) / -logq)
-    if n_terms > limit:
+    last = _kernels._gen_cap(logq, n_terms) + 1  # the series' last row
+    if n_terms > last:
         raise DomainError(
             f"product identity needs {n_terms} n-terms at q = {qfrac}, but "
-            f"q^-n [n] leaves the float range (e^{_LOG_FLOAT_MAX:.4g}) past "
-            f"n = {limit}")
+            f"q^-n [n] leaves the float range (e^{_kernels._LOG_FLOAT_MAX:.4g}) "
+            f"past n = {last}")
+
+    # the right side first, to refuse one past the float range unsummed
+    x_series = _alt_series(s, q, None, chi, inner_tol, alternating=alt).value
+    second = (zeta_star if odd_w else riemann_zeta)(s + 1.0, inner_tol).value
+    first = (1.0 + float(qfrac)) * x_series if alt else x_series
+    rhs = branch_prefactor(s) * first * second
+    if not cmath.isfinite(rhs):
+        raise DomainError(f"product identity {tid}'s right side is not a "
+                          "finite float")
 
     # the m-sum: m <= M exactly, and m > M by the binomial series of the
     # bracket, whose term j = 0 over every n is the analytic completion
     # 2i sin(pi s/2) x_series Z_0 and whose terms j = 1..J the kernel adds
-    x_series = _alt_series(s, q, None, chi, inner_tol, alternating=alt).value
     m_head, d = _m_split(s, logq, odd_w, max(_PRODUCT_REG.offsets),
                          inner_tol * _PRODUCT_TAIL_SHARE)
     m_tail = d[0] * x_series
@@ -381,10 +391,6 @@ def verify_product_identity(tid: int, s, q: QParam,
                                     m_head, n_terms, d[1:]) + m_tail
            for eps in _PRODUCT_REG.offsets]
     lhs, resid = _richardson(_PRODUCT_REG.offsets, per, _PRODUCT_REG.order)
-
-    second = (zeta_star if odd_w else riemann_zeta)(s + 1.0, inner_tol).value
-    first = (1.0 + float(qfrac)) * x_series if alt else x_series
-    rhs = branch_prefactor(s) * first * second
 
     params = {"id": tid, "s": s, "q": str(qfrac),
               "chi": chi.label if chi else None,

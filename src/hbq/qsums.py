@@ -13,8 +13,9 @@ cut: for fixed n the m-sum (the n-slice) is a classical Fourier series
 (square wave, sawtooth, Bernoulli polynomial), computed exactly at the exact
 rational angle q^(-n)[n] h / k by one slice builder (`_slices`) for every
 shape and both readings.  The slices are formed once per call and damped per
-offset, each offset with its own stop rule; they grow by the bits of q's
-denominator a term, so a sum sized past a fixed cap is refused up front.
+offset, every offset stopping by the generating series' rule on its
+majorant; they grow by the bits of q's denominator a term, so a sum sized
+past a fixed cap is refused up front.
 
 At q = 1 the damped sums collapse to geometric ratios over one period of
 the angle lattice, and the value is their exact Abel limit whenever the
@@ -37,8 +38,7 @@ from typing import Optional, Sequence, Tuple
 from . import _kernels
 from .characters import DirichletCharacter, chi_table
 from .core import (ConvergenceError, DomainError, ParityError, PoleError,
-                   QParam, QRegime, SeriesValue, _fits, _logq, _positive,
-                   _shift)
+                   QParam, QRegime, SeriesValue, _logq, _positive, _shift)
 from .numbers import _bernoulli_at
 from .sums import _TERMS, _hardy_args, _hardy_variant, parity_condition
 from .zeta import digamma
@@ -294,31 +294,26 @@ def _literal_values(shape, h: int, k: int, qfrac: Fraction,
                     chi: Optional[DirichletCharacter], offsets, tol: float):
     """(value, tail bound) of each literal offset, summed n-first.  The exact
     angles a_n = q^(-n)[n], q^(-n) and the slices are formed once, in one
-    list shared by all offsets; each offset runs its own stop rule."""
+    list shared by all offsets.  Each offset stops by `_kernels._gen_stop`
+    on its majorant sup q^(-n) e^(-a_n eps), sup times the generating
+    series' at t = eps, which sizes the smallest offset first."""
     value, factor, sup, _, p = _slices(shape, h, k, chi, False)
     logq = _logq(qfrac)
-    omq = -math.expm1(logq)  # 1 - q
     qn, qd = qfrac.numerator, qfrac.denominator
     bits = p * qd.bit_length()
-
-    def stops(cur, nxt):  # on the majorants of terms n and n + 1
-        return nxt < tol * 0.25 and (cur == 0.0 or nxt < 0.5 * cur)
-
-    def major(m, eps):  # in floats, a_m = (q^(-m) - 1)/(1 - q) < q^(-m)/(1 - q) < max/e
-        _fits("q^(-n)[n]", 1.0 - m * logq - math.log(omq))
-        return math.exp(-m * logq) * math.exp(-math.expm1(-m * logq) / omq * eps) * sup
-
-    eps = min(offsets)  # sized first: the exact slice n has about n * bits bits
-    n, cur = 1, major(1, eps)
-    while n * (n * bits) ** 2 <= _LITERAL_WORK_MAX:
-        nxt = major(n + 1, eps)
-        if stops(cur, nxt):
-            break
-        n, cur = n + 1, nxt
-    else:
+    # most slices n, of about n * bits bits, with n (n bits)^2 in the cap
+    n_work = int((_LITERAL_WORK_MAX / bits ** 2) ** (1.0 / 3.0))
+    n_work += (n_work + 1) ** 3 * bits ** 2 <= _LITERAL_WORK_MAX
+    n_work -= n_work ** 3 * bits ** 2 > _LITERAL_WORK_MAX
+    _, tail, n = _kernels.gen_node_sum(min(offsets), logq, False, (1,), n_work,
+                                       tol / (2.0 * sup))
+    if tail == math.inf and n < n_work:
+        raise DomainError("q^(-n)[n] overflows the float range")
+    if tail == math.inf:
         raise ConvergenceError(
-            f"literal damped series hit the term cap: {n} terms of up to {n * bits} bits "
-            f"pass the work cap n (n p b)^2 <= {_LITERAL_WORK_MAX:.3g}")
+            f"literal damped series hit the term cap: {n_work + 1} terms of up to "
+            f"{(n_work + 1) * bits} bits pass the work cap n (n p b)^2 <= "
+            f"{_LITERAL_WORK_MAX:.3g}")
 
     num, qn_pow, qd_pow = 0, 1, 1  # a_n = num / qn^n
     rows = [None]  # rows[n]: (2i sign chi q^(-n), q^(-n), float a_n, slice)
@@ -345,7 +340,7 @@ def _literal_values(shape, h: int, k: int, qfrac: Fraction,
             acc += weight * damp * coef
             _, nxt_qinv, nxt_af, _ = row(n + 1)
             nxt = nxt_qinv * math.exp(-nxt_af * eps) * sup
-            if stops(qinv_f * damp * sup, nxt):
+            if _kernels._gen_stop(qinv_f * damp * sup, nxt, 0.5 * tol):
                 out.append((acc, 2.0 * nxt))
                 break
             n += 1

@@ -56,22 +56,55 @@ def test_digamma_complex_s_exit_2(capsys):
 
 def test_convergence_error_exit_2(capsys):
     # a literal damped sum past the work cap is an input error, not a failed
-    # check (exit code 1)
+    # check (exit code 1); it names the first term count past the cap,
+    # 3,730 + 1 slices of up to 17 bits per power of q
     code, out, err = run(capsys, "qsum", "--kind", "gen", "--variant", "S",
                          "--h", "1", "--k", "2", "--q", "99999/100000")
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "term cap" in err
+    assert err == ("error: literal damped series hit the term cap: 3731 terms "
+                   "of up to 63427 bits pass the work cap n (n p b)^2 <= "
+                   "1.5e+13\n")
+
+
+def test_literal_offset_past_the_float_range_exit_2(capsys):
+    # an offset so small that q^(-n)[n] leaves the float range before its
+    # sum stops is refused as such, before any exact slice
+    code, out, err = run(capsys, "qsum", "--kind", "gen", "--variant", "S",
+                         "--h", "1", "--k", "2", "--q", "1/2",
+                         "--eps", "1e-300,5e-324", "--order", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: q^(-n)[n] overflows the float range\n"
 
 
 def test_product_identity_past_the_float_range_exit_2(capsys):
     # s near 1 needs more n-terms than q^(-n) [n] has float range for: 33,753
-    # at q = 1/2 and 660 at q = 1/20; refused before any sum, no traceback
-    for argv, need, limit in ((("--s", "1.001"), 33753, 1023),
-                              (("--s", "1.01", "--q", "1/20"), 660, 236)):
+    # at q = 1/2 and 660 at q = 1/20; refused before any sum, no traceback.
+    # 1,023 at q = 1/2 once ran with an inf row q^(-1023)[1023], whose term
+    # the kernel added as 0, and failed the check (exit 1)
+    for argv, need, limit in ((("--s", "1.001"), 33753, 1021),
+                              (("--s", "1.01", "--q", "1/20"), 660, 236),
+                              (("--s", "1.0284"), 1023, 1021)):
         code, out, err = run(capsys, "verify", "thm19", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"needs {need} n-terms" in err and f"past n = {limit}" in err
+
+
+def test_product_identity_right_side_past_the_float_range_exit_2(capsys):
+    # i^(-s) ((-1)^(-s) - 1) grows as e^(3 pi Im(s) / 2): past Im s = 150
+    # the right side was inf or nan, and the check failed with a nan
+    # difference (exit 1); now it is refused before any damped sum
+    for s in ("3,151", "3,200", "2.5,160"):
+        code, out, err = run(capsys, "verify", "thm21", "--s", s)
+        assert (code, out) == (2, "")
+        assert err == "error: i^(-s) ((-1)^(-s) - 1) overflows the float range\n"
+    # Im s = 150 and any negative Im s still answer, with finite sides
+    for s in ("3,150", "3,-200"):
+        code, out, err = run(capsys, "verify", "thm21", "--s", s,
+                             "--format", "json")
+        assert code in (0, 1) and err == ""
+        (result,) = json.loads(out)["results"]
+        assert isinstance(result["abs_diff"], float) and math.isfinite(result["abs_diff"])
 
 
 def test_qsum_dedekind_nonpositive_tol_exit_2(capsys):

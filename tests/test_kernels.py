@@ -1,10 +1,10 @@
 """The float kernels against small direct sums, on the branches the engine
-tests reach least: complex log q, complex s in the damped double sum, and a
-complex argument t of the generating series; the q-series sum of one block
-against one array and each term at any position, bit for bit; the CRVZ
-loop against closed forms and its tabled weights against the loop that
-formed them per call; and the generating series at one node against the
-array kernel."""
+tests reach least: complex log q, complex s in the damped double sum, and
+complex arguments t of the generating series at one node; the q-series sum
+of one block against one array and each term at any position, bit for
+bit; the CRVZ loop against closed forms and its tabled weights against the
+loop that formed them per call; and the generating series at one real node
+against the array kernel."""
 
 import cmath
 import math
@@ -156,19 +156,6 @@ def test_damped_pair_sum_with_its_tail_is_the_infinite_m_series(s, odd_weights):
         assert abs(got - exact) <= 1e-13 * abs(exact), eps
 
 
-def test_gen_series_sum_complex_t():
-    t, q = complex(0.7, 2.3), 0.5
-    logq = math.log(q)
-    direct = 0j
-    for n in range(1, 40):
-        a = (q ** -n - 1) / (1 - q)
-        direct += (-1) ** n * CHI5[n % 5] * q ** -n * cmath.exp(-a * t)
-    (value,), (tail,), (n_used,) = _kernels.gen_series_sum(
-        [t], logq, True, CHI5, 4000, 1e-14)
-    assert tail <= 1e-14 and n_used < 40
-    assert abs(value - direct) < 1e-14
-
-
 def _gen_series_exact(t, q, alt, chi, n_used, mpmath):
     """The generating series at t in 40 digits, its first n_used terms, the
     sum of their sizes and the largest |q^(-n)[n] t| among them."""
@@ -191,18 +178,20 @@ def _gen_series_exact(t, q, alt, chi, n_used, mpmath):
 
 
 def test_gen_series_sum_within_its_tail_at_many_nodes():
-    # one call per series over nodes from 1e-12 to 50 and complex nodes: each
-    # node's tail bounds its truncation, and its value is off the exact
-    # partial sum by rounding only, eps (terms + 2 |q^(-n)[n] t|) sum |term|
+    # one array call per series over real nodes from 1e-12 to 50, and the
+    # complex nodes one at a time: each node's tail bounds its truncation,
+    # and its value is off the exact partial sum by rounding only,
+    # eps (terms + 2 |q^(-n)[n] t|) sum |term|
     mpmath = pytest.importorskip("mpmath")
-    ts = [10 ** (k / 2) for k in range(-24, 4)] + [
-        50.0, complex(0.7, 2.3), complex(2, -5), complex(0.05, 0.4),
-        complex(1e-3, -2e-3)]
+    real = [10 ** (k / 2) for k in range(-24, 4)] + [50.0]
+    phased = [complex(0.7, 2.3), complex(2, -5), complex(0.05, 0.4),
+              complex(1e-3, -2e-3)]
     for q in (0.3, 0.5, 0.8):
         for alt, chi in ((True, (1,)), (False, (1,)), (True, CHI5), (False, CHI5)):
-            values, tails, counts = _kernels.gen_series_sum(
-                ts, math.log(q), alt, chi, 4000, 1e-12)
-            for t, value, tail, n in zip(ts, values, tails, counts):
+            args = (math.log(q), alt, chi, 4000, 1e-12)
+            rows = list(zip(real, *_kernels.gen_series_sum(real, *args)))
+            rows += [(t, *_kernels.gen_node_sum(t, *args)) for t in phased]
+            for t, value, tail, n in rows:
                 with mpmath.workdps(40):
                     full, part, size, reach = _gen_series_exact(t, q, alt, chi,
                                                                 n, mpmath)
@@ -277,17 +266,15 @@ def test_crvz_weights_keep_the_bits_of_the_per_call_loop():
 
 
 def test_gen_node_sum_matches_the_array_kernel():
-    # seeded nodes, real and complex t, for the four kinds f, F, f_chi and
-    # F_chi: the same term counts; tails equal up to the rounding of exp
-    # (numpy's and math's differ in the last bit, which q^(-n)[n] Re t
+    # seeded real nodes, the array kernel's domain, for the four kinds f, F,
+    # f_chi and F_chi: the same term counts; tails equal up to the rounding
+    # of exp (numpy's and math's differ in the last bit, which q^(-n)[n] t
     # magnifies); values within tol
     rng = random.Random("gen-node")
     chi = characters_mod(5)[1].table
     for _ in range(400):
         q = rng.uniform(0.1, 0.95)
         t = 10 ** rng.uniform(-1, 1.5)
-        if rng.random() < 0.5:
-            t = complex(t, rng.uniform(-5, 5))
         alt, table = rng.choice(((False, (1,)), (True, (1,)), (False, chi), (True, chi)))
         args = (math.log(q), alt, table, 1_000_000, 1e-12)
         (value,), (tail,), (n,) = _kernels.gen_series_sum([t], *args)

@@ -83,6 +83,28 @@ def test_prefactor_zero_structure():
     assert abs(z - expected) < 1e-14
 
 
+def test_prefactor_refuses_past_the_float_range():
+    # |i^(-s) ((-1)^(-s) - 1)| <= 2 e^(3 pi Im(s) / 2): Im s = 151 passes
+    # the float range (once inf or nan), 150 and any negative Im s fit
+    with pytest.raises(DomainError, match="overflows the float range"):
+        branch_prefactor(complex(3, 151))
+    for s in (complex(3, 150), complex(3, -200), complex(2.5, -1e4)):
+        assert cmath.isfinite(branch_prefactor(s))
+
+
+def test_product_identity_refuses_a_right_side_past_the_float_range(monkeypatch):
+    # a right side that is not a finite float is refused before any damped
+    # sum, rather than compared as a nan difference
+    def unreachable(*args):
+        raise AssertionError("summed the damped double sum")
+
+    monkeypatch.setattr(_kernels, "damped_pair_sum", unreachable)
+    monkeypatch.setattr(mellin, "branch_prefactor", lambda s: complex(math.inf, 0.0))
+    with pytest.raises(DomainError) as exc:
+        verify_product_identity(21, 3, Q_HALF)
+    assert str(exc.value) == "product identity 21's right side is not a finite float"
+
+
 def test_mellin_transform_matches_series_directly():
     sv = mellin_transform("F", 3, Q_HALF)
     series = q_alt_zeta(3, Q_HALF, 1e-12)

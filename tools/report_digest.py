@@ -4,7 +4,8 @@ code and the sha256 of its stdout and of its stderr.
 The commands are the benchmark's own: ``perfbench/ops.py::cli_ops(7, 400)``
 and the ten ``VERIFY_COMMANDS``, then ``NEGATIVE``, negative values written
 as separate tokens, each in json, text and csv; then ``REFUSED``, one
-command per (command, selection) that the CLI refuses, in json.  They all
+command per (command, selection) that the CLI refuses, and ``EDGES``, the
+refusals at each cap of the row q^(-n)[n], both in json.  They all
 run in this one process through ``hbq.cli.main``, so two checkouts compare
 by diffing their digests:
 
@@ -71,6 +72,24 @@ verify thm23 --k-max 3
 verify all --tol 1e-30
 """
 
+# the refusals at the caps: the literal sums' work cap (two kinds) and float
+# range; the Mellin route's term cap, float range and node tolerance; the
+# product identities' n-terms past the float range, and right sides past it
+EDGES = """\
+qsum --kind gen --variant S --h 1 --k 2 --q 99999/100000
+qsum --kind gen --variant S --h 1 --k 2 --q 1/2 --eps 1e-300,5e-324 --order 1
+qsum --kind dedekind --p 3 --h 1 --k 3 --q 999/1000
+verify mellin-defs --q 999/1000
+verify mellin-defs --s 1.02
+verify mellin-defs --s 1000 --q 1/2
+verify thm19 --s 1.001
+verify thm19 --s 1.01 --q 1/20
+verify thm19 --s 1.0284
+verify thm21 --s 3,151
+verify thm21 --s 3,200
+verify thm21 --s 2.5,160
+"""
+
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -83,7 +102,7 @@ def commands(ops):
     bases += [line.split() for line in NEGATIVE.splitlines()]
     return ([base + ["--format", fmt] for base in bases for fmt in FORMATS]
             + [line.split() + ["--format", "json"]
-               for line in REFUSED.splitlines()])
+               for line in (REFUSED + EDGES).splitlines()])
 
 
 def run(main, argv):
