@@ -13,7 +13,7 @@ about 16,384 rows times real nodes.  Everything else is a plain loop:
 complex node; and `damped_pair_sum`, a short m-head per n with the binomial
 m-tail from tabled Hurwitz zetas.  ``chi`` is one period of character
 values.  Only here: the float cap of the row q^(-n)[n] (`_gen_cap`) and the
-stop rule under a majorant (`_gen_stops` on arrays, `_gen_stop` on floats).
+stop rule under a majorant (`_gen_stops`, on arrays or on two floats).
 """
 
 from __future__ import annotations
@@ -225,18 +225,13 @@ def _gen_cap(logq, nmax):
 
 
 def _gen_stops(cur, nxt, tol):
-    """The stop rule of the generating series, on arrays (`_gen_stop` on
-    floats): a node stops at the first n whose next majorant
+    """The stop rule of the generating series, on arrays or on two floats
+    (with the same booleans): a node stops at the first n whose next majorant
     m_(n+1) = q^(-n-1) exp(-q^(-n-1)[n+1] Re t) (``nxt``) is below tol/2
     and below m_n / 2 (``cur``), or m_n = 0.  The ratio
     m_(j+1) / m_j = q^(-1) exp(-q^(-j-1) Re t) falls with j, so 2 m_(n+1)
     bounds the tail."""
     return (nxt < 0.5 * tol) & ((nxt + nxt < cur) | (cur == 0.0))
-
-
-def _gen_stop(cur, nxt, tol):
-    """`_gen_stops` on two floats, short-circuit, in the same arithmetic."""
-    return nxt < 0.5 * tol and (nxt + nxt < cur or cur == 0.0)
 
 
 def gen_node_sum(t, logq, alt, chi, nmax, tol):
@@ -251,7 +246,7 @@ def gen_node_sum(t, logq, alt, chi, nmax, tol):
         qinv = math.exp(n * -logq)
         a = (qinv - 1.0) / omq
         major = math.exp(-a * t.real) * qinv
-        if cur is not None and _gen_stop(cur, major, tol):
+        if cur is not None and _gen_stops(cur, major, tol):
             return value, 2.0 * major, n - 1
         if n > cap:
             break

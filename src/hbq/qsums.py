@@ -294,7 +294,7 @@ def _literal_values(shape, h: int, k: int, qfrac: Fraction,
                     chi: Optional[DirichletCharacter], offsets, tol: float):
     """(value, tail bound) of each literal offset, summed n-first.  The exact
     angles a_n = q^(-n)[n], q^(-n) and the slices are formed once, in one
-    list shared by all offsets.  Each offset stops by `_kernels._gen_stop`
+    list shared by all offsets.  Each offset stops by `_kernels._gen_stops`
     on its majorant sup q^(-n) e^(-a_n eps), sup times the generating
     series' at t = eps, which sizes the smallest offset first."""
     value, factor, sup, _, p = _slices(shape, h, k, chi, False)
@@ -305,8 +305,14 @@ def _literal_values(shape, h: int, k: int, qfrac: Fraction,
     n_work = int((_LITERAL_WORK_MAX / bits ** 2) ** (1.0 / 3.0))
     n_work += (n_work + 1) ** 3 * bits ** 2 <= _LITERAL_WORK_MAX
     n_work -= n_work ** 3 * bits ** 2 > _LITERAL_WORK_MAX
+    # The offsets stop once sup q^(-n) e^(-a_n eps) < tol/4, the sizing once
+    # q^(-n) e^(-a_n eps) < tol / (4 sup).  tol / (2 sup) rounds to 0 below
+    # about 1e-323 sup (Dedekind p = 169 at tol < 3e-138): 2^-1073, the least
+    # tol whose half is not 0, stops the sizing where the majorant underflows,
+    # as the offsets stop; unless tol/4 is 0 too, and no offset stops.
+    size_tol = max(tol / (2.0 * sup), 2.0 ** -1073) if 0.25 * tol else 0.0
     _, tail, n = _kernels.gen_node_sum(min(offsets), logq, False, (1,), n_work,
-                                       tol / (2.0 * sup))
+                                       size_tol)
     if tail == math.inf and n < n_work:
         raise DomainError("q^(-n)[n] overflows the float range")
     if tail == math.inf:
@@ -340,7 +346,7 @@ def _literal_values(shape, h: int, k: int, qfrac: Fraction,
             acc += weight * damp * coef
             _, nxt_qinv, nxt_af, _ = row(n + 1)
             nxt = nxt_qinv * math.exp(-nxt_af * eps) * sup
-            if _kernels._gen_stop(qinv_f * damp * sup, nxt, 0.5 * tol):
+            if _kernels._gen_stops(qinv_f * damp * sup, nxt, 0.5 * tol):
                 out.append((acc, 2.0 * nxt))
                 break
             n += 1

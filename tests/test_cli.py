@@ -76,6 +76,26 @@ def test_literal_offset_past_the_float_range_exit_2(capsys):
     assert err == "error: q^(-n)[n] overflows the float range\n"
 
 
+def test_literal_sum_at_a_tol_far_below_its_sup(capsys):
+    # at p = 169 the slices' sup (4 pi)^169 ~ 6e185 puts tol / (2 sup) below
+    # the floats at tol = 1e-140: the sizing still stops where the majorant
+    # underflows, as the offsets do, and the sum answers with the value of
+    # tol = 1e-10; at tol = 1e-323, whose quarter is 0, no offset stops
+    argv = ("qsum", "--kind", "dedekind", "--p", "169", "--h", "1", "--k", "3",
+            "--q", "1/2", "--format", "json")
+    results = []
+    for tol in ("1e-140", "1e-10"):
+        code, out, err = run(capsys, *argv, "--tol", tol)
+        assert (code, err) == (0, "")
+        results.append(json.loads(out)["results"])
+    assert results[0] == results[1]
+    code, out, err = run(capsys, *argv, "--tol", "1e-323")
+    assert (code, out) == (2, "")
+    assert err == ("error: literal damped series hit the term cap: 509 terms "
+                   "of up to 172042 bits pass the work cap n (n p b)^2 <= "
+                   "1.5e+13\n")
+
+
 def test_product_identity_past_the_float_range_exit_2(capsys):
     # s near 1 needs more n-terms than q^(-n) [n] has float range for: 33,753
     # at q = 1/2 and 660 at q = 1/20; refused before any sum, no traceback.
